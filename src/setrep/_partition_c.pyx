@@ -124,9 +124,11 @@ cdef class _Search:
         return 0
 
     cdef int descend(self, int depth) except -1:
-        cdef int u, v, x, d, dmax, total, remaining, target, w, a, i, nmem
+        cdef int u, v, x, d, dmax, total, remaining, target, w
+        cdef int a, b, c, best, i, k, nmem
         cdef size_t idx
-        cdef uint64_t ux, active, base, common, cl, rest, bit
+        cdef bint own
+        cdef uint64_t ux, ua, active, base, common, cl, rest, bit, later
         cdef int mem_idx[64]
         cdef uint64_t mem_old[64]
         cdef Vec cands
@@ -134,7 +136,10 @@ cdef class _Search:
 
         if self.aborted:
             return 0
-        self.nodes += 1
+        # slice 0 owns the shared root
+        own = depth > 0 or self.root_offset == 0
+        if own:
+            self.nodes += 1
         if self.has_node_limit and self.nodes > self.node_limit:
             self.aborted = True
             return 0
@@ -143,27 +148,34 @@ cdef class _Search:
             self.aborted = True
             return 0
 
-        u = -1
         dmax = 0
         total = 0
         active = 0
         for x in range(self.n):
             ux = self.unc[x]
             if ux:
-                if u < 0:
-                    u = x
                 active |= (<uint64_t> 1) << x
                 d = _sr_popcount(ux)
                 total += d
                 if d > dmax:
                     dmax = d
-        if u < 0:
-            arr = [self.clique_stack[i] for i in range(self.n_cliques)]
-            arr.sort()
-            self.partitions.append(tuple(arr))
+        if not active:
+            if own:
+                arr = [self.clique_stack[i] for i in range(self.n_cliques)]
+                arr.sort()
+                self.partitions.append(tuple(arr))
             return 0
         remaining = self.max_cliques - self.n_cliques
         if remaining <= 0:
+            return 0
+        if remaining == 1:
+            # the last clique must be the whole uncovered graph
+            k = _sr_popcount(active)
+            if own and total == k * (k - 1):
+                arr = [self.clique_stack[i] for i in range(self.n_cliques)]
+                arr.append(active)
+                arr.sort()
+                self.partitions.append(tuple(arr))
             return 0
         # covering bound on the busiest vertex (operands positive, so C
         # truncation agrees with the pure kernel's floor arithmetic)
@@ -175,7 +187,26 @@ cdef class _Search:
             if total // 2 > remaining * (w * (w - 1) // 2):
                 return 0
 
-        v = _sr_ctz(self.unc[u])
+        # fail-first edge: fewest common uncovered neighbours
+        best = self.n
+        u = v = -1
+        rest = active
+        while rest and best:
+            bit = rest & (0 - rest)
+            rest ^= bit
+            a = _sr_ctz(bit)
+            ua = self.unc[a]
+            later = ua & ~((bit << 1) - 1)
+            while later:
+                b = _sr_ctz(later)
+                later &= later - 1
+                c = _sr_popcount(ua & self.unc[b])
+                if c < best:
+                    best = c
+                    u = a
+                    v = b
+                    if c == 0:
+                        break
         base = ((<uint64_t> 1) << u) | ((<uint64_t> 1) << v)
         common = self.unc[u] & self.unc[v]
 

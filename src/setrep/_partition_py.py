@@ -11,14 +11,25 @@ every edge exactly once, using at most ``max_cliques`` cliques of size
 two or more (single-vertex cliques are the driver's business, not the
 kernel's).
 
-Search strategy: take the least uncovered edge (u, v), u minimal then v
-minimal; every clique of the partition containing that edge must consist
-of u, v and a clique of their common uncovered neighbourhood, so branch
-on those.  Before branching, a covering bound prunes hopeless states:
-a vertex with d uncovered edges needs at least ceil(d / (w - 1)) more
-cliques, where w is the clique number of the uncovered graph; w is
-computed by a small branch-and-bound that exits early once it can rule
-pruning out.
+Search strategy: fail first.  Every clique of the partition that
+covers an uncovered edge (a, b) consists of a, b and a clique of their
+common uncovered neighbourhood, so a node branches on those cliques for
+one edge.  The edge chosen is the one with the fewest common uncovered
+neighbours, popcount(unc[a] & unc[b]), ties going to the least a and then
+the least b; the scan stops at the first edge with none, whose only
+candidate is the edge itself.
+
+A node with one clique left does not branch: it closes the partition
+with the clique on its active vertices if the uncovered edges form
+exactly that clique, and is pruned otherwise.  Any other node first
+applies a covering bound: a vertex with d uncovered edges needs at least
+ceil(d / (w - 1)) more cliques, where w is the clique number of the
+uncovered graph; w is computed by a small branch-and-bound that exits
+early once it can rule pruning out.
+
+With ``root_stride > 1`` every slice visits the root, but only slice 0
+counts it and keeps a partition found there, so the slices' node counts
+and partitions add up to those of the whole search.
 """
 
 from __future__ import annotations
@@ -68,7 +79,9 @@ def enumerate_edge_partitions(n, adj, max_cliques, node_limit=None,
         nonlocal nodes, aborted
         if aborted:
             return
-        nodes += 1
+        own = depth > 0 or root_offset == 0  # slice 0 owns the shared root
+        if own:
+            nodes += 1
         if node_limit is not None and nodes > node_limit:
             aborted = True
             return
@@ -77,25 +90,29 @@ def enumerate_edge_partitions(n, adj, max_cliques, node_limit=None,
             aborted = True
             return
 
-        u = -1
         dmax = 0
         active = 0
         total = 0
         for x in range(n):
             ux = unc[x]
             if ux:
-                if u < 0:
-                    u = x
                 active |= 1 << x
                 d = ux.bit_count()
                 total += d
                 if d > dmax:
                     dmax = d
-        if u < 0:
-            partitions.append(tuple(sorted(cliques)))
+        if not active:
+            if own:
+                partitions.append(tuple(sorted(cliques)))
             return
         remaining = max_cliques - len(cliques)
         if remaining <= 0:
+            return
+        if remaining == 1:
+            # the last clique must be the whole uncovered graph
+            k = active.bit_count()
+            if own and total == k * (k - 1):
+                partitions.append(tuple(sorted(cliques + [active])))
             return
         # covering bound on the busiest vertex
         target = -(-dmax // remaining) + 1  # ceil(dmax / remaining) + 1
@@ -106,7 +123,24 @@ def enumerate_edge_partitions(n, adj, max_cliques, node_limit=None,
             if total // 2 > remaining * (w * (w - 1) // 2):
                 return
 
-        v = (unc[u] & -unc[u]).bit_length() - 1
+        # fail-first edge: fewest common uncovered neighbours
+        best = n
+        rest = active
+        while rest and best:
+            abit = rest & -rest
+            rest ^= abit
+            a = abit.bit_length() - 1
+            ua = unc[a]
+            later = ua & ~((abit << 1) - 1)
+            while later:
+                bbit = later & -later
+                later ^= bbit
+                b = bbit.bit_length() - 1
+                c = (ua & unc[b]).bit_count()
+                if c < best:
+                    best, u, v = c, a, b
+                    if not c:
+                        break
         base = (1 << u) | (1 << v)
         common = unc[u] & unc[v]
 

@@ -189,9 +189,11 @@ def _kernel_worker(args):
 
 
 def _run_kernel(g: Graph, q: int, node_limit, deadline):
-    """One kernel invocation, split over workers if SETREP_THREADS asks
-    for it.  Output order is normalised by sorting, so the threaded and
-    single-threaded paths are indistinguishable downstream."""
+    """One kernel invocation, split over worker processes if
+    SETREP_THREADS asks for it.  Output order is normalised by sorting,
+    and only slice 0 counts the shared root node, so without a node
+    budget the pooled and single-process paths are indistinguishable
+    downstream."""
     threads = int(os.environ.get("SETREP_THREADS", "0") or "0")
     masks = _masks(g)
     if threads > 1:

@@ -1,11 +1,13 @@
 """Exhaustive-search oracle: frozen results, kernels, budgets."""
 
 import itertools
+import random
 
 import pytest
 
 import zoo
 from setrep import (
+    Graph,
     SearchBudget,
     SetRepresentation,
     category_flags,
@@ -13,12 +15,12 @@ from setrep import (
     cycle_graph,
     line_graph,
     oracle_search,
-    partitions,
     path_graph,
     represents,
     star_graph,
 )
-from setrep.oracle import automorphisms
+from setrep._partition_py import enumerate_edge_partitions as pure_kernel
+from setrep.oracle import _masks, automorphisms, verify_dbe
 
 
 def run(graph, category, cap, base=None):
@@ -129,14 +131,99 @@ def test_oracle_matches_brute_force(gname, cat):
 
 # -- kernels and budgets --------------------------------------------------------
 
-def test_pure_kernel_agrees(monkeypatch):
-    compiled = run(complete_graph(4), "sd", 4)
-    monkeypatch.setattr(partitions, "_COMPILED", None)
-    assert partitions.kernel_name() == "pure"
-    pure = run(complete_graph(4), "sd", 4)
-    assert (pure.theta, len(pure.classes), pure.labeled_solutions) == (
-        compiled.theta, len(compiled.classes), compiled.labeled_solutions)
-    assert pure.nodes == compiled.nodes
+def brute_partitions(g, q):
+    """Edge clique partitions of ``g`` into at most ``q`` cliques, as the
+    kernel reports them: every set partition of the edge set whose blocks
+    are exactly the edge sets of cliques, blocks as vertex bitmasks."""
+    edges = list(g.edges)
+
+    def set_partitions(items):
+        if not items:
+            yield []
+            return
+        first, rest = items[0], items[1:]
+        for part in set_partitions(rest):
+            yield [[first]] + part
+            for i in range(len(part)):
+                yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+    found = set()
+    for part in set_partitions(edges):
+        if len(part) > q:
+            continue
+        masks = []
+        for block in part:
+            verts = {v for e in block for v in e}
+            if len(block) != len(verts) * (len(verts) - 1) // 2:
+                break
+            masks.append(sum(1 << v for v in verts))
+        else:
+            found.add(tuple(sorted(masks)))
+    return found
+
+
+def kernel_inputs():
+    """Seeded random graphs with at most 8 edges, each with every q up to
+    its edge count."""
+    rng = random.Random(2013)
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = sorted(rng.sample(pairs, rng.randint(0, min(8, len(pairs)))))
+        g = Graph(tuple(range(n)), tuple(edges))
+        for q in range(len(edges) + 1):
+            yield g, q
+
+
+def test_pure_kernel_agrees():
+    """The pure kernel finds exactly the brute-force partitions, once each."""
+    for g, q in kernel_inputs():
+        parts, _, complete = pure_kernel(g.n, _masks(g), q)
+        assert complete
+        assert len(parts) == len(set(parts))
+        assert set(parts) == brute_partitions(g, q), (g.edges, q)
+
+
+def test_root_slices_add_up():
+    """Slices of the root split partition the search: their partitions and
+    node counts add up to the whole search's, the shared root counted once."""
+    for g, q in kernel_inputs():
+        whole, nodes, _ = pure_kernel(g.n, _masks(g), q)
+        parts, total = [], 0
+        for offset in range(3):
+            sub, n_sub, _ = pure_kernel(g.n, _masks(g), q,
+                                        root_stride=3, root_offset=offset)
+            parts += sub
+            total += n_sub
+        assert sorted(parts) == sorted(whole) and total == nodes
+
+
+def test_census_node_ceiling():
+    """Fail-first branching keeps the K8 census small (28,546 nodes when
+    branching on the least uncovered edge)."""
+    report = verify_dbe(8)
+    assert report.complete and report.bound_holds
+    assert report.nodes <= 25_000
+
+
+def test_compiled_kernel_agrees():
+    """The compiled twin returns the pure kernel's partitions, in the same
+    order, with the same node count."""
+    compiled = pytest.importorskip(
+        "setrep._partition_c",
+        reason="compiled kernel not built; nothing to compare the pure "
+               "kernel with")
+    graphs = [(complete_graph(n), n) for n in (4, 5, 6, 7)]
+    for name in ("bridged_triangles()", "dumbbell()", "spider()",
+                 "asym_wing()"):
+        lg, _ = line_graph(zoo.build(name))
+        graphs += [(lg, q) for q in range(2, 7)]
+    for g, q in graphs:
+        for stride, offset in ((1, 0), (2, 0), (2, 1)):
+            args = (g.n, _masks(g), q)
+            kwargs = dict(root_stride=stride, root_offset=offset)
+            assert compiled.enumerate_edge_partitions(*args, **kwargs) == \
+                pure_kernel(*args, **kwargs)
 
 
 def test_threaded_search_agrees(monkeypatch):
@@ -147,6 +234,7 @@ def test_threaded_search_agrees(monkeypatch):
     multi = run(lg, "sd", 6, base=base)
     assert (multi.theta, len(multi.classes), multi.labeled_solutions) == (
         solo.theta, len(solo.classes), solo.labeled_solutions)
+    assert multi.nodes == solo.nodes
 
 
 def test_budget_cap_below_theta():
