@@ -200,6 +200,15 @@ def puncture(ls: LinearSpace, h: int) -> LinearSpace:
     return result
 
 
+def order_for_points(n: int) -> int | None:
+    """The r >= 2 with r*r + r + 1 == n, if one exists: the order a
+    projective plane on ``n`` points would have."""
+    r = 2
+    while r * r + r + 1 < n:
+        r += 1
+    return r if r * r + r + 1 == n else None
+
+
 def n_pp(n: int) -> int | None:
     """How many projective planes (up to isomorphism) have ``n`` points.
 
@@ -207,10 +216,8 @@ def n_pp(n: int) -> int | None:
     when the order is settled to have no plane (6, 10); the known counts
     otherwise; and ``None`` for orders where the answer is open (r >= 11).
     """
-    r = 2
-    while r * r + r + 1 < n:
-        r += 1
-    if r * r + r + 1 != n:
+    r = order_for_points(n)
+    if r is None:
         return 0
     known = {2: 1, 3: 1, 4: 1, 5: 1, 6: 0, 7: 1, 8: 1, 9: 4, 10: 0}
     if r in known:

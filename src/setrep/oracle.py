@@ -21,6 +21,14 @@ the line graph of G.  The distinction matters: a line graph can have
 symmetries its base graph lacks (the octahedron's antipodal map is not
 induced by any relabelling of K4), and the structural families of
 optimal partitions are told apart by base-graph symmetry only.
+
+A solution's element groups (the vertices whose sets hold a given
+element) determine H: u and v are adjacent iff some group holds both.
+So a vertex permutation that carries one solution's groups onto
+another's is an automorphism of H, and for direct input the classes are
+keyed by the canonical form of the groups under all vertex permutations,
+without listing Aut(H).  Line-graph input minimises the groups over the
+listed permutations that Aut(G) induces on E(G).
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
+from .classify import _star_center
 from .cliquecover import CliqueCover
 from .errors import SetrepError
 from .graphs import Graph
@@ -121,18 +130,6 @@ def _induced_edge_permutations(base: Graph) -> list[tuple[int, ...]]:
     return perms
 
 
-def _is_complete(g: Graph) -> bool:
-    return g.m == g.n * (g.n - 1) // 2
-
-
-def _is_star(g: Graph) -> bool:
-    if g.m != g.n - 1:
-        return False
-    degs = sorted(g.degree(v) for v in range(g.n))
-    return g.n == 2 or (degs[-1] == g.n - 1 and degs[0] == 1
-                        and all(d == 1 for d in degs[:-1]))
-
-
 # ---------------------------------------------------------------------------
 # Class keys: a labelled solution is the multiset of its element groups
 # (group of element e = vertices whose set contains e).  Solutions are
@@ -142,8 +139,10 @@ def _is_star(g: Graph) -> bool:
 
 class _ClassKeyer:
     def __init__(self, n: int, perms: list[tuple[int, ...]] | None):
-        """``perms = None`` means the full symmetric group, handled via
-        a canonical form instead of explicit minimisation."""
+        """``perms = None`` keys by the canonical form of the groups as
+        a set system on the vertices, i.e. up to every vertex
+        permutation; otherwise the key is the least image under
+        ``perms``."""
         self.n = n
         self.perms = perms
 
@@ -163,10 +162,10 @@ class _ClassKeyer:
 
 def _symmetry_keyer(graph: Graph, base: Graph | None) -> _ClassKeyer:
     if base is None:
-        if _is_complete(graph):
-            return _ClassKeyer(graph.n, None)
-        return _ClassKeyer(graph.n, automorphisms(graph))
-    if _is_star(base):
+        # The groups determine H, so any vertex permutation carrying one
+        # solution's groups onto another's is already in Aut(H).
+        return _ClassKeyer(graph.n, None)
+    if base.n > 1 and _star_center(base) is not None:
         # leaves permute freely, so the induced action on the edges is
         # the full symmetric group on the line graph's vertices
         return _ClassKeyer(graph.n, None)
@@ -191,16 +190,18 @@ def _kernel_worker(args):
 def _run_kernel(g: Graph, q: int, node_limit, deadline):
     """One kernel invocation, split over worker processes if
     SETREP_THREADS asks for it.  Output order is normalised by sorting,
-    and only slice 0 counts the shared root node, so without a node
-    budget the pooled and single-process paths are indistinguishable
-    downstream."""
+    and only slice 0 counts the shared root node, so a search that
+    finishes looks the same downstream whichever path ran it.
+
+    Slices are uneven, so each gets the whole node budget; the pooled
+    search is complete only if every slice finished and their nodes add
+    up to at most the budget, which is when one process would finish."""
     threads = int(os.environ.get("SETREP_THREADS", "0") or "0")
     masks = _masks(g)
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        share = None if node_limit is None else max(node_limit // threads, 1)
-        jobs = [(g.n, masks, q, share, deadline, threads, i)
+        jobs = [(g.n, masks, q, node_limit, deadline, threads, i)
                 for i in range(threads)]
         parts: list[tuple[int, ...]] = []
         nodes = 0
@@ -210,6 +211,8 @@ def _run_kernel(g: Graph, q: int, node_limit, deadline):
                 parts.extend(sub)
                 nodes += n_sub
                 complete = complete and ok
+        if node_limit is not None and nodes > node_limit:
+            complete = False
     else:
         parts, nodes, complete = enumerate_edge_partitions(
             g.n, masks, q, node_limit=node_limit, deadline=deadline)

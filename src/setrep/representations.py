@@ -101,59 +101,93 @@ def represents(rep: SetRepresentation, graph: Graph) -> bool:
 # refinement stalls, the first non-singleton element cell is individualised
 # and every choice explored.  The canonical encoding is the minimum, over
 # all discrete element orderings reached, of the sorted tuple of sets
-# rewritten as positions.  No automorphism pruning -- universes here are
-# tiny and the exhaustive walk keeps the form trivially correct.
+# rewritten as positions.
+#
+# Automorphism pruning (McKay 1981; McKay & Piperno 2014): two leaves with
+# the same encoding differ by an automorphism, the map sending each element
+# to the one at its position in the other leaf.  Refinement and
+# individualisation commute with automorphisms, so a node's child for
+# element x is the image of its child for y under any recorded
+# automorphism that fixes the node's individualised elements and maps y to
+# x; the two subtrees reach the same encodings, and only one is walked.
+# The minimum, and so the form, is that of the exhaustive walk.
 # ---------------------------------------------------------------------------
 
 _Encoding = tuple[int, int, tuple[tuple[int, ...], ...]]
 
 
-def _refine(elem_colors: dict[int, int],
-            membership: dict[int, list[int]],
-            set_elems: list[frozenset[int]]) -> dict[int, int]:
-    """Alternating colour refinement; returns stable element colouring."""
+def _refine(colors: list[int], membership: list[list[int]],
+            set_elems: list[list[int]]) -> list[int]:
+    """Alternating colour refinement; returns stable element colouring.
+    Elements and sets are indices; colours are dense ranks."""
     while True:
-        set_sig = {}
-        for j, elems in enumerate(set_elems):
-            set_sig[j] = tuple(sorted(elem_colors[e] for e in elems))
-        set_color = _relabel(set_sig)
-
-        elem_sig = {}
-        for e, js in membership.items():
-            elem_sig[e] = (elem_colors[e],
-                           tuple(sorted(set_color[j] for j in js)))
-        new_colors = _relabel(elem_sig)
-        if new_colors == elem_colors:
-            return elem_colors
-        elem_colors = new_colors
+        set_color = _relabel([tuple(sorted(colors[e] for e in elems))
+                              for elems in set_elems])
+        new_colors = _relabel([(colors[e],
+                                tuple(sorted(set_color[j] for j in js)))
+                               for e, js in enumerate(membership)])
+        if new_colors == colors:
+            return colors
+        colors = new_colors
 
 
-def _relabel(sig: dict) -> dict:
-    order = sorted(set(sig.values()))
-    code = {s: i for i, s in enumerate(order)}
-    return {k: code[v] for k, v in sig.items()}
+def _relabel(sig: list) -> list[int]:
+    code = {s: i for i, s in enumerate(sorted(set(sig)))}
+    return [code[s] for s in sig]
+
+
+def _orbit(seeds: list[int], generators: list[list[int]]) -> set[int]:
+    """Orbit of ``seeds`` under the group the permutations generate."""
+    orbit = set(seeds)
+    todo = list(seeds)
+    while todo:
+        x = todo.pop()
+        for gen in generators:
+            y = gen[x]
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    return orbit
 
 
 def canonical_form(rep: SetRepresentation) -> _Encoding:
     """A complete isomorphism invariant of the multiset structure."""
-    elements = list(rep.universe)
-    set_elems = list(rep.sets)
-    membership: dict[int, list[int]] = {e: [] for e in elements}
-    for j, s in enumerate(set_elems):
-        for e in s:
+    n = len(rep.universe)
+    index = {e: i for i, e in enumerate(rep.universe)}
+    set_elems = [[index[e] for e in s] for s in rep.sets]
+    membership: list[list[int]] = [[] for _ in range(n)]
+    for j, elems in enumerate(set_elems):
+        for e in elems:
             membership[e].append(j)
 
-    best: list[tuple[tuple[int, ...], ...] | None] = [None]
+    # (encoding, colouring) of the first leaf and of the least leaf so far
+    first = best = None
+    automorphisms: list[list[int]] = []
 
-    def encode(colors: dict[int, int]) -> tuple[tuple[int, ...], ...]:
-        pos = {e: colors[e] for e in elements}
-        return tuple(sorted(tuple(sorted(pos[e] for e in s))
-                            for s in set_elems))
+    def encode(colors: list[int]) -> tuple[tuple[int, ...], ...]:
+        return tuple(sorted(tuple(sorted(colors[e] for e in elems))
+                            for elems in set_elems))
 
-    def walk(colors: dict[int, int]) -> None:
+    def leaf(colors: list[int]) -> None:
+        nonlocal first, best
+        enc = encode(colors)
+        if first is None:
+            first = best = (enc, colors)
+            return
+        for ref_enc, ref_colors in (first, best):
+            if enc == ref_enc:
+                at = [0] * n
+                for e, c in enumerate(ref_colors):
+                    at[c] = e
+                automorphisms.append([at[c] for c in colors])
+                break
+        if enc < best[0]:
+            best = (enc, colors)
+
+    def walk(colors: list[int], fixed: list[int]) -> None:
         colors = _refine(colors, membership, set_elems)
         cells: dict[int, list[int]] = {}
-        for e in elements:
+        for e in range(n):
             cells.setdefault(colors[e], []).append(e)
         target = None
         for c in sorted(cells):
@@ -161,29 +195,28 @@ def canonical_form(rep: SetRepresentation) -> _Encoding:
                 target = cells[c]
                 break
         if target is None:
-            enc = encode(colors)
-            if best[0] is None or enc < best[0]:
-                best[0] = enc
+            leaf(colors)
             return
+        explored: list[int] = []
         for chosen in target:
-            branched = dict(colors)
+            if explored and chosen in _orbit(
+                    explored, [g for g in automorphisms
+                               if all(g[x] == x for x in fixed)]):
+                continue
             # Slot the chosen element just below the rest of its cell.
-            branched[chosen] = branched[chosen] * 2
+            branched = [2 * c for c in colors]
             for other in target:
-                if other is not chosen:
-                    branched[other] = branched[other] * 2 + 1
-            for e in elements:
-                if e not in target:
-                    branched[e] = branched[e] * 2
-            walk(_relabel({e: branched[e] for e in elements}))
+                if other != chosen:
+                    branched[other] += 1
+            walk(_relabel(branched), fixed + [chosen])
+            explored.append(chosen)
 
-    if elements:
-        walk({e: 0 for e in elements})
+    if n:
+        walk([0] * n, [])
         body = best[0]
-        assert body is not None
     else:
         body = ()
-    return (len(elements), len(set_elems), body)
+    return (n, len(set_elems), body)
 
 
 def isomorphic(a: SetRepresentation, b: SetRepresentation) -> bool:

@@ -30,7 +30,8 @@ from math import prod
 from .classify import Classification, classify
 from .cliquecover import CliqueCover, egp_set, silly_partition
 from .errors import NoSuchPlaneConstruction, TheoremNotApplicable
-from .geometry import fls_to_cover, n_pp, near_pencil, projective_plane, puncture
+from .geometry import (fls_to_cover, n_pp, near_pencil, order_for_points,
+                       projective_plane, puncture)
 from .graphs import Graph, complete_graph, line_graph
 from .representations import SetRepresentation, rep_to_json_dict
 
@@ -125,16 +126,6 @@ def _tau_exact(n: int) -> TauValue:
     return TauValue(exact=n)
 
 
-def _plane_order_of(n: int) -> int | None:
-    """The r >= 2 with r*r + r + 1 == n, if one exists."""
-    r = 2
-    while r * r + r + 1 <= n:
-        if r * r + r + 1 == n:
-            return r
-        r += 1
-    return None
-
-
 def _is_prime_power(r: int) -> bool:
     if r < 2:
         return False
@@ -150,7 +141,7 @@ def _is_prime_power(r: int) -> bool:
 
 def _plane_rep(n: int, g: Graph) -> SetRepresentation | None:
     """One projective-plane representation of K_n, when constructible."""
-    r = _plane_order_of(n)
+    r = order_for_points(n)
     if r is None or not _is_prime_power(r):
         return None
     try:
@@ -241,7 +232,7 @@ def theta_tau_complete(n: int, category: str) -> ThetaTauReport:
         return ThetaTauReport(category, ThetaValue(exact=3), _tau_exact(1),
                               "complete-sdu", witnesses=(rep,), graph=g)
 
-    r = _plane_order_of(n)
+    r = order_for_points(n)
     if r is not None:
         np = n_pp(n)
         if np is None:
@@ -279,7 +270,7 @@ def theta_tau_complete(n: int, category: str) -> ThetaTauReport:
     else:
         tau = _tau_exact(1 + np1)
         if np1:
-            r1 = _plane_order_of(n + 1)
+            r1 = order_for_points(n + 1)
             if r1 is not None and _is_prime_power(r1):
                 ls = puncture(projective_plane(r1), 1)
                 witnesses.append(egp_set(fls_to_cover(ls, g)))
@@ -537,7 +528,7 @@ def _sa_site_choices(base: Graph, eidx: dict, v: int, m: int) -> list[list[froze
         raise TheoremNotApplicable(
             f"plane census unknown for {d} points; cannot enumerate choices")
     if np:
-        r = _plane_order_of(d)
+        r = order_for_points(d)
         if np > 1 or r is None or not _is_prime_power(r):
             raise NoSuchPlaneConstruction(
                 f"cannot construct all {np} plane classes on {d} points")

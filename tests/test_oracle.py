@@ -20,7 +20,8 @@ from setrep import (
     star_graph,
 )
 from setrep._partition_py import enumerate_edge_partitions as pure_kernel
-from setrep.oracle import _masks, automorphisms, verify_dbe
+from setrep import oracle
+from setrep.oracle import _ClassKeyer, _masks, automorphisms, verify_dbe
 
 
 def run(graph, category, cap, base=None):
@@ -237,6 +238,15 @@ def test_threaded_search_agrees(monkeypatch):
     assert multi.nodes == solo.nodes
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_pooled_node_budget(workers, monkeypatch):
+    """Completeness under a node budget does not depend on the number of
+    worker processes: the K7 census takes 2,135 nodes."""
+    monkeypatch.setenv("SETREP_THREADS", workers)
+    assert verify_dbe(7, node_limit=2135).complete
+    assert not verify_dbe(7, node_limit=2134).complete
+
+
 def test_budget_cap_below_theta():
     r = run(complete_graph(4), "sd", 3)
     assert r.exhausted and r.theta is None and r.searched_to == 3
@@ -272,3 +282,50 @@ def test_automorphism_counts(gname, count):
     for p in perms:  # each really is an automorphism
         for u, v in g.edges:
             assert g.has_edge(p[u], p[v])
+
+
+# -- direct input: keyed by canonical form, not by a listed Aut(H) -----------------
+
+def multipartite(*sizes):
+    parts = [(i, j) for i, size in enumerate(sizes) for j in range(size)]
+    return zoo.from_edges([(f"p{a}_{x}", f"p{b}_{y}")
+                           for n, (a, x) in enumerate(parts)
+                           for b, y in parts[n + 1:] if a != b])
+
+
+DIRECT = [
+    pytest.param(zoo.friendship3(), "sa", id="F3-sa"),
+    pytest.param(multipartite(2, 2, 2), "sd", id="K222-sd"),
+    pytest.param(multipartite(1, 1, 3), "sd", id="K113-sd"),
+    pytest.param(star_graph(5), "sd", id="star5-sd"),
+    pytest.param(path_graph(5), "sd", id="P5-sd"),
+    pytest.param(path_graph(5), "sa", id="P5-sa"),
+    pytest.param(cycle_graph(6), "sd", id="C6-sd"),
+    pytest.param(cycle_graph(6), "sa", id="C6-sa"),
+]
+
+
+@pytest.mark.parametrize("g,cat", DIRECT)
+def test_direct_keyer_matches_listed_automorphisms(g, cat, monkeypatch):
+    """Keying direct input by canonical form gives the classes that
+    minimising over an explicitly listed Aut(H) gives."""
+    cap = g.n + g.m
+    got = run(g, cat, cap)
+    monkeypatch.setattr(oracle, "_symmetry_keyer",
+                        lambda graph, base: _ClassKeyer(graph.n,
+                                                        automorphisms(graph)))
+    want = run(g, cat, cap)
+    assert got.exhausted and want.exhausted
+    assert (got.theta, len(got.classes), got.labeled_solutions,
+            got.classes) == (want.theta, len(want.classes),
+                             want.labeled_solutions, want.classes)
+
+
+def test_direct_input_lists_no_automorphisms(monkeypatch):
+    """star_graph(9) has 9! automorphisms; direct input never lists them."""
+    def refuse(graph):
+        raise AssertionError("automorphisms listed for direct input")
+
+    monkeypatch.setattr(oracle, "automorphisms", refuse)
+    r = run(star_graph(9), "sd", 9)
+    assert r.exhausted and r.theta == 9 and len(r.classes) == 1
