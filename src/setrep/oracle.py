@@ -7,8 +7,8 @@ used to validate every exact value the dispatch module claims.
 
 For categories containing "s" (simple), solutions biject with edge
 clique partitions of H augmented by single-vertex cliques, so the search
-enumerates partitions with the bitmask kernel (compiled or pure, see
-:mod:`setrep.partitions`) and then distributes the remaining universe
+enumerates partitions with the bitmask kernel of
+:mod:`setrep.partitions` and then distributes the remaining universe
 elements as single-vertex padding.  Categories without "s" fall back to
 a direct assignment search over all nonempty subsets per vertex, which
 is only viable for very small inputs.
@@ -33,7 +33,6 @@ listed permutations that Aut(G) induces on E(G).
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -180,42 +179,10 @@ def _masks(g: Graph) -> list[int]:
     return [sum(1 << u for u in g.adj[v]) for v in range(g.n)]
 
 
-def _kernel_worker(args):
-    n, masks, q, node_limit, deadline, stride, offset = args
-    return enumerate_edge_partitions(
-        n, masks, q, node_limit=node_limit, deadline=deadline,
-        root_stride=stride, root_offset=offset)
-
-
 def _run_kernel(g: Graph, q: int, node_limit, deadline):
-    """One kernel invocation, split over worker processes if
-    SETREP_THREADS asks for it.  Output order is normalised by sorting,
-    and only slice 0 counts the shared root node, so a search that
-    finishes looks the same downstream whichever path ran it.
-
-    Slices are uneven, so each gets the whole node budget; the pooled
-    search is complete only if every slice finished and their nodes add
-    up to at most the budget, which is when one process would finish."""
-    threads = int(os.environ.get("SETREP_THREADS", "0") or "0")
-    masks = _masks(g)
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        jobs = [(g.n, masks, q, node_limit, deadline, threads, i)
-                for i in range(threads)]
-        parts: list[tuple[int, ...]] = []
-        nodes = 0
-        complete = True
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for sub, n_sub, ok in pool.map(_kernel_worker, jobs):
-                parts.extend(sub)
-                nodes += n_sub
-                complete = complete and ok
-        if node_limit is not None and nodes > node_limit:
-            complete = False
-    else:
-        parts, nodes, complete = enumerate_edge_partitions(
-            g.n, masks, q, node_limit=node_limit, deadline=deadline)
+    """One kernel invocation, with the partitions in sorted order."""
+    parts, nodes, complete = enumerate_edge_partitions(
+        g.n, _masks(g), q, node_limit=node_limit, deadline=deadline)
     parts.sort()
     return parts, nodes, complete
 
@@ -298,14 +265,14 @@ def _partition_search(g: Graph, category: str, budget: SearchBudget,
     start = time.monotonic()
     deadline = (start + budget.time_limit
                 if budget.time_limit is not None else None)
-    nodes_left = budget.node_limit
     total_nodes = 0
     searched_to = 0
     for p in range(1, budget.max_universe + 1):
+        # earlier levels stayed within the budget, so this is >= 0
+        nodes_left = (None if budget.node_limit is None
+                      else budget.node_limit - total_nodes)
         parts, knodes, complete = _run_kernel(g, p, nodes_left, deadline)
         total_nodes += knodes
-        if nodes_left is not None:
-            nodes_left = max(nodes_left - knodes, 0)
         counter = {"nodes": 0}
         classes: dict = {}
         reps: list[SetRepresentation] = []
@@ -319,10 +286,9 @@ def _partition_search(g: Graph, category: str, budget: SearchBudget,
                 classes[key] = True
                 reps.append(SetRepresentation(universe=universe, sets=sets))
         total_nodes += counter["nodes"]
-        if nodes_left is not None:
-            nodes_left = max(nodes_left - counter["nodes"], 0)
         out_of_budget = (not complete) or (
-            nodes_left is not None and nodes_left == 0) or (
+            budget.node_limit is not None
+            and total_nodes > budget.node_limit) or (
             deadline is not None and time.monotonic() > deadline)
         if reps:
             return OracleResult(
@@ -367,7 +333,7 @@ def _assignment_search(g: Graph, category: str, budget: SearchBudget,
     want_a = "a" in category
     want_u = "u" in category
     n = g.n
-    adj = [sum(1 << u for u in g.adj[v]) for v in range(n)]
+    adj = _masks(g)
     state = {"nodes": 0, "aborted": False}
 
     for p in range(1, budget.max_universe + 1):

@@ -1,4 +1,4 @@
-"""Exhaustive-search oracle: frozen results, kernels, budgets."""
+"""Exhaustive-search oracle: frozen results, the kernel, budgets."""
 
 import itertools
 import random
@@ -19,7 +19,7 @@ from setrep import (
     represents,
     star_graph,
 )
-from setrep._partition_py import enumerate_edge_partitions as pure_kernel
+from setrep.partitions import enumerate_edge_partitions
 from setrep import oracle
 from setrep.oracle import _ClassKeyer, _masks, automorphisms, verify_dbe
 
@@ -177,26 +177,12 @@ def kernel_inputs():
 
 
 def test_pure_kernel_agrees():
-    """The pure kernel finds exactly the brute-force partitions, once each."""
+    """The kernel finds exactly the brute-force partitions, once each."""
     for g, q in kernel_inputs():
-        parts, _, complete = pure_kernel(g.n, _masks(g), q)
+        parts, _, complete = enumerate_edge_partitions(g.n, _masks(g), q)
         assert complete
         assert len(parts) == len(set(parts))
         assert set(parts) == brute_partitions(g, q), (g.edges, q)
-
-
-def test_root_slices_add_up():
-    """Slices of the root split partition the search: their partitions and
-    node counts add up to the whole search's, the shared root counted once."""
-    for g, q in kernel_inputs():
-        whole, nodes, _ = pure_kernel(g.n, _masks(g), q)
-        parts, total = [], 0
-        for offset in range(3):
-            sub, n_sub, _ = pure_kernel(g.n, _masks(g), q,
-                                        root_stride=3, root_offset=offset)
-            parts += sub
-            total += n_sub
-        assert sorted(parts) == sorted(whole) and total == nodes
 
 
 def test_census_node_ceiling():
@@ -207,44 +193,35 @@ def test_census_node_ceiling():
     assert report.nodes <= 25_000
 
 
-def test_compiled_kernel_agrees():
-    """The compiled twin returns the pure kernel's partitions, in the same
-    order, with the same node count."""
-    compiled = pytest.importorskip(
-        "setrep._partition_c",
-        reason="compiled kernel not built; nothing to compare the pure "
-               "kernel with")
-    graphs = [(complete_graph(n), n) for n in (4, 5, 6, 7)]
-    for name in ("bridged_triangles()", "dumbbell()", "spider()",
-                 "asym_wing()"):
-        lg, _ = line_graph(zoo.build(name))
-        graphs += [(lg, q) for q in range(2, 7)]
-    for g, q in graphs:
-        for stride, offset in ((1, 0), (2, 0), (2, 1)):
-            args = (g.n, _masks(g), q)
-            kwargs = dict(root_stride=stride, root_offset=offset)
-            assert compiled.enumerate_edge_partitions(*args, **kwargs) == \
-                pure_kernel(*args, **kwargs)
-
-
-def test_threaded_search_agrees(monkeypatch):
-    base = zoo.bridged_triangles()
-    lg, _ = line_graph(base)
-    solo = run(lg, "sd", 6, base=base)
-    monkeypatch.setenv("SETREP_THREADS", "4")
-    multi = run(lg, "sd", 6, base=base)
-    assert (multi.theta, len(multi.classes), multi.labeled_solutions) == (
-        solo.theta, len(solo.classes), solo.labeled_solutions)
-    assert multi.nodes == solo.nodes
-
-
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_pooled_node_budget(workers, monkeypatch):
-    """Completeness under a node budget does not depend on the number of
-    worker processes: the K7 census takes 2,135 nodes."""
-    monkeypatch.setenv("SETREP_THREADS", workers)
+def test_census_node_budget():
+    """The K7 census takes 2,135 nodes: complete at that budget, not at
+    one node fewer."""
     assert verify_dbe(7, node_limit=2135).complete
     assert not verify_dbe(7, node_limit=2134).complete
+
+
+@pytest.mark.parametrize("graph,category,cap", [
+    (complete_graph(4), "sd", 4),
+    (complete_graph(5), "sa", 5),
+    (path_graph(4), "sd", 4),
+    (complete_graph(4), "sd", 3),
+], ids=["K4-sd", "K5-sa", "P4-sd", "K4-sd-cap3"])
+def test_node_budget_is_inclusive(graph, category, cap):
+    """A search that needs exactly ``node_limit`` nodes is exhausted, with
+    the unlimited search's answer; one node fewer is not enough."""
+    free = run(graph, category, cap)
+    assert free.exhausted
+
+    def answer(r):
+        return r.theta, r.classes, r.labeled_solutions
+
+    exact = oracle_search(graph, category, SearchBudget(
+        max_universe=cap, node_limit=free.nodes))
+    assert exact.exhausted and exact.nodes == free.nodes
+    assert answer(exact) == answer(free)
+    short = oracle_search(graph, category, SearchBudget(
+        max_universe=cap, node_limit=free.nodes - 1))
+    assert not short.exhausted
 
 
 def test_budget_cap_below_theta():
