@@ -226,6 +226,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "labeledSolutions": result.labeled_solutions,
         "exhausted": result.exhausted,
         "searchedTo": result.searched_to,
+        "stopReason": result.stop_reason,
         "nodes": result.nodes,
         "elapsedSeconds": round(result.elapsed, 3),
         "kernel": result.kernel,
@@ -238,6 +239,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         f"labelled     {result.labeled_solutions}",
         f"exhausted    {str(result.exhausted).lower()}",
         f"searched to  universe {result.searched_to}",
+        f"stop reason  {result.stop_reason or 'none'}",
         f"nodes        {result.nodes}",
         f"time         {result.elapsed:.2f}s ({result.kernel} kernel)",
     ]

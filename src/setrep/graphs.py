@@ -227,3 +227,38 @@ def star_graph(leaves: int) -> Graph:
     """The star with one hub and ``leaves`` pendant vertices."""
     labels = ("hub",) + tuple(f"u{i + 1}" for i in range(leaves))
     return Graph(labels, tuple((0, i + 1) for i in range(leaves)))
+
+
+def automorphisms(g: Graph, colors=None) -> list[tuple[int, ...]]:
+    """All automorphisms of ``g`` as vertex permutation tuples, in
+    lexicographic order; with ``colors``, only those that keep each
+    vertex's colour.  Backtracking over an invariant colouring, for small
+    graphs: do not call it on complete graphs (n! results)."""
+    n = g.n
+    # invariant: (colour, degree, sorted neighbour degrees)
+    color = [(colors[v] if colors is not None else None, g.degree(v),
+              tuple(sorted(g.degree(u) for u in g.adj[v])))
+             for v in range(n)]
+    adj = g.adj
+    image = [0] * n
+    used = [False] * n
+    out: list[tuple[int, ...]] = []
+
+    def place(v: int) -> None:
+        if v == n:
+            out.append(tuple(image))
+            return
+        for w in range(n):
+            if used[w] or color[w] != color[v]:
+                continue
+            for u in range(v):
+                if (u in adj[v]) != (image[u] in adj[w]):
+                    break
+            else:
+                image[v] = w
+                used[w] = True
+                place(v + 1)
+                used[w] = False
+
+    place(0)
+    return out

@@ -13,6 +13,15 @@ elements as single-vertex padding.  Categories without "s" fall back to
 a direct assignment search over all nonempty subsets per vertex, which
 is only viable for very small inputs.
 
+Both strategies run in one loop over universe sizes p: a level generator
+yields the labelled solutions of size p and the loop keys them.  The
+kernel, the padding and the assignment search spend one node budget,
+stop at the first node past ``node_limit`` and check the deadline at
+least every 4,096 nodes, so keying between checks is bounded too.  A
+level cut short after it found solutions still settles theta = p (every
+smaller size was searched in full), with ``exhausted=False``, the classes
+found so far, and the limit that stopped it in ``stop_reason``.
+
 Two optimal solutions count as the same class when a permutation of the
 universe together with a symmetry of the *input* carries one onto the
 other.  The symmetry group is Aut(H) when H is given directly, but the
@@ -40,7 +49,7 @@ from itertools import combinations_with_replacement
 from .classify import _star_center
 from .cliquecover import CliqueCover
 from .errors import SetrepError
-from .graphs import Graph
+from .graphs import Graph, automorphisms, line_graph
 from .partitions import enumerate_edge_partitions, kernel_name
 from .representations import (SetRepresentation, canonical_form,
                               VALID_CATEGORIES)
@@ -67,66 +76,22 @@ class OracleResult:
     nodes: int
     elapsed: float
     kernel: str
+    # "node_limit" or "time_limit" when that limit stopped the search,
+    # "max_universe" when every size up to the cap was searched in full
+    # without a solution, None when theta's level was searched in full
+    stop_reason: str | None = None
 
     def class_count(self) -> int:
         return len(self.classes)
-
-
-# ---------------------------------------------------------------------------
-# Automorphisms
-# ---------------------------------------------------------------------------
-
-def automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """All automorphisms of ``g`` as vertex permutation tuples.
-
-    Straightforward backtracking over an invariant colouring; meant for
-    the small graphs this package works with, not for general use.  Do
-    not call it on complete graphs (n! results) -- callers special-case
-    full symmetry instead.
-    """
-    n = g.n
-    # invariant: (degree, sorted neighbour degrees)
-    color = [(g.degree(v), tuple(sorted(g.degree(u) for u in g.adj[v])))
-             for v in range(n)]
-    adj = [g.adj[v] for v in range(n)]
-    image: list[int] = [-1] * n
-    used = [False] * n
-    out: list[tuple[int, ...]] = []
-
-    def place(v: int) -> None:
-        if v == n:
-            out.append(tuple(image))
-            return
-        for w in range(n):
-            if used[w] or color[w] != color[v]:
-                continue
-            ok = True
-            for u in range(v):
-                if (u in adj[v]) != (image[u] in adj[w]):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used[w] = True
-                place(v + 1)
-                used[w] = False
-        image[v] = -1
-
-    place(0)
-    return out
 
 
 def _induced_edge_permutations(base: Graph) -> list[tuple[int, ...]]:
     """Aut(base) acting on the edge list (= vertices of the line graph)."""
     idx: dict[tuple[int, int], int] = {}
     for i, (u, v) in enumerate(base.edges):
-        idx[(u, v)] = i
-        idx[(v, u)] = i
-    perms = []
-    for sigma in automorphisms(base):
-        perms.append(tuple(idx[(sigma[u], sigma[v])]
-                           for u, v in base.edges))
-    return perms
+        idx[(u, v)] = idx[(v, u)] = i
+    return [tuple(idx[(sigma[u], sigma[v])] for u, v in base.edges)
+            for sigma in automorphisms(base)]
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +115,9 @@ class _ClassKeyer:
             shape = SetRepresentation(universe=tuple(range(self.n)),
                                       sets=groups)
             return canonical_form(shape)
-        best = None
-        for sigma in self.perms:
-            mapped = tuple(sorted(tuple(sorted(sigma[v] for v in grp))
-                                  for grp in groups))
-            if best is None or mapped < best:
-                best = mapped
-        return best
+        return min(tuple(sorted(tuple(sorted(sigma[v] for v in grp))
+                                for grp in groups))
+                   for sigma in self.perms)
 
 
 def _symmetry_keyer(graph: Graph, base: Graph | None) -> _ClassKeyer:
@@ -172,7 +133,26 @@ def _symmetry_keyer(graph: Graph, base: Graph | None) -> _ClassKeyer:
 
 
 # ---------------------------------------------------------------------------
-# Partition-based search (all categories containing "s")
+# The run's budget: a dict of the nodes spent ("nodes"), the node limit
+# ("limit"), the deadline ("deadline") and the limit that stopped ("stop")
+# ---------------------------------------------------------------------------
+
+def _checkpoint(counter: dict, nodes: int) -> int:
+    """Store ``nodes`` and record the limit it spends, if any.  Returns the
+    node count of the next check: the next multiple of 4,096, or the
+    first node past the limit if that comes sooner."""
+    counter["nodes"] = nodes
+    limit, deadline = counter["limit"], counter["deadline"]
+    if limit is not None and nodes > limit:
+        counter["stop"] = "node_limit"
+    elif deadline is not None and time.monotonic() > deadline:
+        counter["stop"] = "time_limit"
+    at = (nodes // 4096 + 1) * 4096
+    return at if limit is None else min(at, limit + 1)
+
+
+# ---------------------------------------------------------------------------
+# Partition-based levels (all categories containing "s")
 # ---------------------------------------------------------------------------
 
 def _masks(g: Graph) -> list[int]:
@@ -200,12 +180,18 @@ def _solutions_at_level(g: Graph, category: str, partitions, p: int,
     built from the given edge partitions plus single-vertex padding.
 
     Yields (groups, sets) pairs: the element groups (for class keys) and
-    the per-vertex sets (for the representative representation).
+    the per-vertex sets (for the representative representation).  Each
+    placement tried spends one node of the run's budget in ``counter``;
+    a spent budget ends the level.
     """
     n = g.n
     want_d = "d" in category
     want_a = "a" in category
     want_u = "u" in category
+    # a local count keeps the dict off the hot path; it is stored at each
+    # check, each yield and at exit
+    nodes = counter["nodes"]
+    check_at = nodes + 1
     for part in partitions:
         q = len(part)
         t = p - q
@@ -216,7 +202,11 @@ def _solutions_at_level(g: Graph, category: str, partitions, p: int,
             for v in _bits(cl):
                 member[v] |= 1 << j
         for placement in combinations_with_replacement(range(n), t):
-            counter["nodes"] += 1
+            nodes += 1
+            if nodes >= check_at:
+                check_at = _checkpoint(counter, nodes)
+                if counter["stop"]:
+                    return
             pad = [0] * n
             for v in placement:
                 pad[v] += 1
@@ -256,159 +246,79 @@ def _solutions_at_level(g: Graph, category: str, partitions, p: int,
                 groups.append(frozenset([v]))
                 sets[v].add(e)
                 e += 1
+            counter["nodes"] = nodes
             yield (tuple(groups),
                    tuple(frozenset(s) for s in sets))
+    counter["nodes"] = nodes
 
 
-def _partition_search(g: Graph, category: str, budget: SearchBudget,
-                      keyer: _ClassKeyer):
-    start = time.monotonic()
-    deadline = (start + budget.time_limit
-                if budget.time_limit is not None else None)
-    total_nodes = 0
-    searched_to = 0
-    for p in range(1, budget.max_universe + 1):
-        # earlier levels stayed within the budget, so this is >= 0
-        nodes_left = (None if budget.node_limit is None
-                      else budget.node_limit - total_nodes)
-        parts, knodes, complete = _run_kernel(g, p, nodes_left, deadline)
-        total_nodes += knodes
-        counter = {"nodes": 0}
-        classes: dict = {}
-        reps: list[SetRepresentation] = []
-        labeled = 0
-        universe = tuple(range(p))
-        for groups, sets in _solutions_at_level(g, category, parts, p,
-                                                counter):
-            labeled += 1
-            key = keyer.key(groups)
-            if key not in classes:
-                classes[key] = True
-                reps.append(SetRepresentation(universe=universe, sets=sets))
-        total_nodes += counter["nodes"]
-        out_of_budget = (not complete) or (
-            budget.node_limit is not None
-            and total_nodes > budget.node_limit) or (
-            deadline is not None and time.monotonic() > deadline)
-        if reps:
-            return OracleResult(
-                category=category, theta=p, classes=tuple(reps),
-                labeled_solutions=labeled,
-                exhausted=complete and not out_of_budget,
-                searched_to=p if complete else searched_to,
-                nodes=total_nodes, elapsed=time.monotonic() - start,
-                kernel=kernel_name())
-        if out_of_budget:
-            return OracleResult(
-                category=category, theta=None, classes=(),
-                labeled_solutions=0, exhausted=False,
-                searched_to=searched_to, nodes=total_nodes,
-                elapsed=time.monotonic() - start, kernel=kernel_name())
-        searched_to = p
-    return OracleResult(
-        category=category, theta=None, classes=(), labeled_solutions=0,
-        exhausted=True, searched_to=budget.max_universe, nodes=total_nodes,
-        elapsed=time.monotonic() - start, kernel=kernel_name())
+def _partition_level(g: Graph, category: str, p: int, counter: dict):
+    """The kernel's partitions into at most ``p`` cliques, padded to
+    universe size ``p``.  The kernel gets the nodes the budget has left."""
+    limit = counter["limit"]
+    parts, nodes, complete = _run_kernel(
+        g, p, None if limit is None else limit - counter["nodes"],
+        counter["deadline"])
+    if complete:
+        counter["nodes"] += nodes
+        yield from _solutions_at_level(g, category, parts, p, counter)
+    else:  # the kernel stopped at a limit; the checkpoint names it
+        _checkpoint(counter, counter["nodes"] + nodes)
 
 
 # ---------------------------------------------------------------------------
-# Assignment-based search (plain d / a / u, no simplicity available)
+# Assignment-based levels (plain d / a / u, no simplicity available)
 # ---------------------------------------------------------------------------
 
 _ASSIGN_MAX_N = 7
 _ASSIGN_MAX_P = 6
 
 
-def _assignment_search(g: Graph, category: str, budget: SearchBudget,
-                       keyer: _ClassKeyer):
-    if g.n > _ASSIGN_MAX_N or budget.max_universe > _ASSIGN_MAX_P:
-        raise SetrepError(
-            f"category {category!r} needs the direct assignment search, "
-            f"which is limited to n <= {_ASSIGN_MAX_N} and universe <= "
-            f"{_ASSIGN_MAX_P}")
-    start = time.monotonic()
-    deadline = (start + budget.time_limit
-                if budget.time_limit is not None else None)
-    want_d = "d" in category
+def _assignment_level(g: Graph, category: str, p: int, counter: dict):
+    """All labelled category solutions with universe size exactly ``p``,
+    by giving each vertex in turn a nonempty subset of the universe.  Each
+    vertex placed spends one node of the run's budget in ``counter``."""
+    want_d = "d" in category and "a" not in category
     want_a = "a" in category
     want_u = "u" in category
     n = g.n
     adj = _masks(g)
-    state = {"nodes": 0, "aborted": False}
+    chosen: list[int] = []
+    nodes = counter["nodes"]
+    check_at = nodes + 1
 
-    for p in range(1, budget.max_universe + 1):
-        all_sets = list(range(1, 1 << p))
-        chosen: list[int] = []
-        solutions: list[tuple[int, ...]] = []
+    def place(v: int):
+        nonlocal nodes, check_at
+        nodes += 1
+        if nodes >= check_at:
+            check_at = _checkpoint(counter, nodes)
+            if counter["stop"]:
+                return
+        if v == n:
+            counter["nodes"] = nodes
+            yield (tuple(frozenset(u for u in range(n) if chosen[u] >> e & 1)
+                         for e in range(p)),
+                   tuple(frozenset(_bits(c)) for c in chosen))
+            return
+        for cand in range(1, 1 << p):
+            if want_u and chosen and \
+                    cand.bit_count() != chosen[0].bit_count():
+                continue
+            for u in range(v):
+                inter = chosen[u] & cand
+                if bool(inter) != bool(adj[v] >> u & 1) \
+                        or want_a and (inter == cand or inter == chosen[u]) \
+                        or want_d and chosen[u] == cand:
+                    break
+            else:
+                chosen.append(cand)
+                yield from place(v + 1)
+                chosen.pop()
+                if counter["stop"]:
+                    return
 
-        def place(v: int) -> None:
-            if state["aborted"]:
-                return
-            state["nodes"] += 1
-            if budget.node_limit is not None \
-                    and state["nodes"] > budget.node_limit:
-                state["aborted"] = True
-                return
-            if deadline is not None and state["nodes"] % 4096 == 0 \
-                    and time.monotonic() > deadline:
-                state["aborted"] = True
-                return
-            if v == n:
-                solutions.append(tuple(chosen))
-                return
-            for cand in all_sets:
-                if want_u and chosen and \
-                        cand.bit_count() != chosen[0].bit_count():
-                    continue
-                ok = True
-                for u in range(v):
-                    inter = chosen[u] & cand
-                    if bool(inter) != bool(adj[v] >> u & 1):
-                        ok = False
-                        break
-                    if want_a and (inter == cand or inter == chosen[u]):
-                        ok = False
-                        break
-                    if want_d and not want_a and chosen[u] == cand:
-                        ok = False
-                        break
-                if ok:
-                    chosen.append(cand)
-                    place(v + 1)
-                    chosen.pop()
-
-        place(0)
-        if state["aborted"]:
-            return OracleResult(
-                category=category, theta=None, classes=(),
-                labeled_solutions=0, exhausted=False, searched_to=p - 1,
-                nodes=state["nodes"], elapsed=time.monotonic() - start,
-                kernel="assignment")
-        if solutions:
-            classes: dict = {}
-            reps = []
-            universe = tuple(range(p))
-            for sol in solutions:
-                groups = tuple(frozenset(v for v in range(n)
-                                         if sol[v] >> e & 1)
-                               for e in range(p))
-                key = keyer.key(groups)
-                if key not in classes:
-                    classes[key] = True
-                    reps.append(SetRepresentation(
-                        universe=universe,
-                        sets=tuple(frozenset(_bits(sol[v]))
-                                   for v in range(n))))
-            return OracleResult(
-                category=category, theta=p, classes=tuple(reps),
-                labeled_solutions=len(solutions), exhausted=True,
-                searched_to=p, nodes=state["nodes"],
-                elapsed=time.monotonic() - start, kernel="assignment")
-    return OracleResult(
-        category=category, theta=None, classes=(), labeled_solutions=0,
-        exhausted=True, searched_to=budget.max_universe,
-        nodes=state["nodes"], elapsed=time.monotonic() - start,
-        kernel="assignment")
+    yield from place(0)
+    counter["nodes"] = nodes
 
 
 # ---------------------------------------------------------------------------
@@ -434,17 +344,49 @@ def oracle_search(graph: Graph, category: str, budget: SearchBudget,
             raise ValueError(
                 "graph is not the line graph of the declared base "
                 f"({base.m} base edges vs {graph.n} vertices)")
-        from .graphs import line_graph
-
         expect, _ = line_graph(base)
         if set(expect.edges) != set(graph.edges):
             raise ValueError(
                 "graph is not the line graph of the declared base "
                 "(adjacency mismatch)")
-    keyer = _symmetry_keyer(graph, base)
     if "s" in category:
-        return _partition_search(graph, category, budget, keyer)
-    return _assignment_search(graph, category, budget, keyer)
+        level, kernel = _partition_level, kernel_name()
+    elif graph.n > _ASSIGN_MAX_N or budget.max_universe > _ASSIGN_MAX_P:
+        raise SetrepError(
+            f"category {category!r} needs the direct assignment search, "
+            f"which is limited to n <= {_ASSIGN_MAX_N} and universe <= "
+            f"{_ASSIGN_MAX_P}")
+    else:
+        level, kernel = _assignment_level, "assignment"
+    start = time.monotonic()
+    counter = {"nodes": 0, "limit": budget.node_limit, "stop": None,
+               "deadline": (None if budget.time_limit is None
+                            else start + budget.time_limit)}
+    keyer = _symmetry_keyer(graph, base)
+    classes: dict = {}
+    labeled = 0
+    searched_to = 0
+    for p in range(1, budget.max_universe + 1):
+        universe = tuple(range(p))
+        for groups, sets in level(graph, category, p, counter):
+            labeled += 1
+            key = keyer.key(groups)
+            if key not in classes:
+                classes[key] = SetRepresentation(universe=universe, sets=sets)
+        if counter["stop"] is None:
+            searched_to = p
+            _checkpoint(counter, counter["nodes"])
+        if classes or counter["stop"]:
+            break
+    else:
+        counter["stop"] = "max_universe"
+    return OracleResult(
+        category=category, theta=p if classes else None,
+        classes=tuple(classes.values()), labeled_solutions=labeled,
+        exhausted=counter["stop"] in (None, "max_universe"),
+        searched_to=searched_to, nodes=counter["nodes"],
+        elapsed=time.monotonic() - start, kernel=kernel,
+        stop_reason=counter["stop"])
 
 
 def enumerate_partitions(graph: Graph, cliques: int,

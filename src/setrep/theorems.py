@@ -32,7 +32,7 @@ from .cliquecover import CliqueCover, egp_set, silly_partition
 from .errors import NoSuchPlaneConstruction, TheoremNotApplicable
 from .geometry import (fls_to_cover, n_pp, near_pencil, order_for_points,
                        projective_plane, puncture)
-from .graphs import Graph, complete_graph, line_graph
+from .graphs import Graph, automorphisms, complete_graph, line_graph
 from .representations import SetRepresentation, rep_to_json_dict
 
 __all__ = [
@@ -158,6 +158,14 @@ def _uniform_silly_rep(n: int) -> SetRepresentation:
     return egp_set(CliqueCover(g, tuple(cliques)))
 
 
+def _missing_witness_notes(tau: TauValue, witnesses) -> tuple[str, ...]:
+    """The note for an exact class count that has fewer witnesses."""
+    if tau.exact is None or len(witnesses) >= tau.exact:
+        return ()
+    return (f"{tau.exact} classes exist but only {len(witnesses)} "
+            "have constructions available here",)
+
+
 def theta_tau_complete(n: int, category: str) -> ThetaTauReport:
     """Minimum size and class count for complete graphs.
 
@@ -189,7 +197,6 @@ def theta_tau_complete(n: int, category: str) -> ThetaTauReport:
         np_rep = egp_set(fls_to_cover(near_pencil(n), g))
         sp_rep = egp_set(silly_partition(n))
         witnesses = [sp_rep, np_rep]
-        notes: list[str] = []
         if np is None:
             tau = TauValue(symbolic=f"2 + N_PP({n})")
         else:
@@ -198,18 +205,13 @@ def theta_tau_complete(n: int, category: str) -> ThetaTauReport:
                 plane = _plane_rep(n, g)
                 if plane is not None:
                     witnesses.append(plane)
-                if len(witnesses) < 2 + np:
-                    notes.append(
-                        f"{2 + np} classes exist but only {len(witnesses)} "
-                        "have constructions available here"
-                    )
         return ThetaTauReport(category, ThetaValue(exact=n), tau, "complete-sd",
-                              notes=tuple(notes), witnesses=tuple(witnesses), graph=g)
+                              notes=_missing_witness_notes(tau, witnesses),
+                              witnesses=tuple(witnesses), graph=g)
 
     if category == "sa":
         np = n_pp(n)
         witnesses = [egp_set(fls_to_cover(near_pencil(n), g))]
-        notes = []
         if np is None:
             tau = TauValue(symbolic=f"1 + N_PP({n})")
         else:
@@ -218,13 +220,9 @@ def theta_tau_complete(n: int, category: str) -> ThetaTauReport:
                 plane = _plane_rep(n, g)
                 if plane is not None:
                     witnesses.append(plane)
-                if len(witnesses) < 1 + np:
-                    notes.append(
-                        f"{1 + np} classes exist but only {len(witnesses)} "
-                        "have constructions available here"
-                    )
         return ThetaTauReport(category, ThetaValue(exact=n), tau, "complete-sa",
-                              notes=tuple(notes), witnesses=tuple(witnesses), graph=g)
+                              notes=_missing_witness_notes(tau, witnesses),
+                              witnesses=tuple(witnesses), graph=g)
 
     # simple-distinct-uniform
     if n == 3:
@@ -252,19 +250,14 @@ def theta_tau_complete(n: int, category: str) -> ThetaTauReport:
             plane = _plane_rep(n, g)
             if plane is not None:
                 witnesses.append(plane)
-            notes = []
-            if len(witnesses) < np:
-                notes.append(
-                    f"{np} classes exist but only {len(witnesses)} "
-                    "have constructions available here")
-            return ThetaTauReport(category, ThetaValue(exact=n), _tau_exact(np),
-                                  "complete-sdu", notes=tuple(notes),
+            tau = _tau_exact(np)
+            return ThetaTauReport(category, ThetaValue(exact=n), tau, "complete-sdu",
+                                  notes=_missing_witness_notes(tau, witnesses),
                                   witnesses=tuple(witnesses), graph=g)
         # No plane at this admissible order: fall through to n + 1.
 
     np1 = n_pp(n + 1)
     witnesses = [_uniform_silly_rep(n)]
-    notes = []
     if np1 is None:
         tau: TauValue = TauValue(symbolic=f"1 + N_PP({n + 1})")
     else:
@@ -274,12 +267,9 @@ def theta_tau_complete(n: int, category: str) -> ThetaTauReport:
             if r1 is not None and _is_prime_power(r1):
                 ls = puncture(projective_plane(r1), 1)
                 witnesses.append(egp_set(fls_to_cover(ls, g)))
-            if len(witnesses) < 1 + np1:
-                notes.append(
-                    f"{1 + np1} classes exist but only {len(witnesses)} "
-                    "have constructions available here")
     return ThetaTauReport(category, ThetaValue(exact=n + 1), tau, "complete-sdu",
-                          notes=tuple(notes), witnesses=tuple(witnesses), graph=g)
+                          notes=_missing_witness_notes(tau, witnesses),
+                          witnesses=tuple(witnesses), graph=g)
 
 
 # --------------------------------------------------------------------------
@@ -311,38 +301,24 @@ def _core_site_permutations(base: Graph, sites: tuple[int, ...]) -> list[tuple[i
     if not sites:
         return [()]
     core = [v for v in range(base.n) if base.degree(v) >= 2]
-    color = {v: sum(1 for u in base.adj[v] if base.degree(u) == 1) for v in core}
-    adj = {v: base.adj[v] & set(core) for v in core}
+    if not core:  # no core at all: only K2-like shapes, routed elsewhere
+        return [tuple(range(len(sites)))]
+    at = {v: i for i, v in enumerate(core)}
+    core_graph = Graph(tuple(base.labels[v] for v in core),
+                       tuple((at[u], at[v]) for u, v in base.edges
+                             if u in at and v in at))
+    color = [sum(1 for u in base.adj[v] if base.degree(u) == 1) for v in core]
     site_pos = {v: i for i, v in enumerate(sites)}
+    return sorted({tuple(site_pos[core[sigma[at[v]]]] for v in sites)
+                   for sigma in automorphisms(core_graph, color)})
 
-    perms: set[tuple[int, ...]] = set()
-    order = sorted(core, key=lambda v: (-len(adj[v]), -color[v], v))
 
-    def extend(i: int, mapping: dict[int, int], used: set[int]) -> None:
-        if i == len(order):
-            perms.add(tuple(site_pos[mapping[v]] for v in sites))
-            return
-        v = order[i]
-        for w in core:
-            if w in used or color[w] != color[v] or len(adj[w]) != len(adj[v]):
-                continue
-            ok = True
-            for u in order[:i]:
-                if (u in adj[v]) != (mapping[u] in adj[w]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used.add(w)
-                extend(i + 1, mapping, used)
-                used.discard(w)
-                del mapping[v]
-
-    if core:
-        extend(0, {}, set())
-    else:  # no core at all: only K2-like shapes, routed elsewhere
-        perms.add(tuple(range(len(sites))))
-    return sorted(perms)
+def _site_orbit_notes(labelled: int, tau: int) -> list[str]:
+    """The note for labelled solutions that automorphisms identify."""
+    if tau == labelled:
+        return []
+    return [f"{labelled} labelled minimum solutions fall into {tau} classes "
+            "because base-graph automorphisms permute the choice sites"]
 
 
 def _cycles(perm: tuple[int, ...]) -> list[list[int]]:
@@ -655,11 +631,7 @@ def _linegraph_sd(base: Graph, cls: Classification, lg: Graph) -> ThetaTauReport
     alphabets = [2] * len(stalks)
     tau = _orbit_count(perms, alphabets)
     labelled = 2 ** len(stalks)
-    notes: list[str] = []
-    if tau != labelled:
-        notes.append(
-            f"{labelled} labelled minimum solutions fall into {tau} classes "
-            "because base-graph automorphisms permute the choice sites")
+    notes = _site_orbit_notes(labelled, tau)
 
     if labelled <= _WITNESS_ENUM_CAP:
         by_assign = dict(zip(product((0, 1), repeat=len(stalks)),
@@ -709,11 +681,7 @@ def _linegraph_sa(base: Graph, cls: Classification, lg: Graph) -> ThetaTauReport
     perms = _core_site_permutations(base, tuple(v for v, _m in sites))
     tau = _orbit_count(perms, alphabets)
     labelled = prod(alphabets) if alphabets else 1
-    notes = []
-    if tau != labelled:
-        notes.append(
-            f"{labelled} labelled minimum solutions fall into {tau} classes "
-            "because base-graph automorphisms permute the choice sites")
+    notes = _site_orbit_notes(labelled, tau)
 
     witnesses: tuple[SetRepresentation, ...]
     if labelled <= _WITNESS_ENUM_CAP:

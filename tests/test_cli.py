@@ -140,6 +140,21 @@ def test_oracle_budget_exhaustion_exits_3(capsys, write):
     assert json.loads(out)["theta"] is None
 
 
+def test_oracle_reports_stop_reason(capsys, write):
+    k4 = write("k4.graph", format_graph(zoo.build("complete_graph(4)")))
+    for extra, reason in (((), None),
+                          (("--max-universe", "3"), "max_universe"),
+                          (("--node-limit", "2"), "node_limit")):
+        code, out, _ = run(capsys, "oracle", k4, "--category", "sd",
+                           "--json", *extra)
+        assert code == (0 if reason is None else 3)
+        assert json.loads(out)["stopReason"] == reason
+    code, out, _ = run(capsys, "oracle", k4, "--category", "sd",
+                       "--node-limit", "2")
+    assert code == 3
+    assert "stop reason  node_limit" in out
+
+
 def test_oracle_requires_exactly_one_input(capsys, p4):
     code, _, err = run(capsys, "oracle", "--category", "sd")
     assert code == 1

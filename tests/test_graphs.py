@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -15,6 +16,7 @@ from setrep import (
     path_graph,
     star_graph,
 )
+from setrep.graphs import automorphisms
 
 
 def test_parse_basic():
@@ -112,3 +114,25 @@ def test_line_graph_labels_are_base_edges():
     g = zoo.from_edges([("a", "b"), ("b", "c")])
     lg, _ = line_graph(g)
     assert lg.labels == ("a-b", "b-c")
+
+
+def brute_automorphisms(g, colors=None):
+    edges = {frozenset(e) for e in g.edges}
+    return [p for p in itertools.permutations(range(g.n))
+            if (colors is None or all(colors[p[v]] == colors[v]
+                                      for v in range(g.n)))
+            and {frozenset((p[u], p[v])) for u, v in g.edges} == edges]
+
+
+def test_automorphisms_match_brute_force():
+    """Every vertex permutation that preserves the edges (and, with
+    colours, each vertex's colour), in lexicographic order, on seeded
+    graphs with at most 7 vertices."""
+    rng = random.Random(1981)
+    graphs = [cycle_graph(6), star_graph(4), path_graph(5)]
+    graphs += [zoo.random_graph(rng, max_n=7) for _ in range(25)]
+    for g in graphs:
+        assert automorphisms(g) == brute_automorphisms(g), g.edges
+        colors = [rng.randrange(2) for _ in range(g.n)]
+        assert automorphisms(g, colors) == brute_automorphisms(g, colors), \
+            (g.edges, colors)

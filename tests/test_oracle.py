@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import time
+import types
 
 import pytest
 
@@ -208,7 +210,8 @@ def test_pooled_node_budget(runs):
     (complete_graph(5), "sa", 5),
     (path_graph(4), "sd", 4),
     (complete_graph(4), "sd", 3),
-], ids=["K4-sd", "K5-sa", "P4-sd", "K4-sd-cap3"])
+    (path_graph(4), "a", 5),
+], ids=["K4-sd", "K5-sa", "P4-sd", "K4-sd-cap3", "P4-a"])
 def test_node_budget_is_inclusive(graph, category, cap):
     """A search that needs exactly ``node_limit`` nodes is exhausted, with
     the unlimited search's answer; one node fewer is not enough."""
@@ -225,6 +228,93 @@ def test_node_budget_is_inclusive(graph, category, cap):
     short = oracle_search(graph, category, SearchBudget(
         max_universe=cap, node_limit=free.nodes - 1))
     assert not short.exhausted
+
+
+def friendship(k):
+    """k triangles sharing the hub z."""
+    return zoo.from_edges([edge for i in range(k) for edge in (
+        ("z", f"a{i}"), ("z", f"b{i}"), (f"a{i}", f"b{i}"))])
+
+
+@pytest.mark.parametrize("limit", [1_000, 10_000])
+def test_node_budget_bounds_padding(limit):
+    """F4 sdu within 15 elements is almost all padding (439,830 nodes
+    unlimited); the node limit stops the placements, not just the kernel,
+    at the first node past it."""
+    r = oracle_search(friendship(4), "sdu",
+                      SearchBudget(max_universe=15, node_limit=limit))
+    assert r.nodes == limit + 1
+    assert not r.exhausted and r.theta is None
+    assert r.stop_reason == "node_limit"
+
+
+def test_deadline_bounds_padding(monkeypatch):
+    """The oracle's clock jumps past the deadline after the padding at
+    universe size 12 (28,033 placements) first looks at it, on its first
+    placement: the padding stops at its next check, at most 4,096 nodes
+    later, instead of trying every placement of the level."""
+    g, level = friendship(4), 12
+    before = run(g, "sdu", level - 1).nodes
+    kernel_nodes = []
+    looks = []
+
+    def kernel(n, adj, q, **limits):
+        out = enumerate_edge_partitions(n, adj, q, **limits)
+        if q == level:
+            kernel_nodes.append(out[1])
+        return out
+
+    def clock():
+        if kernel_nodes:
+            looks.append(1)
+        return time.monotonic() + (3600.0 if len(looks) > 1 else 0.0)
+
+    monkeypatch.setattr(oracle, "enumerate_edge_partitions", kernel)
+    monkeypatch.setattr(oracle, "time", types.SimpleNamespace(monotonic=clock))
+    r = oracle_search(g, "sdu", SearchBudget(max_universe=15, time_limit=60))
+    placements = r.nodes - before - kernel_nodes[0]
+    assert 0 < placements <= 4096
+    assert not r.exhausted and r.theta is None
+    assert r.searched_to == level - 1
+    assert r.stop_reason == "time_limit"
+
+
+@pytest.mark.parametrize("graph,category", [
+    (complete_graph(4), "sd"),
+    (complete_graph(3), "d"),
+], ids=["K4-sd-partition", "K3-d-assignment"])
+def test_cut_short_level_reports_theta(graph, category):
+    """A node limit that stops the search inside theta's level, after it
+    found solutions, reports theta with the classes found so far (a prefix
+    of the full list), not exhausted; every smaller size was searched."""
+    free = run(graph, category, 5)
+    theta = free.theta
+    floor = run(graph, category, theta - 1).nodes
+    partial = 0
+    for limit in range(floor, free.nodes):
+        r = oracle_search(graph, category, SearchBudget(
+            max_universe=5, node_limit=limit))
+        assert not r.exhausted and r.stop_reason == "node_limit"
+        assert r.searched_to == theta - 1
+        if not r.labeled_solutions:
+            assert r.theta is None and r.classes == ()
+            continue
+        assert r.theta == theta
+        assert r.classes == free.classes[:len(r.classes)]
+        assert r.labeled_solutions <= free.labeled_solutions
+        partial += r.labeled_solutions < free.labeled_solutions
+    assert partial
+
+
+def test_stop_reason():
+    """None when theta's level was searched in full, "max_universe" when
+    the cap was reached without a solution."""
+    assert run(complete_graph(4), "sd", 4).stop_reason is None
+    assert run(path_graph(4), "a", 5).stop_reason is None
+    assert run(complete_graph(4), "sd", 3).stop_reason == "max_universe"
+    r = oracle_search(complete_graph(4), "sd",
+                      SearchBudget(max_universe=4, node_limit=2))
+    assert r.stop_reason == "node_limit"
 
 
 def test_budget_cap_below_theta():

@@ -6,10 +6,13 @@ pins the dispatch table, provenance strings, symbolic fallbacks, and the
 witness builders.
 """
 
+import random
+
 import pytest
 
 import zoo
 from setrep import (
+    Graph,
     TheoremNotApplicable,
     category_flags,
     classify,
@@ -25,6 +28,8 @@ from setrep import (
     witness_sd,
     witness_sd_variants,
 )
+from setrep.graphs import automorphisms
+from setrep.theorems import _core_site_permutations
 
 # -- complete graphs -----------------------------------------------------------
 
@@ -331,3 +336,36 @@ def test_witness_sa_plane_bundle():
     for i, a in enumerate(variants):
         for b in variants[i + 1:]:
             assert not isomorphic(a, b)
+
+
+# -- base-graph symmetry on the choice sites -------------------------------------
+
+def _random_base(rng):
+    """A seeded connected graph on at most 8 vertices, often with pendants."""
+    n = rng.randint(3, 8)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(rng.randint(0, n)):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return Graph(tuple(f"v{i}" for i in range(n)), tuple(sorted(edges)))
+
+
+def test_core_site_permutations_project_full_automorphisms():
+    """The site permutations found on the pendant-stripped, coloured core
+    are Aut(base) projected onto the sites, for two Aut-invariant site
+    sets: every core vertex, and the core vertices that carry pendants."""
+    rng = random.Random(2014)
+    bases = [zoo.build(name) for name in sorted({k for k, _ in
+                                                 zoo.LINEGRAPH_EXPECTED})]
+    bases += [_random_base(rng) for _ in range(60)]
+    for base in bases:
+        core = [v for v in range(base.n) if base.degree(v) >= 2]
+        plumed = [v for v in core
+                  if any(base.degree(u) == 1 for u in base.adj[v])]
+        full = automorphisms(base)
+        for sites in (tuple(core), tuple(plumed)):
+            at = {v: i for i, v in enumerate(sites)}
+            want = sorted({tuple(at[sigma[v]] for v in sites)
+                           for sigma in full}) if sites else [()]
+            assert _core_site_permutations(base, sites) == want, \
+                (base.edges, sites)
