@@ -20,8 +20,7 @@ from .geometry import (LinearSpace, fls_to_cover, is_projective_plane,
 from .graphs import (Graph, LineGraphMap, complete_graph, cycle_graph,
                      format_graph, line_graph, parse_graph, path_graph,
                      star_graph)
-from .oracle import OracleResult, SearchBudget, enumerate_partitions, \
-    oracle_search, verify_dbe
+from .oracle import OracleResult, SearchBudget, oracle_search, verify_dbe
 from .representations import (CategoryFlags, SetRepresentation,
                               canonical_form, category_flags, isomorphic,
                               partition_into_classes, represents)

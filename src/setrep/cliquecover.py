@@ -32,9 +32,6 @@ class CliqueCover:
         """Number of cliques = universe size of the induced representation."""
         return len(self.cliques)
 
-    def trivial_count(self) -> int:
-        return sum(1 for q in self.cliques if len(q) == 1)
-
 
 def validate_cover(cover: CliqueCover) -> None:
     """Raise :class:`InvalidCoverError` unless every listed set is a clique

@@ -246,10 +246,3 @@ def linear_space_to_json_dict(ls: LinearSpace) -> dict:
     if ls.order is not None:
         data["order"] = ls.order
     return data
-
-
-def linear_space_from_json_dict(data: dict) -> LinearSpace:
-    return LinearSpace(
-        points=int(data["points"]),
-        lines=tuple(tuple(int(p) for p in line) for line in data["lines"]),
-        order=data.get("order"))

@@ -15,9 +15,11 @@ tokens.  Vertices are numbered 0..n-1 in order of first appearance.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
-from .errors import DuplicateEdgeError, GraphFormatError, SelfLoopError
+from .errors import (DuplicateEdgeError, GraphFormatError, SelfLoopError,
+                     TimeLimitReached)
 
 
 class Graph:
@@ -58,9 +60,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
@@ -173,18 +172,6 @@ class LineGraphMap:
     base: Graph
     line: Graph
 
-    def edge_of(self, line_vertex: int) -> tuple[int, int]:
-        """Base edge (endpoint pair) behind a line-graph vertex."""
-        return self.base.edges[line_vertex]
-
-    def vertex_of(self, u: int, v: int) -> int:
-        """Line-graph vertex behind a base edge, either orientation."""
-        for i, (a, b) in enumerate(self.base.edges):
-            if (a, b) == (u, v) or (a, b) == (v, u):
-                return i
-        raise GraphFormatError(
-            f"no edge {self.base.labels[u]!r}-{self.base.labels[v]!r} in base graph")
-
 
 def line_graph(g: Graph) -> tuple[Graph, LineGraphMap]:
     """Build the line graph of ``g``.
@@ -229,11 +216,15 @@ def star_graph(leaves: int) -> Graph:
     return Graph(labels, tuple((0, i + 1) for i in range(leaves)))
 
 
-def automorphisms(g: Graph, colors=None) -> list[tuple[int, ...]]:
+def automorphisms(g: Graph, colors=None,
+                  deadline: float | None = None) -> list[tuple[int, ...]]:
     """All automorphisms of ``g`` as vertex permutation tuples, in
     lexicographic order; with ``colors``, only those that keep each
     vertex's colour.  Backtracking over an invariant colouring, for small
-    graphs: do not call it on complete graphs (n! results)."""
+    graphs: do not call it on complete graphs (n! results).
+
+    ``deadline`` is an absolute ``time.monotonic()`` stamp, checked every
+    1,024 placements; past it, :class:`TimeLimitReached` is raised."""
     n = g.n
     # invariant: (colour, degree, sorted neighbour degrees)
     color = [(colors[v] if colors is not None else None, g.degree(v),
@@ -243,8 +234,14 @@ def automorphisms(g: Graph, colors=None) -> list[tuple[int, ...]]:
     image = [0] * n
     used = [False] * n
     out: list[tuple[int, ...]] = []
+    placed = 0
 
     def place(v: int) -> None:
+        nonlocal placed
+        placed += 1
+        if deadline is not None and placed % 1024 == 0 \
+                and time.monotonic() > deadline:
+            raise TimeLimitReached("automorphism search passed its deadline")
         if v == n:
             out.append(tuple(image))
             return

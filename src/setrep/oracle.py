@@ -9,18 +9,33 @@ For categories containing "s" (simple), solutions biject with edge
 clique partitions of H augmented by single-vertex cliques, so the search
 enumerates partitions with the bitmask kernel of
 :mod:`setrep.partitions` and then distributes the remaining universe
-elements as single-vertex padding.  Categories without "s" fall back to
-a direct assignment search over all nonempty subsets per vertex, which
-is only viable for very small inputs.
+elements as single-vertex padding.  A pad is an element of one vertex
+alone and padding only grows sets, so each partition's clique
+memberships decide which placements of t pads succeed, and only those
+are generated:
+
+- ``u``: n * size = t + the total membership, so every vertex's pad count
+  is fixed; there is one placement or none, and d is checked on its
+  unpadded vertices;
+- ``a``: a vertex must be padded iff its member set is empty or contained
+  in another vertex's; every placement that pads each such vertex once
+  or more succeeds;
+- ``d`` without ``a``: every vertex with an empty member set is padded,
+  and of each group of equal member sets at most one vertex stays bare.
+
+Categories without "s" fall back to a direct assignment search over all
+nonempty subsets per vertex, which is only viable for very small inputs.
 
 Both strategies run in one loop over universe sizes p: a level generator
 yields the labelled solutions of size p and the loop keys them.  The
 kernel, the padding and the assignment search spend one node budget,
 stop at the first node past ``node_limit`` and check the deadline at
-least every 4,096 nodes, so keying between checks is bounded too.  A
-level cut short after it found solutions still settles theta = p (every
-smaller size was searched in full), with ``exhausted=False``, the classes
-found so far, and the limit that stopped it in ``stop_reason``.
+least every 4,096 nodes, so keying between checks is bounded too; the
+symmetry setup that lists Aut(G) for line-graph input checks it every
+1,024 placements.  A level cut short after it found solutions still
+settles theta = p (every smaller size was searched in full), with
+``exhausted=False``, the classes found so far, and the limit that stopped
+it in ``stop_reason``.
 
 Two optimal solutions count as the same class when a permutation of the
 universe together with a symmetry of the *input* carries one onto the
@@ -44,11 +59,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .classify import _star_center
-from .cliquecover import CliqueCover
-from .errors import SetrepError
+from .errors import SetrepError, TimeLimitReached
 from .graphs import Graph, automorphisms, line_graph
 from .partitions import enumerate_edge_partitions, kernel_name
 from .representations import (SetRepresentation, canonical_form,
@@ -85,13 +98,14 @@ class OracleResult:
         return len(self.classes)
 
 
-def _induced_edge_permutations(base: Graph) -> list[tuple[int, ...]]:
+def _induced_edge_permutations(base: Graph, deadline: float | None
+                               ) -> list[tuple[int, ...]]:
     """Aut(base) acting on the edge list (= vertices of the line graph)."""
     idx: dict[tuple[int, int], int] = {}
     for i, (u, v) in enumerate(base.edges):
         idx[(u, v)] = idx[(v, u)] = i
     return [tuple(idx[(sigma[u], sigma[v])] for u, v in base.edges)
-            for sigma in automorphisms(base)]
+            for sigma in automorphisms(base, deadline=deadline)]
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +134,10 @@ class _ClassKeyer:
                    for sigma in self.perms)
 
 
-def _symmetry_keyer(graph: Graph, base: Graph | None) -> _ClassKeyer:
+def _symmetry_keyer(graph: Graph, base: Graph | None,
+                    deadline: float | None) -> _ClassKeyer:
+    """The run's keyer.  Listing Aut(base) past ``deadline`` raises
+    :class:`TimeLimitReached`."""
     if base is None:
         # The groups determine H, so any vertex permutation carrying one
         # solution's groups onto another's is already in Aut(H).
@@ -129,7 +146,7 @@ def _symmetry_keyer(graph: Graph, base: Graph | None) -> _ClassKeyer:
         # leaves permute freely, so the induced action on the edges is
         # the full symmetric group on the line graph's vertices
         return _ClassKeyer(graph.n, None)
-    return _ClassKeyer(graph.n, _induced_edge_permutations(base))
+    return _ClassKeyer(graph.n, _induced_edge_permutations(base, deadline))
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +176,10 @@ def _masks(g: Graph) -> list[int]:
     return [sum(1 << u for u in g.adj[v]) for v in range(g.n)]
 
 
-def _run_kernel(g: Graph, q: int, node_limit, deadline):
+def _run_kernel(n: int, masks: list[int], q: int, node_limit, deadline):
     """One kernel invocation, with the partitions in sorted order."""
     parts, nodes, complete = enumerate_edge_partitions(
-        g.n, _masks(g), q, node_limit=node_limit, deadline=deadline)
+        n, masks, q, node_limit=node_limit, deadline=deadline)
     parts.sort()
     return parts, nodes, complete
 
@@ -174,6 +191,80 @@ def _bits(mask: int):
         yield b.bit_length() - 1
 
 
+def _placements(member: list[int], t: int, category: str):
+    """The placements of ``t`` single-vertex pads onto the vertices with
+    clique memberships ``member`` that give a solution in ``category``,
+    as sorted vertex tuples in the order that
+    ``combinations_with_replacement(range(n), t)`` lists them.
+
+    A pad is an element of its vertex alone, so only the bare (unpadded)
+    vertices can be empty, collide or nest.  Pad counts are chosen vertex
+    by vertex, each from the most it can take down to the least it needs,
+    which is that order.  ``need[v]`` is the least number of pads the
+    vertices from v on take; surplus pads can always go to a later vertex,
+    so a branch that keeps it covered ends in a solution."""
+    n = len(member)
+    if not n:  # the empty graph: only the empty placement, of no pads
+        if not t:
+            yield ()
+        return
+    want_a = "a" in category
+    want_d = "d" in category and not want_a
+    # a vertex must hold a pad if its member set is empty or, under a,
+    # contained in another vertex's
+    must = [not m or want_a and any(u != v and m & member[u] == m
+                                     for u in range(n))
+            for v, m in enumerate(member)]
+    if "u" in category:
+        # n * size = t + sum |member|: every pad count is fixed
+        size, rest = divmod(t + sum(m.bit_count() for m in member), n)
+        pads = [size - m.bit_count() for m in member]
+        bare = [m for m, c in zip(member, pads) if not c]
+        if rest or min(pads) < 0 \
+                or any(f and not c for f, c in zip(must, pads)) \
+                or want_d and len(set(bare)) < len(bare):
+            return
+        yield tuple(v for v in range(n) for _ in range(pads[v]))
+        return
+    # under d, of the vertices with one nonempty member set at most one
+    # stays bare: every one with a later twin counts one pad in need
+    twin = [want_d and m != 0 and m in member[v + 1:]
+            for v, m in enumerate(member)]
+    need = [0] * (n + 1)
+    for v in range(n - 1, -1, -1):
+        need[v] = need[v + 1] + (must[v] or twin[v])
+    if t < need[0]:
+        return
+    bare_sets: set[int] = set()  # member sets left bare with twins ahead
+    chosen: list[int] = []
+
+    def place(v: int, left: int, owed: int):
+        # owed: the sets in bare_sets whose last twin is still ahead; that
+        # twin needs a pad, which need[] does not count
+        m = member[v]
+        held = m in bare_sets
+        if v == n - 1:
+            if left:
+                chosen.extend([v] * left)
+                yield tuple(chosen)
+                del chosen[-left:]
+            elif not (must[v] or held):
+                yield tuple(chosen)
+            return
+        owed_padded = owed - (held and not twin[v])
+        for c in range(left - need[v + 1] - owed_padded, 0, -1):
+            chosen.extend([v] * c)
+            yield from place(v + 1, left - c, owed_padded)
+            del chosen[-c:]
+        if not (must[v] or held) and left >= need[v + 1] + owed + twin[v]:
+            if twin[v]:
+                bare_sets.add(m)
+            yield from place(v + 1, left, owed + twin[v])
+            bare_sets.discard(m)
+
+    yield from place(0, t, 0)
+
+
 def _solutions_at_level(g: Graph, category: str, partitions, p: int,
                         counter: dict):
     """All labelled category solutions with universe size exactly ``p``,
@@ -181,13 +272,10 @@ def _solutions_at_level(g: Graph, category: str, partitions, p: int,
 
     Yields (groups, sets) pairs: the element groups (for class keys) and
     the per-vertex sets (for the representative representation).  Each
-    placement tried spends one node of the run's budget in ``counter``;
-    a spent budget ends the level.
+    placement generated spends one node of the run's budget in
+    ``counter``; a spent budget ends the level.
     """
     n = g.n
-    want_d = "d" in category
-    want_a = "a" in category
-    want_u = "u" in category
     # a local count keeps the dict off the hot path; it is stored at each
     # check, each yield and at exit
     nodes = counter["nodes"]
@@ -201,63 +289,30 @@ def _solutions_at_level(g: Graph, category: str, partitions, p: int,
         for j, cl in enumerate(part):
             for v in _bits(cl):
                 member[v] |= 1 << j
-        for placement in combinations_with_replacement(range(n), t):
+        cliques = tuple(frozenset(_bits(cl)) for cl in part)
+        bare = [frozenset(_bits(m)) for m in member]
+        for placement in _placements(member, t, category):
             nodes += 1
             if nodes >= check_at:
                 check_at = _checkpoint(counter, nodes)
                 if counter["stop"]:
                     return
-            pad = [0] * n
-            for v in placement:
-                pad[v] += 1
-            if any(member[v] == 0 and pad[v] == 0 for v in range(n)):
-                continue  # vertex left without a set
-            if want_u:
-                sizes = {member[v].bit_count() + pad[v] for v in range(n)}
-                if len(sizes) > 1:
-                    continue
-            # vertices with padding hold globally unique elements, so
-            # only pad-free vertices can collide or nest
-            if want_d or want_a:
-                bare = [v for v in range(n) if pad[v] == 0]
-                ok = True
-                if want_d and not want_a:
-                    seen = set()
-                    for v in bare:
-                        if member[v] in seen:
-                            ok = False
-                            break
-                        seen.add(member[v])
-                if ok and want_a:
-                    for v in bare:
-                        mv = member[v]
-                        for u in range(n):
-                            if u != v and mv & member[u] == mv:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                if not ok:
-                    continue
-            groups = [frozenset(_bits(cl)) for cl in part]
-            sets = [set(_bits(member[v])) for v in range(n)]
-            e = q
-            for v in placement:
-                groups.append(frozenset([v]))
-                sets[v].add(e)
-                e += 1
+            sets = bare.copy()
+            for e, v in enumerate(placement, q):
+                sets[v] = sets[v] | {e}
             counter["nodes"] = nodes
-            yield (tuple(groups),
-                   tuple(frozenset(s) for s in sets))
+            yield (cliques + tuple(frozenset((v,)) for v in placement),
+                   tuple(sets))
     counter["nodes"] = nodes
 
 
-def _partition_level(g: Graph, category: str, p: int, counter: dict):
+def _partition_level(g: Graph, category: str, p: int, counter: dict,
+                     masks: list[int]):
     """The kernel's partitions into at most ``p`` cliques, padded to
     universe size ``p``.  The kernel gets the nodes the budget has left."""
     limit = counter["limit"]
     parts, nodes, complete = _run_kernel(
-        g, p, None if limit is None else limit - counter["nodes"],
+        g.n, masks, p, None if limit is None else limit - counter["nodes"],
         counter["deadline"])
     if complete:
         counter["nodes"] += nodes
@@ -274,7 +329,8 @@ _ASSIGN_MAX_N = 7
 _ASSIGN_MAX_P = 6
 
 
-def _assignment_level(g: Graph, category: str, p: int, counter: dict):
+def _assignment_level(g: Graph, category: str, p: int, counter: dict,
+                      adj: list[int]):
     """All labelled category solutions with universe size exactly ``p``,
     by giving each vertex in turn a nonempty subset of the universe.  Each
     vertex placed spends one node of the run's budget in ``counter``."""
@@ -282,7 +338,6 @@ def _assignment_level(g: Graph, category: str, p: int, counter: dict):
     want_a = "a" in category
     want_u = "u" in category
     n = g.n
-    adj = _masks(g)
     chosen: list[int] = []
     nodes = counter["nodes"]
     check_at = nodes + 1
@@ -362,13 +417,19 @@ def oracle_search(graph: Graph, category: str, budget: SearchBudget,
     counter = {"nodes": 0, "limit": budget.node_limit, "stop": None,
                "deadline": (None if budget.time_limit is None
                             else start + budget.time_limit)}
-    keyer = _symmetry_keyer(graph, base)
+    try:
+        keyer = _symmetry_keyer(graph, base, counter["deadline"])
+    except TimeLimitReached:
+        counter["stop"] = "time_limit"
+    masks = _masks(graph)
     classes: dict = {}
     labeled = 0
     searched_to = 0
     for p in range(1, budget.max_universe + 1):
+        if counter["stop"]:  # symmetry setup ran out of time
+            break
         universe = tuple(range(p))
-        for groups, sets in level(graph, category, p, counter):
+        for groups, sets in level(graph, category, p, counter, masks):
             labeled += 1
             key = keyer.key(groups)
             if key not in classes:
@@ -387,24 +448,6 @@ def oracle_search(graph: Graph, category: str, budget: SearchBudget,
         searched_to=searched_to, nodes=counter["nodes"],
         elapsed=time.monotonic() - start, kernel=kernel,
         stop_reason=counter["stop"])
-
-
-def enumerate_partitions(graph: Graph, cliques: int,
-                         at_most: bool = False) -> list[CliqueCover]:
-    """Edge clique partitions with exactly ``cliques`` nontrivial cliques
-    (or at most that many, with ``at_most=True``), as covers."""
-    if cliques < 0:
-        raise ValueError("clique count cannot be negative")
-    parts, _, complete = _run_kernel(graph, cliques, None, None)
-    assert complete
-    out = []
-    for part in parts:
-        if not at_most and len(part) != cliques:
-            continue
-        out.append(CliqueCover(
-            graph=graph,
-            cliques=tuple(frozenset(_bits(cl)) for cl in part)))
-    return out
 
 
 @dataclass(frozen=True)
@@ -434,7 +477,7 @@ def verify_dbe(n: int, node_limit: int | None = None) -> DbeReport:
     if n < 3:
         raise ValueError("the census needs n >= 3")
     g = complete_graph(n)
-    parts, nodes, complete = _run_kernel(g, n, node_limit, None)
+    parts, nodes, complete = _run_kernel(n, _masks(g), n, node_limit, None)
     whole = intermediate = near = planes = other = 0
     for part in parts:
         q = len(part)

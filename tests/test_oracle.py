@@ -236,25 +236,97 @@ def friendship(k):
         ("z", f"a{i}"), ("z", f"b{i}"), (f"a{i}", f"b{i}"))])
 
 
+def filtered_placements(member, t, category):
+    """Every placement of ``t`` pads that makes a solution, found by
+    filtering ``combinations_with_replacement``: the reference for the
+    generated placements."""
+    n = len(member)
+    want_a = "a" in category
+    for placement in itertools.combinations_with_replacement(range(n), t):
+        pad = [placement.count(v) for v in range(n)]
+        sizes = {member[v].bit_count() + pad[v] for v in range(n)}
+        bare = [v for v in range(n) if not pad[v]]
+        if any(not member[v] for v in bare) \
+                or "u" in category and len(sizes) > 1 \
+                or "d" in category and not want_a \
+                and len({member[v] for v in bare}) < len(bare) \
+                or want_a and any(u != v and member[v] & member[u] == member[v]
+                                  for v in bare for u in range(n)):
+            continue
+        yield placement
+
+
+def test_placements_match_the_filter():
+    """On seeded random member masks, with twins forced in half of them,
+    the generator yields exactly the filtered placements, in order."""
+    rng = random.Random(2013)
+    for _ in range(100):
+        n = rng.randint(0, 6)
+        bits = rng.randint(0, 4)
+        member = [rng.getrandbits(bits) for _ in range(n)]
+        if n and rng.random() < 0.5:
+            member[rng.randrange(n)] = member[rng.randrange(n)]
+        for t in range(8):
+            for category in ("s", "sd", "sa", "su", "sdu"):
+                assert list(oracle._placements(member, t, category)) == \
+                    list(filtered_placements(member, t, category)), \
+                    (member, t, category)
+
+
+def test_padding_node_ceiling():
+    """Padding generates only the placements that succeed: F4 sdu has no
+    solution within 15 elements, so the padding spends no node and the
+    search is exhausted in its 522 kernel nodes (439,830 nodes when every
+    placement was tried and filtered)."""
+    r = run(friendship(4), "sdu", 15)
+    assert r.exhausted and r.theta is None
+    assert r.nodes <= 1_000
+
+
+def matching(k):
+    """k disjoint edges.  Under sd every edge's clique is shared by its two
+    ends, so one of them holds a pad: theta = 2k, with 2**k placements on
+    the one partition, all of them at theta's level."""
+    return Graph(tuple(range(2 * k)), tuple((2 * i, 2 * i + 1)
+                                            for i in range(k)))
+
+
+def key_labelled(monkeypatch):
+    """Key every labelled solution as its own class: budget tests then
+    measure the padding, not the canonical form of thousands of keys."""
+    keyer = types.SimpleNamespace(key=lambda groups: groups)
+    monkeypatch.setattr(oracle, "_symmetry_keyer",
+                        lambda graph, base, deadline=None: keyer)
+
+
 @pytest.mark.parametrize("limit", [1_000, 10_000])
-def test_node_budget_bounds_padding(limit):
-    """F4 sdu within 15 elements is almost all padding (439,830 nodes
-    unlimited); the node limit stops the placements, not just the kernel,
-    at the first node past it."""
-    r = oracle_search(friendship(4), "sdu",
-                      SearchBudget(max_universe=15, node_limit=limit))
+def test_node_budget_bounds_padding(limit, monkeypatch):
+    """Fourteen disjoint edges under sd take a few hundred kernel nodes and
+    then 16,384 placements at theta's level; the node limit stops the
+    placements, not just the kernel, at the first node past it."""
+    key_labelled(monkeypatch)
+    g, level = matching(14), 28
+    kernel = run(g, "sd", level - 1).nodes + enumerate_edge_partitions(
+        g.n, _masks(g), level)[1]  # no level below theta has a placement
+    assert kernel < limit
+    r = oracle_search(g, "sd", SearchBudget(max_universe=level,
+                                            node_limit=limit))
     assert r.nodes == limit + 1
-    assert not r.exhausted and r.theta is None
+    assert r.labeled_solutions == limit - kernel
+    assert not r.exhausted and r.theta == level
+    assert r.searched_to == level - 1
     assert r.stop_reason == "node_limit"
 
 
 def test_deadline_bounds_padding(monkeypatch):
     """The oracle's clock jumps past the deadline after the padding at
-    universe size 12 (28,033 placements) first looks at it, on its first
-    placement: the padding stops at its next check, at most 4,096 nodes
-    later, instead of trying every placement of the level."""
-    g, level = friendship(4), 12
-    before = run(g, "sdu", level - 1).nodes
+    theta's level (8,192 placements of 13 disjoint edges under sd) first
+    looks at it, on its first placement: the padding stops at its next
+    check, at most 4,096 nodes later, instead of trying every placement
+    of the level."""
+    key_labelled(monkeypatch)
+    g, level = matching(13), 26
+    before = run(g, "sd", level - 1).nodes
     kernel_nodes = []
     looks = []
 
@@ -271,12 +343,33 @@ def test_deadline_bounds_padding(monkeypatch):
 
     monkeypatch.setattr(oracle, "enumerate_edge_partitions", kernel)
     monkeypatch.setattr(oracle, "time", types.SimpleNamespace(monotonic=clock))
-    r = oracle_search(g, "sdu", SearchBudget(max_universe=15, time_limit=60))
+    r = oracle_search(g, "sd", SearchBudget(max_universe=level, time_limit=60))
     placements = r.nodes - before - kernel_nodes[0]
     assert 0 < placements <= 4096
-    assert not r.exhausted and r.theta is None
+    assert r.labeled_solutions == placements - 1
+    assert not r.exhausted and r.theta == level
     assert r.searched_to == level - 1
     assert r.stop_reason == "time_limit"
+
+
+def double_star(a):
+    """Two adjacent hubs with ``a`` leaves each: 2 * (a!)**2 automorphisms."""
+    return zoo.from_edges([("x", "y")] + [(hub, f"{hub}{i}")
+                                          for hub in "xy" for i in range(a)])
+
+
+def test_deadline_bounds_symmetry_setup():
+    """Listing the 1,036,800 automorphisms of the double star with 6 + 6
+    leaves takes seconds; under a 0.1-s limit the run stops during the
+    listing, before any level is searched."""
+    base = double_star(6)
+    lg, _ = line_graph(base)
+    start = time.monotonic()
+    r = oracle_search(lg, "sd", SearchBudget(max_universe=lg.n,
+                                             time_limit=0.1), base=base)
+    assert time.monotonic() - start < 1.0
+    assert r.stop_reason == "time_limit" and not r.exhausted
+    assert r.theta is None and r.searched_to == 0 and r.nodes == 0
 
 
 @pytest.mark.parametrize("graph,category", [
@@ -382,8 +475,8 @@ def test_direct_keyer_matches_listed_automorphisms(g, cat, monkeypatch):
     cap = g.n + g.m
     got = run(g, cat, cap)
     monkeypatch.setattr(oracle, "_symmetry_keyer",
-                        lambda graph, base: _ClassKeyer(graph.n,
-                                                        automorphisms(graph)))
+                        lambda graph, base, deadline=None: _ClassKeyer(
+                            graph.n, automorphisms(graph)))
     want = run(g, cat, cap)
     assert got.exhausted and want.exhausted
     assert (got.theta, len(got.classes), got.labeled_solutions,
