@@ -15,6 +15,8 @@ Terminology used throughout:
 * critical vertex  -- a vertex of degree >= 2 with at least one plume
                       neighbour; m_i counts its plumes,
 * inland vertex    -- a vertex of degree >= 2 with no plume neighbour,
+* pendant core     -- the graph left when the plumes are removed, each
+                      vertex coloured by its plume count (pendant_core),
 * gamma            -- #inland + sum of the m_i,
 * gamma'           -- gamma + #critical,
 * wing             -- a triangle v,x,y whose two non-stalk vertices have
@@ -127,54 +129,37 @@ def _is_triple_matching_join(g: Graph) -> bool:
     return all(mate[mate[v]] == v for v in rest)
 
 
-def _peacock(g: Graph, plumes: list[int]):
-    """Try to read g as a triangle or windmill with plumes attached.
+def pendant_core(g: Graph) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]:
+    """``g`` with its plumes removed: the core graph on the vertices of
+    degree >= 2, the vertex of ``g`` behind each core vertex (ascending),
+    and the number of plumes each core vertex carries."""
+    of = tuple(v for v in range(g.n) if g.degree(v) >= 2)
+    at = {v: i for i, v in enumerate(of)}
+    core = Graph(tuple(g.labels[v] for v in of),
+                 tuple((at[u], at[v]) for u, v in g.edges
+                       if u in at and v in at))
+    plumes = tuple(sum(1 for u in g.adj[v] if g.degree(u) == 1) for v in of)
+    return core, of, plumes
+
+
+def _peacock(core: Graph, of: tuple[int, ...], plumes: tuple[int, ...]):
+    """Try to read the pendant core as a triangle or windmill with plumes
+    attached.
 
     Returns (kind, t, m_values_desc, plumed_vertices) or None.
     """
-    body = sorted(set(range(g.n)) - set(plumes))
-    sub_adj = {v: g.adj[v] - set(plumes) for v in body}
-    m_of = {v: sum(1 for u in g.adj[v] if u in set(plumes)) for v in body}
-
-    def body_degree(v: int) -> int:
-        return len(sub_adj[v])
-
-    if len(body) == 3:
-        a, b, c = body
-        if not (b in sub_adj[a] and c in sub_adj[a] and c in sub_adj[b]):
-            return None
-        plumed = [v for v in body if m_of[v] > 0]
-        ms = sorted((m_of[v] for v in plumed), reverse=True)
-        if len(plumed) == 1:
-            return ("TP1", None, tuple(ms), tuple(plumed))
-        if len(plumed) == 2:
-            order = sorted(plumed, key=lambda v: -m_of[v])
-            return ("TP2", None, tuple(ms), tuple(order))
-        return None  # plumes on all three corners: no special treatment
-
-    # windmill body?
-    t = len(body) - 2
-    if t < 2:
-        return None
-    base = [v for v in body if body_degree(v) == len(body) - 1]
-    if len(base) != 2 or base[1] not in sub_adj[base[0]]:
-        return None
-    fans = [v for v in body if v not in base]
-    if any(body_degree(v) != 2 for v in fans):
-        return None
-    for a, b in combinations(fans, 2):
-        if b in sub_adj[a]:
-            return None
-    if any(m_of[v] > 0 for v in fans):
+    plumed = sorted((i for i in range(core.n) if plumes[i]),
+                    key=lambda i: -plumes[i])
+    if len(plumed) not in (1, 2):
+        return None  # no plumes, or plumes on three or more vertices
+    ms = tuple(plumes[i] for i in plumed)
+    vertices = tuple(of[i] for i in plumed)
+    if core.n == 3 and _is_complete(core):
+        return (f"TP{len(plumed)}", None, ms, vertices)
+    t = _windmill_parameter(core)
+    if t is None or any(core.degree(i) == 2 for i in plumed):
         return None  # plumed fans fall outside the special families
-    plumed = [v for v in base if m_of[v] > 0]
-    ms = sorted((m_of[v] for v in plumed), reverse=True)
-    if len(plumed) == 1:
-        return ("TPd1", t, tuple(ms), tuple(plumed))
-    if len(plumed) == 2:
-        order = sorted(plumed, key=lambda v: -m_of[v])
-        return ("TPd2", t, tuple(ms), tuple(order))
-    return None
+    return (f"TPd{len(plumed)}", t, ms, vertices)
 
 
 def classify(g: Graph) -> Classification:
@@ -184,17 +169,9 @@ def classify(g: Graph) -> Classification:
     if not g.is_connected():
         raise ValueError("classification is defined for connected graphs")
 
-    plumes = [v for v in range(g.n) if g.degree(v) == 1]
-    critical = []
-    inland = []
-    for v in range(g.n):
-        if g.degree(v) < 2:
-            continue
-        m_v = sum(1 for u in g.adj[v] if g.degree(u) == 1)
-        if m_v:
-            critical.append((v, m_v))
-        else:
-            inland.append(v)
+    core, of, plumes = pendant_core(g)
+    critical = [(v, m) for v, m in zip(of, plumes) if m]
+    inland = [v for v, m in zip(of, plumes) if not m]
     gamma = len(inland) + sum(m for _, m in critical)
     gamma_prime = gamma + len(critical)
 
@@ -218,7 +195,7 @@ def classify(g: Graph) -> Classification:
         kind = "3K2+K1"
     elif (hub := _star_center(g)) is not None:
         kind, star_degree = "star", g.n - 1
-    elif plumes and (pk := _peacock(g, plumes)) is not None:
+    elif (pk := _peacock(core, of, plumes)) is not None:
         kind, t, plume_counts, plumed_vertices = pk
 
     return Classification(

@@ -30,12 +30,14 @@ Both strategies run in one loop over universe sizes p: a level generator
 yields the labelled solutions of size p and the loop keys them.  The
 kernel, the padding and the assignment search spend one node budget,
 stop at the first node past ``node_limit`` and check the deadline at
-least every 4,096 nodes, so keying between checks is bounded too; the
-symmetry setup that lists Aut(G) for line-graph input checks it every
-1,024 placements.  A level cut short after it found solutions still
-settles theta = p (every smaller size was searched in full), with
-``exhausted=False``, the classes found so far, and the limit that stopped
-it in ``stop_reason``.
+least every 4,096 nodes.  A key can be slow (a minimum over a listed
+Aut(G)), so a run with a ``time_limit`` also checks it before each key
+but the first and at the end of each level: it returns within one key of
+the deadline.  The symmetry setup that lists Aut(G) for line-graph input
+checks it every 1,024 placements.  A level cut short after it found
+solutions still settles theta = p (every smaller size was searched in
+full), with ``exhausted=False``, the classes found so far, and the limit
+that stopped it in ``stop_reason``.
 
 Two optimal solutions count as the same class when a permutation of the
 universe together with a symmetry of the *input* carries one onto the
@@ -204,10 +206,6 @@ def _placements(member: list[int], t: int, category: str):
     vertices from v on take; surplus pads can always go to a later vertex,
     so a branch that keeps it covered ends in a solution."""
     n = len(member)
-    if not n:  # the empty graph: only the empty placement, of no pads
-        if not t:
-            yield ()
-        return
     want_a = "a" in category
     want_d = "d" in category and not want_a
     # a vertex must hold a pad if its member set is empty or, under a,
@@ -394,6 +392,8 @@ def oracle_search(graph: Graph, category: str, budget: SearchBudget,
             f"{', '.join(VALID_CATEGORIES)}")
     if budget.max_universe < 1:
         raise ValueError("max_universe must be at least 1")
+    if not graph.n:
+        raise ValueError("the graph has no vertices")
     if base is not None:
         if base.m != graph.n:
             raise ValueError(
@@ -430,6 +430,10 @@ def oracle_search(graph: Graph, category: str, budget: SearchBudget,
             break
         universe = tuple(range(p))
         for groups, sets in level(graph, category, p, counter, masks):
+            if labeled and counter["deadline"] is not None:
+                _checkpoint(counter, counter["nodes"])
+                if counter["stop"]:
+                    break
             labeled += 1
             key = keyer.key(groups)
             if key not in classes:

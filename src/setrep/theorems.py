@@ -19,6 +19,16 @@ have minimum counts that do not follow the generic pattern; they are
 dispatched to hard-coded values here, with the minimum size itself left to
 the oracle where no closed form is safe.  Reports say which case produced
 them via the ``provenance`` string.
+
+On the other line graphs a minimum solution is a set of fixed cliques plus
+one clique bundle at each choice site.  For ``sd`` the sites are the
+3-wing stalks: the stars of the stalk and of its two wing tips, or the wing
+triangle with two pairs bridging to the stalk's third edge.  For ``sa``
+they are the vertices with at least two pendant edges and a single other
+edge: the saturated star with private pendant elements, a near-pencil on
+the site's edges, or a projective plane on them.  tau is the number of
+orbits of bundle assignments under the base graph's automorphisms, which
+act on the sites through the pendant core (``classify.pendant_core``).
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from math import prod
 
-from .classify import Classification, classify
+from .classify import Classification, classify, pendant_core
 from .cliquecover import CliqueCover, egp_set, silly_partition
 from .errors import NoSuchPlaneConstruction, TheoremNotApplicable
 from .geometry import (fls_to_cover, n_pp, near_pencil, order_for_points,
@@ -288,29 +298,35 @@ def _pendant_edges(base: Graph, eidx: dict, v: int) -> list[int]:
                   if base.degree(u) == 1)
 
 
+def _base_cliques(base: Graph, cls: Classification, eidx: dict,
+                  shared: int) -> list[frozenset[int]]:
+    """Saturated stars on every internal vertex, then a private element for
+    each pendant edge of each critical vertex but the last ``shared``."""
+    cliques = [_star_clique(base, eidx, v)
+               for v in range(base.n) if base.degree(v) >= 2]
+    for v, m in cls.critical:
+        cliques += [frozenset({e})
+                    for e in _pendant_edges(base, eidx, v)[:m - shared]]
+    return cliques
+
+
 def _core_site_permutations(base: Graph, sites: tuple[int, ...]) -> list[tuple[int, ...]]:
     """How base-graph automorphisms can permute the given choice sites.
 
-    Pendant vertices are stripped first and replaced by a colour recording
-    how many pendants each remaining vertex carried; automorphisms of the
-    coloured core are exactly the automorphisms of the full graph up to
-    permutations of pendants at a common neighbour, and those act trivially
-    on the sites.  Returns the distinct induced permutations of ``sites``
-    (as index tuples); always includes the identity.
+    The sites are vertices of the pendant core (:func:`pendant_core`),
+    coloured by plume count; automorphisms of the coloured core are exactly
+    the automorphisms of the full graph up to permutations of pendants at a
+    common neighbour, and those act trivially on the sites.  Returns the
+    distinct induced permutations of ``sites`` (as index tuples); always
+    includes the identity.
     """
     if not sites:
         return [()]
-    core = [v for v in range(base.n) if base.degree(v) >= 2]
-    if not core:  # no core at all: only K2-like shapes, routed elsewhere
-        return [tuple(range(len(sites)))]
-    at = {v: i for i, v in enumerate(core)}
-    core_graph = Graph(tuple(base.labels[v] for v in core),
-                       tuple((at[u], at[v]) for u, v in base.edges
-                             if u in at and v in at))
-    color = [sum(1 for u in base.adj[v] if base.degree(u) == 1) for v in core]
+    core, of, plumes = pendant_core(base)
+    at = {v: i for i, v in enumerate(of)}
     site_pos = {v: i for i, v in enumerate(sites)}
-    return sorted({tuple(site_pos[core[sigma[at[v]]]] for v in sites)
-                   for sigma in automorphisms(core_graph, color)})
+    return sorted({tuple(site_pos[of[sigma[at[v]]]] for v in sites)
+                   for sigma in automorphisms(core, plumes)})
 
 
 def _site_orbit_notes(labelled: int, tau: int) -> list[str]:
@@ -373,42 +389,88 @@ def _orbit_representatives(perms: list[tuple[int, ...]],
     return reps
 
 
+def _site_reps(lg: Graph, cliques: list[frozenset[int]], site_choices,
+               assignments) -> list[SetRepresentation]:
+    """One representation per assignment of a bundle to each choice site.
+
+    ``site_choices[i]`` lists the clique bundles of site i, bundle 0 being
+    the one in ``cliques``.  Each representation keeps the cliques that no
+    site owns and adds the bundle its assignment picks at each site.
+    """
+    owned = {q for choices in site_choices for q in choices[0]}
+    fixed = tuple(q for q in cliques if q not in owned)
+    return [egp_set(CliqueCover(lg, fixed + tuple(
+                q for choices, a in zip(site_choices, assignment)
+                for q in choices[a])))
+            for assignment in assignments]
+
+
+def _site_classes(base: Graph, lg: Graph, cliques: list[frozenset[int]],
+                  sites: tuple[int, ...], alphabets: list[int], build_choices):
+    """(tau, notes, witnesses) for the minimum solutions that swap one
+    bundle into ``cliques`` at each choice site.
+
+    Site ``sites[i]``, a base vertex, offers ``alphabets[i]`` bundles;
+    ``build_choices()`` lists them per site as :func:`_site_reps` takes
+    them.  tau counts the orbits of bundle assignments under the
+    permutations that Aut(base) induces on the sites, and the witnesses
+    are the least assignment of each orbit.  Past ``_WITNESS_ENUM_CAP``
+    labelled solutions, or when a site's planes cannot be built, the one
+    witness is ``cliques`` itself.
+    """
+    perms = _core_site_permutations(base, sites)
+    tau = _orbit_count(perms, alphabets)
+    labelled = prod(alphabets)
+    notes = _site_orbit_notes(labelled, tau)
+    if labelled <= _WITNESS_ENUM_CAP:
+        try:
+            site_choices = build_choices()
+        except NoSuchPlaneConstruction as exc:  # pragma: no cover - huge sites
+            notes.append(str(exc))
+        else:
+            return tau, tuple(notes), tuple(_site_reps(
+                lg, cliques, site_choices,
+                _orbit_representatives(perms, alphabets)))
+    return tau, tuple(notes), (egp_set(CliqueCover(lg, tuple(cliques))),)
+
+
 # --------------------------------------------------------------------------
 # Simple-distinct witnesses for line graphs.
 
 _SD_EXCLUDED = {"K3", "K4", "W_t", "3K2+K1", "star", "TP1"}
 
 
-def _sd_base_cliques(base: Graph, cls: Classification,
-                     eidx: dict) -> list[frozenset[int]]:
-    cliques = [_star_clique(base, eidx, v)
-               for v in range(base.n) if base.degree(v) >= 2]
-    for v, _m in cls.critical:
-        # All pendant edges but the last get a private element.
-        for e in _pendant_edges(base, eidx, v)[:-1]:
-            cliques.append(frozenset({e}))
-    return cliques
+def _sd_wing_choices(base: Graph, cls: Classification,
+                     eidx: dict) -> list[list[list[frozenset[int]]]]:
+    """The two clique bundles of each 3-wing (s, x, y), in stalk order.
+
+    The stalk s has one more neighbour w.  Index 0 is the stars of s, x
+    and y; index 1 the wing triangle with the bridging pairs {sx, sw} and
+    {sy, sw}.
+    """
+    out = []
+    for s, x, y in cls.wings:
+        if s not in cls.three_wing_stalks:
+            continue
+        (w,) = base.adj[s] - {x, y}
+        sx, sy, xy, sw = (eidx[frozenset(p)]
+                          for p in ((s, x), (s, y), (x, y), (s, w)))
+        out.append([[_star_clique(base, eidx, v) for v in (s, x, y)],
+                    [frozenset({sx, sy, xy}), frozenset({sx, sw}),
+                     frozenset({sy, sw})]])
+    return out
 
 
-def _wing_replacement(base: Graph, eidx: dict,
-                      wing: tuple[int, int, int]) -> tuple[set[frozenset[int]], list[frozenset[int]]]:
-    """Cliques to drop and to add when a 3-wing flips from stars to triangle."""
-    s, x, y = wing
-    (w,) = base.adj[s] - {x, y}
-    sx, sy, xy = (eidx[frozenset(p)] for p in ((s, x), (s, y), (x, y)))
-    sw = eidx[frozenset((s, w))]
-    drop = {_star_clique(base, eidx, v) for v in (s, x, y)}
-    add = [frozenset({sx, sy, xy}), frozenset({sx, sw}), frozenset({sy, sw})]
-    return drop, add
-
-
-def _require_linegraph_generic(cls: Classification, excluded: set[str],
-                               what: str) -> None:
+def _generic_base(base: Graph, excluded: set[str]):
+    """The classification, line graph and edge index of ``base`` for the
+    star/pendant constructions, which refuse the ``excluded`` kinds."""
+    cls = classify(base)
     if cls.kind in excluded:
         raise TheoremNotApplicable(
-            f"the {what} construction does not apply to {cls.kind} base graphs; "
+            f"the star/pendant construction does not apply to {cls.kind} base graphs; "
             "use the oracle or the dispatch report for those"
         )
+    return cls, line_graph(base)[0], _edge_indexer(base)
 
 
 def witness_sd(base: Graph) -> SetRepresentation:
@@ -418,11 +480,8 @@ def witness_sd(base: Graph) -> SetRepresentation:
     all but one pendant edge at each pendant-carrying vertex.  Applies to
     connected base graphs outside the exceptional shapes.
     """
-    cls = classify(base)
-    _require_linegraph_generic(cls, _SD_EXCLUDED, "star/pendant")
-    lg, _ = line_graph(base)
-    eidx = _edge_indexer(base)
-    return egp_set(CliqueCover(lg, tuple(_sd_base_cliques(base, cls, eidx))))
+    cls, lg, eidx = _generic_base(base, _SD_EXCLUDED)
+    return egp_set(CliqueCover(lg, tuple(_base_cliques(base, cls, eidx, shared=1))))
 
 
 def witness_sd_variants(base: Graph) -> list[SetRepresentation]:
@@ -432,38 +491,16 @@ def witness_sd_variants(base: Graph) -> list[SetRepresentation]:
     plus two bridging pairs, giving ``2 ** k`` representations for a base
     graph with ``k`` 3-wings (in subset order: the all-stars form first).
     """
-    cls = classify(base)
-    _require_linegraph_generic(cls, _SD_EXCLUDED, "star/pendant")
-    lg, _ = line_graph(base)
-    eidx = _edge_indexer(base)
-    stalks = cls.three_wing_stalks
-    wings = {w[0]: w for w in cls.wings if w[0] in stalks}
-    out = []
-    for bits in product((0, 1), repeat=len(stalks)):
-        cliques = _sd_base_cliques(base, cls, eidx)
-        for stalk, bit in zip(stalks, bits):
-            if not bit:
-                continue
-            drop, add = _wing_replacement(base, eidx, wings[stalk])
-            cliques = [q for q in cliques if q not in drop] + add
-        out.append(egp_set(CliqueCover(lg, tuple(cliques))))
-    return out
+    cls, lg, eidx = _generic_base(base, _SD_EXCLUDED)
+    choices = _sd_wing_choices(base, cls, eidx)
+    return _site_reps(lg, _base_cliques(base, cls, eidx, shared=1), choices,
+                      product(*(range(len(c)) for c in choices)))
 
 
 # --------------------------------------------------------------------------
 # Simple-antichain witnesses for line graphs.
 
 _SA_EXCLUDED = {"K3", "K4", "W_t", "star", "TP1", "TP2", "TPd1", "TPd2"}
-
-
-def _sa_base_cliques(base: Graph, cls: Classification,
-                     eidx: dict) -> list[frozenset[int]]:
-    cliques = [_star_clique(base, eidx, v)
-               for v in range(base.n) if base.degree(v) >= 2]
-    for v, _m in cls.critical:
-        for e in _pendant_edges(base, eidx, v):
-            cliques.append(frozenset({e}))
-    return cliques
 
 
 def _sa_sites(base: Graph, cls: Classification) -> list[tuple[int, int]]:
@@ -522,11 +559,8 @@ def witness_sa(base: Graph) -> SetRepresentation:
     element, which restores the antichain property at the cost of one extra
     universe element per pendant-carrying vertex.
     """
-    cls = classify(base)
-    _require_linegraph_generic(cls, _SA_EXCLUDED, "star/pendant")
-    lg, _ = line_graph(base)
-    eidx = _edge_indexer(base)
-    return egp_set(CliqueCover(lg, tuple(_sa_base_cliques(base, cls, eidx))))
+    cls, lg, eidx = _generic_base(base, _SA_EXCLUDED)
+    return egp_set(CliqueCover(lg, tuple(_base_cliques(base, cls, eidx, shared=0))))
 
 
 def witness_sa_variants(base: Graph) -> list[SetRepresentation]:
@@ -537,24 +571,11 @@ def witness_sa_variants(base: Graph) -> list[SetRepresentation]:
     the hub at the stem or at a pendant edge (one form when there are only
     two pendants), or a projective plane on its edges when one exists.
     """
-    cls = classify(base)
-    _require_linegraph_generic(cls, _SA_EXCLUDED, "star/pendant")
-    lg, _ = line_graph(base)
-    eidx = _edge_indexer(base)
-    sites = _sa_sites(base, cls)
-    site_choices = [_sa_site_choices(base, eidx, v, m) for v, m in sites]
-
-    # Cliques not owned by any site stay fixed across all variants.
-    owned = {q for choices in site_choices for q in choices[0]}
-    fixed = [q for q in _sa_base_cliques(base, cls, eidx) if q not in owned]
-
-    out = []
-    for combo in product(*site_choices):
-        cliques = list(fixed)
-        for bundle in combo:
-            cliques.extend(bundle)
-        out.append(egp_set(CliqueCover(lg, tuple(cliques))))
-    return out
+    cls, lg, eidx = _generic_base(base, _SA_EXCLUDED)
+    choices = [_sa_site_choices(base, eidx, v, m)
+               for v, m in _sa_sites(base, cls)]
+    return _site_reps(lg, _base_cliques(base, cls, eidx, shared=0), choices,
+                      product(*(range(len(c)) for c in choices)))
 
 
 # --------------------------------------------------------------------------
@@ -626,21 +647,13 @@ def _linegraph_sd(base: Graph, cls: Classification, lg: Graph) -> ThetaTauReport
                               "linegraph-sd-plumed-triangle", graph=lg)
 
     # Generic: includes two-corner plumed triangles and plumed windmills.
+    eidx = _edge_indexer(base)
     stalks = cls.three_wing_stalks
-    perms = _core_site_permutations(base, stalks)
-    alphabets = [2] * len(stalks)
-    tau = _orbit_count(perms, alphabets)
-    labelled = 2 ** len(stalks)
-    notes = _site_orbit_notes(labelled, tau)
-
-    if labelled <= _WITNESS_ENUM_CAP:
-        by_assign = dict(zip(product((0, 1), repeat=len(stalks)),
-                             witness_sd_variants(base)))
-        witnesses = tuple(by_assign[a] for a in _orbit_representatives(perms, alphabets))
-    else:  # pragma: no cover - wildly many sites
-        witnesses = (witness_sd(base),)
+    tau, notes, witnesses = _site_classes(
+        base, lg, _base_cliques(base, cls, eidx, shared=1), stalks,
+        [2] * len(stalks), lambda: _sd_wing_choices(base, cls, eidx))
     return ThetaTauReport("sd", ThetaValue(exact=cls.gamma), _tau_exact(tau),
-                          "linegraph-sd-generic", notes=tuple(notes),
+                          "linegraph-sd-generic", notes=notes,
                           witnesses=witnesses, graph=lg)
 
 
@@ -678,25 +691,13 @@ def _linegraph_sa(base: Graph, cls: Classification, lg: Graph) -> ThetaTauReport
             notes=("labelled count; automorphisms may identify some choices",),
             graph=lg)
 
-    perms = _core_site_permutations(base, tuple(v for v, _m in sites))
-    tau = _orbit_count(perms, alphabets)
-    labelled = prod(alphabets) if alphabets else 1
-    notes = _site_orbit_notes(labelled, tau)
-
-    witnesses: tuple[SetRepresentation, ...]
-    if labelled <= _WITNESS_ENUM_CAP:
-        try:
-            by_assign = dict(zip(product(*(range(a) for a in alphabets)),
-                                 witness_sa_variants(base)))
-            witnesses = tuple(by_assign[a]
-                              for a in _orbit_representatives(perms, alphabets))
-        except NoSuchPlaneConstruction as exc:  # pragma: no cover - huge sites
-            notes.append(str(exc))
-            witnesses = (witness_sa(base),)
-    else:  # pragma: no cover
-        witnesses = (witness_sa(base),)
+    eidx = _edge_indexer(base)
+    tau, notes, witnesses = _site_classes(
+        base, lg, _base_cliques(base, cls, eidx, shared=0),
+        tuple(v for v, _m in sites), alphabets,
+        lambda: [_sa_site_choices(base, eidx, v, m) for v, m in sites])
     return ThetaTauReport("sa", ThetaValue(exact=cls.gamma_prime), _tau_exact(tau),
-                          "linegraph-sa-generic", notes=tuple(notes),
+                          "linegraph-sa-generic", notes=notes,
                           witnesses=witnesses, graph=lg)
 
 

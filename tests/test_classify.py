@@ -37,6 +37,9 @@ KINDS = [
     (zoo.spider(), "generic"),
     (zoo.asym_wing(), "generic"),
     (zoo.cornered_triangle(), "generic"),
+    # a windmill whose fan, not its spine, carries the plume
+    (zoo.from_edges([("u", "v"), ("u", "f0"), ("v", "f0"), ("u", "f1"),
+                     ("v", "f1"), ("f0", "p")]), "generic"),
 ]
 
 

@@ -257,14 +257,15 @@ def filtered_placements(member, t, category):
 
 
 def test_placements_match_the_filter():
-    """On seeded random member masks, with twins forced in half of them,
-    the generator yields exactly the filtered placements, in order."""
+    """On seeded random member masks of one to six vertices (the oracle
+    refuses a graph with none), with twins forced in half of them, the
+    generator yields exactly the filtered placements, in order."""
     rng = random.Random(2013)
     for _ in range(100):
-        n = rng.randint(0, 6)
+        n = rng.randint(1, 6)
         bits = rng.randint(0, 4)
         member = [rng.getrandbits(bits) for _ in range(n)]
-        if n and rng.random() < 0.5:
+        if rng.random() < 0.5:
             member[rng.randrange(n)] = member[rng.randrange(n)]
         for t in range(8):
             for category in ("s", "sd", "sa", "su", "sdu"):
@@ -370,6 +371,36 @@ def test_deadline_bounds_symmetry_setup():
     assert time.monotonic() - start < 1.0
     assert r.stop_reason == "time_limit" and not r.exhausted
     assert r.theta is None and r.searched_to == 0 and r.nodes == 0
+
+
+def test_deadline_bounds_keying(monkeypatch):
+    """The double star with 4 + 4 leaves has 16 labelled solutions at
+    theta = 8, each keyed by a minimum over 1,152 listed permutations.
+    The oracle's clock passes the deadline during the first key, and the
+    run stops before the second, not at the padding's next check."""
+    base = double_star(4)
+    lg, _ = line_graph(base)
+    late = []
+    key = _ClassKeyer.key
+
+    def slow_key(self, groups):
+        late.append(3600.0)
+        return key(self, groups)
+
+    monkeypatch.setattr(_ClassKeyer, "key", slow_key)
+    monkeypatch.setattr(oracle, "time", types.SimpleNamespace(
+        monotonic=lambda: time.monotonic() + sum(late)))
+    r = oracle_search(lg, "sd", SearchBudget(max_universe=lg.n,
+                                             time_limit=60), base=base)
+    assert r.labeled_solutions == 1 and len(r.classes) == 1
+    assert r.stop_reason == "time_limit" and not r.exhausted
+    assert r.theta == 8 and r.searched_to == 7
+
+
+@pytest.mark.parametrize("category", ["d", "sd"])
+def test_graph_with_no_vertices_is_refused(category):
+    with pytest.raises(ValueError, match="no vertices"):
+        oracle_search(Graph((), ()), category, SearchBudget(max_universe=3))
 
 
 @pytest.mark.parametrize("graph,category", [

@@ -17,6 +17,7 @@ from setrep import (
     category_flags,
     classify,
     complete_graph,
+    egp_cover,
     isomorphic,
     line_graph,
     represents,
@@ -28,6 +29,7 @@ from setrep import (
     witness_sd,
     witness_sd_variants,
 )
+from setrep import oracle
 from setrep.graphs import automorphisms
 from setrep.theorems import _core_site_permutations
 
@@ -369,3 +371,25 @@ def test_core_site_permutations_project_full_automorphisms():
                            for sigma in full}) if sites else [()]
             assert _core_site_permutations(base, sites) == want, \
                 (base.edges, sites)
+
+
+def test_report_witnesses_are_one_per_class():
+    """A generic report with an exact tau carries tau witnesses, pairwise
+    apart under the oracle's base-graph keyer: one per class."""
+    rng = random.Random(7)
+    names = {k for k, _ in zoo.LINEGRAPH_EXPECTED} | {"cornered_triangle()"}
+    bases = [zoo.build(name) for name in sorted(names)]
+    bases += [_random_base(rng) for _ in range(100)]
+    checked = 0
+    for base in bases:
+        lg, _ = line_graph(base)
+        keyer = oracle._symmetry_keyer(lg, base, None)
+        for cat in ("sd", "sa"):
+            r = theta_tau_linegraph(base, cat)
+            if not r.provenance.endswith("-generic") or r.tau.exact is None:
+                continue
+            keys = {keyer.key(egp_cover(w, lg).cliques) for w in r.witnesses}
+            assert len(r.witnesses) == len(keys) == r.tau.exact, \
+                (base.edges, cat)
+            checked += 1
+    assert checked >= 150
