@@ -21,8 +21,7 @@ from .geometry import linear_space_to_json_dict, projective_plane, puncture
 from .graphs import Graph, format_graph, line_graph, parse_graph
 from .oracle import SearchBudget, oracle_search, verify_dbe
 from .representations import (VALID_CATEGORIES, category_flags,
-                              rep_from_json_dict, rep_to_json_dict,
-                              represents)
+                              rep_from_json_dict, rep_to_json_dict)
 from .theorems import (ThetaTauReport, theta_tau_linegraph, witness_sa,
                        witness_sa_variants, witness_sd, witness_sd_variants)
 
@@ -128,7 +127,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_linegraph(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
-    lg, lmap = line_graph(g)
+    lg, _ = line_graph(g)
     if args.json:
         out = {
             "vertices": list(lg.labels),
@@ -168,19 +167,14 @@ def cmd_witness(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     rep, _labels = rep_from_json_dict(_read_json(args.rep), g.labels)
-    ok = represents(rep, g)
+    # the graph's labels give one set per vertex, so the representation
+    # holds exactly when no pair fails
+    bad_pair = next(((g.labels[u], g.labels[v])
+                     for u in range(g.n) for v in range(u + 1, g.n)
+                     if (v in g.adj[u]) != bool(rep.sets[u] & rep.sets[v])),
+                    None)
+    ok = bad_pair is None
     flags = category_flags(rep)
-    bad_pair = None
-    if not ok:
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                adjacent = v in g.adj[u]
-                meet = bool(rep.sets[u] & rep.sets[v])
-                if adjacent != meet:
-                    bad_pair = (g.labels[u], g.labels[v])
-                    break
-            if bad_pair:
-                break
     data = {
         "represents": ok,
         "simple": flags.simple,

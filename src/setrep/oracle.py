@@ -32,12 +32,12 @@ kernel, the padding and the assignment search spend one node budget,
 stop at the first node past ``node_limit`` and check the deadline at
 least every 4,096 nodes.  A key can be slow (a minimum over a listed
 Aut(G)), so a run with a ``time_limit`` also checks it before each key
-but the first and at the end of each level: it returns within one key of
-the deadline.  The symmetry setup that lists Aut(G) for line-graph input
-checks it every 1,024 placements.  A level cut short after it found
-solutions still settles theta = p (every smaller size was searched in
-full), with ``exhausted=False``, the classes found so far, and the limit
-that stopped it in ``stop_reason``.
+but the first and at the end of each level that found none: it returns
+within one key of the deadline.  The symmetry setup that lists Aut(G) for
+line-graph input checks it every 1,024 placements.  A level cut short
+after it found solutions still settles theta = p (every smaller size was
+searched in full), with ``exhausted=False``, the classes found so far, and
+the limit that stopped it in ``stop_reason``.
 
 Two optimal solutions count as the same class when a permutation of the
 universe together with a symmetry of the *input* carries one onto the
@@ -178,14 +178,6 @@ def _masks(g: Graph) -> list[int]:
     return [sum(1 << u for u in g.adj[v]) for v in range(g.n)]
 
 
-def _run_kernel(n: int, masks: list[int], q: int, node_limit, deadline):
-    """One kernel invocation, with the partitions in sorted order."""
-    parts, nodes, complete = enumerate_edge_partitions(
-        n, masks, q, node_limit=node_limit, deadline=deadline)
-    parts.sort()
-    return parts, nodes, complete
-
-
 def _bits(mask: int):
     while mask:
         b = mask & -mask
@@ -309,9 +301,10 @@ def _partition_level(g: Graph, category: str, p: int, counter: dict,
     """The kernel's partitions into at most ``p`` cliques, padded to
     universe size ``p``.  The kernel gets the nodes the budget has left."""
     limit = counter["limit"]
-    parts, nodes, complete = _run_kernel(
-        g.n, masks, p, None if limit is None else limit - counter["nodes"],
-        counter["deadline"])
+    parts, nodes, complete = enumerate_edge_partitions(
+        g.n, masks, p,
+        node_limit=None if limit is None else limit - counter["nodes"],
+        deadline=counter["deadline"])
     if complete:
         counter["nodes"] += nodes
         yield from _solutions_at_level(g, category, parts, p, counter)
@@ -440,7 +433,8 @@ def oracle_search(graph: Graph, category: str, budget: SearchBudget,
                 classes[key] = SetRepresentation(universe=universe, sets=sets)
         if counter["stop"] is None:
             searched_to = p
-            _checkpoint(counter, counter["nodes"])
+            if not classes:  # the search goes on to the next size
+                _checkpoint(counter, counter["nodes"])
         if classes or counter["stop"]:
             break
     else:
@@ -481,7 +475,8 @@ def verify_dbe(n: int, node_limit: int | None = None) -> DbeReport:
     if n < 3:
         raise ValueError("the census needs n >= 3")
     g = complete_graph(n)
-    parts, nodes, complete = _run_kernel(n, _masks(g), n, node_limit, None)
+    parts, nodes, complete = enumerate_edge_partitions(
+        n, _masks(g), n, node_limit=node_limit)
     whole = intermediate = near = planes = other = 0
     for part in parts:
         q = len(part)

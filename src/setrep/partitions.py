@@ -14,13 +14,11 @@ neighbours, popcount(unc[a] & unc[b]), ties going to the least a and then
 the least b; the scan stops at the first edge with none, whose only
 candidate is the edge itself.
 
-A node with one clique left does not branch: it closes the partition
-with the clique on its active vertices if the uncovered edges form
-exactly that clique, and is pruned otherwise.  Any other node first
-applies a covering bound: a vertex with d uncovered edges needs at least
-ceil(d / (w - 1)) more cliques, where w is the clique number of the
-uncovered graph; w is computed by a small branch-and-bound that exits
-early once it can rule pruning out.
+The only pruning is the clique budget.  A node with no clique left and
+edges still uncovered is a dead end, and a node with one clique left
+does not branch: it closes the partition with the clique on its active
+vertices if the uncovered edges form exactly that clique, and is pruned
+otherwise.
 """
 
 from __future__ import annotations
@@ -30,7 +28,8 @@ import time
 
 def enumerate_edge_partitions(n, adj, max_cliques, node_limit=None,
                               deadline=None):
-    """Enumerate partitions; returns (partitions, nodes, complete).
+    """Enumerate partitions; returns (partitions, nodes, complete), with
+    the partitions in sorted order.
 
     ``deadline`` is an absolute ``time.monotonic()`` stamp.  A search
     stopped by ``node_limit`` reports one node more than the limit.
@@ -40,29 +39,6 @@ def enumerate_edge_partitions(n, adj, max_cliques, node_limit=None,
     partitions: list[tuple[int, ...]] = []
     nodes = 0
     aborted = False
-
-    def omega_reaches(limit: int, active: int) -> int:
-        """Exact clique number of the uncovered graph, except that any
-        value >= limit is reported as ``limit`` (early exit)."""
-        best = 0
-
-        def bk(size: int, cand: int) -> bool:
-            nonlocal best
-            if size > best:
-                best = size
-                if best >= limit:
-                    return True
-            while cand:
-                if size + cand.bit_count() <= best:
-                    return False
-                w = cand & -cand
-                cand ^= w
-                if bk(size + 1, cand & unc[w.bit_length() - 1]):
-                    return True
-            return False
-
-        bk(0, active)
-        return best
 
     def descend() -> None:
         nonlocal nodes, aborted
@@ -77,17 +53,13 @@ def enumerate_edge_partitions(n, adj, max_cliques, node_limit=None,
             aborted = True
             return
 
-        dmax = 0
         active = 0
         total = 0
         for x in range(n):
             ux = unc[x]
             if ux:
                 active |= 1 << x
-                d = ux.bit_count()
-                total += d
-                if d > dmax:
-                    dmax = d
+                total += ux.bit_count()
         if not active:
             partitions.append(tuple(sorted(cliques)))
             return
@@ -100,14 +72,6 @@ def enumerate_edge_partitions(n, adj, max_cliques, node_limit=None,
             if total == k * (k - 1):
                 partitions.append(tuple(sorted(cliques + [active])))
             return
-        # covering bound on the busiest vertex
-        target = -(-dmax // remaining) + 1  # ceil(dmax / remaining) + 1
-        w = omega_reaches(target, active)
-        if w < target:
-            if -(-dmax // (w - 1)) > remaining:
-                return
-            if total // 2 > remaining * (w * (w - 1) // 2):
-                return
 
         # fail-first edge: fewest common uncovered neighbours
         best = n
@@ -159,6 +123,7 @@ def enumerate_edge_partitions(n, adj, max_cliques, node_limit=None,
                 return
 
     descend()
+    partitions.sort()
     return partitions, nodes, not aborted
 
 

@@ -187,6 +187,32 @@ def test_pure_kernel_agrees():
         assert set(parts) == brute_partitions(g, q), (g.edges, q)
 
 
+def budget_inputs():
+    """K4-K7 up to q = n, and the line graph of each zoo base up to one
+    more than its largest frozen theta."""
+    for n in range(4, 8):
+        yield complete_graph(n), n
+    thetas = {}
+    for (name, _cat), (theta, _classes) in zoo.LINEGRAPH_EXPECTED.items():
+        thetas[name] = max(theta, thetas.get(name, 0))
+    for name, theta in sorted(thetas.items()):
+        yield line_graph(zoo.build(name))[0], theta + 1
+
+
+def test_budget_prunes_no_partition():
+    """A smaller clique budget only drops the partitions it cannot afford:
+    the partitions into at most q cliques are those of the largest budget
+    with at most q cliques, in the same sorted order."""
+    for g, top in budget_inputs():
+        masks = _masks(g)
+        full, _, complete = enumerate_edge_partitions(g.n, masks, top)
+        assert complete and full == sorted(full)
+        for q in range(top):
+            parts, _, complete = enumerate_edge_partitions(g.n, masks, q)
+            assert complete
+            assert parts == [p for p in full if len(p) <= q], (g.edges, q)
+
+
 def test_census_node_ceiling():
     """Fail-first branching keeps the K8 census small (28,546 nodes when
     branching on the least uncovered edge)."""
@@ -197,12 +223,12 @@ def test_census_node_ceiling():
 
 @pytest.mark.parametrize("runs", [1, 2])
 def test_pooled_node_budget(runs):
-    """The K7 census takes 2,135 nodes: complete at that budget, not at
+    """The K7 census takes 2,290 nodes: complete at that budget, not at
     one node fewer. The budget is per call, so repeating the census in the
     same process gives the same answer."""
     for _ in range(runs):
-        assert verify_dbe(7, node_limit=2135).complete
-        assert not verify_dbe(7, node_limit=2134).complete
+        assert verify_dbe(7, node_limit=2290).complete
+        assert not verify_dbe(7, node_limit=2289).complete
 
 
 @pytest.mark.parametrize("graph,category,cap", [
@@ -395,6 +421,31 @@ def test_deadline_bounds_keying(monkeypatch):
     assert r.labeled_solutions == 1 and len(r.classes) == 1
     assert r.stop_reason == "time_limit" and not r.exhausted
     assert r.theta == 8 and r.searched_to == 7
+
+
+def test_deadline_in_last_key_keeps_full_level(monkeypatch):
+    """The oracle's clock passes the deadline during the 16th and last key
+    of the double star with 4 + 4 leaves.  Theta's level was searched in
+    full, so the run is exhausted and names no limit."""
+    base = double_star(4)
+    lg, _ = line_graph(base)
+    late = []
+    key = _ClassKeyer.key
+
+    def slow_key(self, groups):
+        out = key(self, groups)
+        late.append(3600.0 if len(late) == 15 else 0.0)
+        return out
+
+    monkeypatch.setattr(_ClassKeyer, "key", slow_key)
+    monkeypatch.setattr(oracle, "time", types.SimpleNamespace(
+        monotonic=lambda: time.monotonic() + sum(late)))
+    r = oracle_search(lg, "sd", SearchBudget(max_universe=lg.n,
+                                             time_limit=60), base=base)
+    assert len(late) == 16
+    assert r.labeled_solutions == 16 and len(r.classes) == 1
+    assert r.exhausted and r.stop_reason is None
+    assert r.theta == 8 and r.searched_to == 8
 
 
 @pytest.mark.parametrize("category", ["d", "sd"])
