@@ -55,6 +55,21 @@ another's is an automorphism of H, and for direct input the classes are
 keyed by the canonical form of the groups under all vertex permutations,
 without listing Aut(H).  Line-graph input minimises the groups over the
 listed permutations that Aut(G) induces on E(G).
+
+The kernel returns one partition per orbit under swaps of true twins
+(vertices with equal closed neighbourhoods), each with its weight: the
+number of labelled partitions it stands for.  A twin swap is a symmetry
+of the input in both settings.  For direct input it is in Aut(H).  For
+line-graph input, if edges xy and xz of G are true twins in L(G), then
+N(y) lies in {x, z} and N(z) in {x, y}, so swapping y and z is an
+automorphism of G, and it induces exactly that swap.  A symmetry of the
+input carries the solutions of one partition onto those of its image,
+placement for placement, so each solution padded from a returned
+partition adds its weight to ``labeled_solutions``, and every class meets
+the solutions of some returned partition: the classes and their
+representatives come from the returned partitions alone.  False twins
+(equal open neighbourhoods) are not used: L(K4) has three pairs of them,
+the disjoint edges of K4, and no relabelling of K4 swaps just one pair.
 """
 
 from __future__ import annotations
@@ -255,32 +270,38 @@ def _placements(member: list[int], t: int, category: str):
     yield from place(0, t, 0)
 
 
-def _solutions_at_level(g: Graph, category: str, partitions, p: int,
-                        counter: dict):
-    """All labelled category solutions with universe size exactly ``p``,
-    built from the given edge partitions plus single-vertex padding.
+def _shape(n: int, part: tuple[int, ...]):
+    """The parts of a partition's solutions that no padding changes: the
+    clique-membership bitmask of each vertex, the cliques as element
+    groups and the unpadded vertex sets."""
+    member = [0] * n
+    for j, cl in enumerate(part):
+        for v in _bits(cl):
+            member[v] |= 1 << j
+    return (member, tuple(frozenset(_bits(cl)) for cl in part),
+            [frozenset(_bits(m)) for m in member])
 
-    Yields (groups, sets) pairs: the element groups (for class keys) and
-    the per-vertex sets (for the representative representation).  Each
-    placement generated spends one node of the run's budget in
-    ``counter``; a spent budget ends the level.
+
+def _solutions_at_level(category: str, partitions, p: int, counter: dict):
+    """All labelled category solutions with universe size exactly ``p``,
+    built from the given ``(shape, weight)`` pairs of edge partitions plus
+    single-vertex padding.
+
+    Yields (groups, sets, weight) triples: the element groups (for class
+    keys), the per-vertex sets (for the representative representation)
+    and the partition's weight, the number of labelled solutions the
+    solution stands for.  Each placement generated spends one node of the
+    run's budget in ``counter``; a spent budget ends the level.
     """
-    n = g.n
     # a local count keeps the dict off the hot path; it is stored at each
     # check, each yield and at exit
     nodes = counter["nodes"]
     check_at = nodes + 1
-    for part in partitions:
-        q = len(part)
+    for (member, cliques, bare), weight in partitions:
+        q = len(cliques)
         t = p - q
         if t < 0:
             continue
-        member = [0] * n          # clique-membership bitmask per vertex
-        for j, cl in enumerate(part):
-            for v in _bits(cl):
-                member[v] |= 1 << j
-        cliques = tuple(frozenset(_bits(cl)) for cl in part)
-        bare = [frozenset(_bits(m)) for m in member]
         for placement in _placements(member, t, category):
             nodes += 1
             if nodes >= check_at:
@@ -292,24 +313,38 @@ def _solutions_at_level(g: Graph, category: str, partitions, p: int,
                 sets[v] = sets[v] | {e}
             counter["nodes"] = nodes
             yield (cliques + tuple(frozenset((v,)) for v in placement),
-                   tuple(sets))
+                   tuple(sets), weight)
     counter["nodes"] = nodes
 
 
-def _partition_level(g: Graph, category: str, p: int, counter: dict,
-                     masks: list[int]):
-    """The kernel's partitions into at most ``p`` cliques, padded to
-    universe size ``p``.  The kernel gets the nodes the budget has left."""
-    limit = counter["limit"]
-    parts, nodes, complete = enumerate_edge_partitions(
-        g.n, masks, p,
-        node_limit=None if limit is None else limit - counter["nodes"],
-        deadline=counter["deadline"])
-    if complete:
+def _partition_levels(g: Graph, category: str, counter: dict):
+    """The levels of one partition run: ``level(p)`` pads the kernel's
+    partitions into at most ``p`` cliques to universe size ``p``.  The
+    kernel gets the nodes the budget has left.  A partition's shape is
+    built at the first level that returns it and reused at later ones."""
+    masks = _masks(g)
+    shapes: dict[tuple[int, ...], tuple] = {}
+
+    def level(p: int):
+        limit = counter["limit"]
+        pairs, nodes, complete = enumerate_edge_partitions(
+            g.n, masks, p,
+            node_limit=None if limit is None else limit - counter["nodes"],
+            deadline=counter["deadline"])
+        if not complete:
+            # the kernel stopped at a limit; the checkpoint names it
+            _checkpoint(counter, counter["nodes"] + nodes)
+            return
         counter["nodes"] += nodes
-        yield from _solutions_at_level(g, category, parts, p, counter)
-    else:  # the kernel stopped at a limit; the checkpoint names it
-        _checkpoint(counter, counter["nodes"] + nodes)
+        batch = []
+        for part, weight in pairs:
+            shape = shapes.get(part)
+            if shape is None:
+                shape = shapes[part] = _shape(g.n, part)
+            batch.append((shape, weight))
+        yield from _solutions_at_level(category, batch, p, counter)
+
+    return level
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +379,7 @@ def _assignment_level(g: Graph, category: str, p: int, counter: dict,
             counter["nodes"] = nodes
             yield (tuple(frozenset(u for u in range(n) if chosen[u] >> e & 1)
                          for e in range(p)),
-                   tuple(frozenset(_bits(c)) for c in chosen))
+                   tuple(frozenset(_bits(c)) for c in chosen), 1)
             return
         for cand in range(1, 1 << p):
             if want_u and chosen and \
@@ -365,6 +400,12 @@ def _assignment_level(g: Graph, category: str, p: int, counter: dict,
 
     yield from place(0)
     counter["nodes"] = nodes
+
+
+def _assignment_levels(g: Graph, category: str, counter: dict):
+    """The levels of one assignment run, as ``level(p)``."""
+    adj = _masks(g)
+    return lambda p: _assignment_level(g, category, p, counter, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -398,14 +439,14 @@ def oracle_search(graph: Graph, category: str, budget: SearchBudget,
                 "graph is not the line graph of the declared base "
                 "(adjacency mismatch)")
     if "s" in category:
-        level, kernel = _partition_level, kernel_name()
+        levels, kernel = _partition_levels, kernel_name()
     elif graph.n > _ASSIGN_MAX_N or budget.max_universe > _ASSIGN_MAX_P:
         raise SetrepError(
             f"category {category!r} needs the direct assignment search, "
             f"which is limited to n <= {_ASSIGN_MAX_N} and universe <= "
             f"{_ASSIGN_MAX_P}")
     else:
-        level, kernel = _assignment_level, "assignment"
+        levels, kernel = _assignment_levels, "assignment"
     start = time.monotonic()
     counter = {"nodes": 0, "limit": budget.node_limit, "stop": None,
                "deadline": (None if budget.time_limit is None
@@ -414,7 +455,7 @@ def oracle_search(graph: Graph, category: str, budget: SearchBudget,
         keyer = _symmetry_keyer(graph, base, counter["deadline"])
     except TimeLimitReached:
         counter["stop"] = "time_limit"
-    masks = _masks(graph)
+    level = levels(graph, category, counter)
     classes: dict = {}
     labeled = 0
     searched_to = 0
@@ -422,12 +463,12 @@ def oracle_search(graph: Graph, category: str, budget: SearchBudget,
         if counter["stop"]:  # symmetry setup ran out of time
             break
         universe = tuple(range(p))
-        for groups, sets in level(graph, category, p, counter, masks):
+        for groups, sets, weight in level(p):
             if labeled and counter["deadline"] is not None:
                 _checkpoint(counter, counter["nodes"])
                 if counter["stop"]:
                     break
-            labeled += 1
+            labeled += weight
             key = keyer.key(groups)
             if key not in classes:
                 classes[key] = SetRepresentation(universe=universe, sets=sets)
@@ -451,7 +492,9 @@ def oracle_search(graph: Graph, category: str, budget: SearchBudget,
 @dataclass(frozen=True)
 class DbeReport:
     """Census of edge clique partitions of a complete graph into at most
-    n cliques, sorted into the shapes the covering bound allows."""
+    n cliques, sorted into the shapes the covering bound allows.  The
+    counts are labelled: each partition the kernel returns adds its weight,
+    the number of labelled partitions it stands for."""
 
     n: int
     whole: int            # the one-clique partition
@@ -478,24 +521,24 @@ def verify_dbe(n: int, node_limit: int | None = None) -> DbeReport:
     parts, nodes, complete = enumerate_edge_partitions(
         n, _masks(g), n, node_limit=node_limit)
     whole = intermediate = near = planes = other = 0
-    for part in parts:
+    for part, weight in parts:
         q = len(part)
         sizes = sorted(cl.bit_count() for cl in part)
         if q == 1:
-            whole += 1
+            whole += weight
         elif q < n:
-            intermediate += 1
+            intermediate += weight
         else:
             if sizes == [2] * (n - 1) + [n - 1]:
-                near += 1
+                near += weight
             else:
                 ls = LinearSpace(
                     points=n,
                     lines=tuple(tuple(_bits(cl)) for cl in part))
                 if is_projective_plane(ls):
-                    planes += 1
+                    planes += weight
                 else:
-                    other += 1
+                    other += weight
     return DbeReport(n=n, whole=whole, intermediate=intermediate,
                      near_pencils=near, planes=planes, other_at_n=other,
                      bound_holds=(intermediate == 0 and other == 0),

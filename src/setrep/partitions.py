@@ -14,33 +14,64 @@ neighbours, popcount(unc[a] & unc[b]), ties going to the least a and then
 the least b; the scan stops at the first edge with none, whose only
 candidate is the edge itself.
 
-The only pruning is the clique budget.  A node with no clique left and
-edges still uncovered is a dead end, and a node with one clique left
-does not branch: it closes the partition with the clique on its active
-vertices if the uncovered edges form exactly that clique, and is pruned
-otherwise.
+The clique budget prunes: a node with no clique left and edges still
+uncovered is a dead end, and a node with one clique left does not branch:
+it closes the partition with the clique on its active vertices if the
+uncovered edges form exactly that clique, and is pruned otherwise.
+
+Twin orbits prune too.  Two vertices are true twins when their closed
+neighbourhoods N[u] and N[v] are equal, and swapping them is an
+automorphism of the graph.  At a node the vertices fall into cells: two
+vertices share a cell when they are true twins and lie in exactly the
+same chosen cliques.  Swapping two vertices of one cell then fixes every
+chosen clique and the uncovered graph, so the candidates {a, b} ∪ S that
+differ only in which vertices of a cell S takes are one orbit, and only
+the one taking the cell's lowest vertices in the common neighbourhood is
+searched.  It stands for Π over cells of C(|cell ∩ common|, |S ∩ cell|)
+candidates, and a partition's weight is the product of these along its
+path.  The partitions returned meet every orbit of partitions under the
+product of the symmetric groups on the true-twin classes, and within each
+orbit their weights sum to the orbit's size: the weighted count is the
+labelled count.  A graph without true twins is searched in full, every
+partition with weight 1.
 """
 
 from __future__ import annotations
 
 import time
+from math import comb
+
+
+def _twin_classes(n: int, adj) -> list[int]:
+    """The true-twin classes of two or more vertices, as bitmasks."""
+    closed = [adj[v] | 1 << v for v in range(n)]
+    if len(set(closed)) == n:
+        return []
+    by_closed: dict[int, int] = {}
+    for v, nbhd in enumerate(closed):
+        by_closed[nbhd] = by_closed.get(nbhd, 0) | 1 << v
+    return [cls for cls in by_closed.values() if cls & (cls - 1)]
 
 
 def enumerate_edge_partitions(n, adj, max_cliques, node_limit=None,
                               deadline=None):
-    """Enumerate partitions; returns (partitions, nodes, complete), with
-    the partitions in sorted order.
+    """Enumerate partitions up to twin swaps; returns (pairs, nodes,
+    complete), the pairs ``(partition, weight)`` sorted by partition.
 
     ``deadline`` is an absolute ``time.monotonic()`` stamp.  A search
     stopped by ``node_limit`` reports one node more than the limit.
     """
     unc = [adj[v] for v in range(n)]
     cliques: list[int] = []
-    partitions: list[tuple[int, ...]] = []
+    partitions: list[tuple[tuple[int, ...], int]] = []
     nodes = 0
     aborted = False
 
-    def descend() -> None:
+    # cells: the node's cells of two or more vertices; weight: the number
+    # of labelled nodes the node stands for; active: the vertices with an
+    # uncovered edge; total: twice the number of uncovered edges
+    def descend(cells: list[int], weight: int, active: int,
+                total: int) -> None:
         nonlocal nodes, aborted
         if aborted:
             return
@@ -53,15 +84,8 @@ def enumerate_edge_partitions(n, adj, max_cliques, node_limit=None,
             aborted = True
             return
 
-        active = 0
-        total = 0
-        for x in range(n):
-            ux = unc[x]
-            if ux:
-                active |= 1 << x
-                total += ux.bit_count()
         if not active:
-            partitions.append(tuple(sorted(cliques)))
+            partitions.append((tuple(sorted(cliques)), weight))
             return
         remaining = max_cliques - len(cliques)
         if remaining <= 0:
@@ -70,7 +94,7 @@ def enumerate_edge_partitions(n, adj, max_cliques, node_limit=None,
             # the last clique must be the whole uncovered graph
             k = active.bit_count()
             if total == k * (k - 1):
-                partitions.append(tuple(sorted(cliques + [active])))
+                partitions.append((tuple(sorted(cliques + [active])), weight))
             return
 
         # fail-first edge: fewest common uncovered neighbours
@@ -94,6 +118,23 @@ def enumerate_edge_partitions(n, adj, max_cliques, node_limit=None,
         base = (1 << u) | (1 << v)
         common = unc[u] & unc[v]
 
+        # the vertices of one cell in common are interchangeable: lower[w]
+        # holds those below w, which a candidate takes before it takes w
+        lower = None
+        if cells:
+            groups = []
+            lower = {}
+            for cell in cells:
+                grp = cell & common
+                if grp & (grp - 1):
+                    groups.append(grp)
+                    below = 0
+                    while grp:
+                        wbit = grp & -grp
+                        grp ^= wbit
+                        lower[wbit] = below
+                        below |= wbit
+
         candidates: list[int] = []
 
         def extend(cur: int, cand: int) -> None:
@@ -101,12 +142,15 @@ def enumerate_edge_partitions(n, adj, max_cliques, node_limit=None,
             while cand:
                 wbit = cand & -cand
                 cand ^= wbit
+                if lower and lower.get(wbit, 0) & ~cur:
+                    continue
                 extend(cur | wbit, cand & unc[wbit.bit_length() - 1])
 
         extend(base, common)
 
         for cl in candidates:
             saved = []
+            left = active
             rest = cl
             while rest:
                 bit = rest & -rest
@@ -114,15 +158,34 @@ def enumerate_edge_partitions(n, adj, max_cliques, node_limit=None,
                 a = bit.bit_length() - 1
                 saved.append((a, unc[a]))
                 unc[a] &= ~cl
+                if not unc[a]:
+                    left ^= bit
+            k = cl.bit_count()
+            left_total = total - k * (k - 1)
             cliques.append(cl)
-            descend()
+            if cells:
+                orbit = weight
+                for grp in groups:
+                    orbit *= comb(grp.bit_count(), (cl & grp).bit_count())
+                split = [part for cell in cells
+                         for part in (cell & cl, cell & ~cl)
+                         if part & (part - 1)]
+                descend(split, orbit, left, left_total)
+            else:
+                descend(cells, weight, left, left_total)
             cliques.pop()
             for a, old in saved:
                 unc[a] = old
             if aborted:
                 return
 
-    descend()
+    active = 0
+    total = 0
+    for x in range(n):
+        if adj[x]:
+            active |= 1 << x
+            total += adj[x].bit_count()
+    descend(_twin_classes(n, adj), 1, active, total)
     partitions.sort()
     return partitions, nodes, not aborted
 

@@ -1,5 +1,6 @@
 """Exhaustive-search oracle: frozen results, the kernel, budgets."""
 
+import collections
 import itertools
 import random
 import time
@@ -96,6 +97,54 @@ def test_linegraph_labeled_counts():
         assert run(lg, cat, theta, base=base).labeled_solutions == labeled
 
 
+def random_base(rng):
+    """A seeded connected graph on three to eight vertices with 3 to 11
+    edges."""
+    while True:
+        n = rng.randint(3, 8)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        for _ in range(rng.randint(0, n)):
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+        if 3 <= len(edges) <= 11:
+            return Graph(tuple(range(n)), tuple(sorted(edges)))
+
+
+def twin_swaps(g, closed):
+    """The transpositions of twins of ``g``: true twins (equal closed
+    neighbourhoods) if ``closed``, false twins (equal open ones) if not."""
+    swaps = []
+    for u, v in itertools.combinations(range(g.n), 2):
+        if g.adj[u] - {v} == g.adj[v] - {u} and g.has_edge(u, v) == closed:
+            sigma = list(range(g.n))
+            sigma[u], sigma[v] = v, u
+            swaps.append(tuple(sigma))
+    return swaps
+
+
+def test_line_graph_twin_swaps_are_base_symmetries():
+    """The kernel prunes by swaps of true twins.  On line-graph input
+    classes are keyed by Aut(base) alone, so every such swap must be
+    induced by an automorphism of the base: it is on every zoo base and
+    on 300 seeded random bases.  False twins are not safe: the three
+    antipodal pairs of L(K4) are false twins, and no relabelling of K4
+    swaps just one of them."""
+    rng = random.Random(2026)
+    names = {k for k, _ in zoo.LINEGRAPH_EXPECTED} | {"cornered_triangle()"}
+    bases = [zoo.build(name) for name in sorted(names)]
+    bases += [random_base(rng) for _ in range(300)]
+    swaps = 0
+    for base in bases:
+        induced = set(oracle._induced_edge_permutations(base, None))
+        for sigma in twin_swaps(line_graph(base)[0], closed=True):
+            assert sigma in induced, (base.edges, sigma)
+            swaps += 1
+    assert swaps >= 100
+    k4 = complete_graph(4)
+    false = twin_swaps(line_graph(k4)[0], closed=False)
+    assert len(false) == 3
+    assert not set(false) & set(oracle._induced_edge_permutations(k4, None))
+
+
 # -- plain categories against an in-test brute force ---------------------------
 
 def brute_theta(g, category):
@@ -165,26 +214,76 @@ def brute_partitions(g, q):
     return found
 
 
+def blow_up(rng):
+    """A seeded graph with forced true twins: each vertex of a random graph
+    on two to four vertices becomes a clique of one to three vertices,
+    joined to the cliques of its neighbours.  At most 8 edges."""
+    while True:
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+        starts = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+        blobs = [range(a, b) for a, b in zip(starts, starts[1:])]
+        edges = {e for blob in blobs for e in itertools.combinations(blob, 2)}
+        for a, b in itertools.combinations(blobs, 2):
+            if rng.random() < 0.5:
+                edges |= {(u, v) for u in a for v in b}
+        if len(edges) <= 8:
+            return Graph(tuple(range(starts[-1])), tuple(sorted(edges)))
+
+
 def kernel_inputs():
-    """Seeded random graphs with at most 8 edges, each with every q up to
-    its edge count."""
+    """Seeded random graphs and blow-ups with at most 8 edges, each with
+    every q up to its edge count."""
     rng = random.Random(2013)
+    graphs = []
     for _ in range(30):
         n = rng.randint(2, 6)
         pairs = list(itertools.combinations(range(n), 2))
         edges = sorted(rng.sample(pairs, rng.randint(0, min(8, len(pairs)))))
-        g = Graph(tuple(range(n)), tuple(edges))
-        for q in range(len(edges) + 1):
+        graphs.append(Graph(tuple(range(n)), tuple(edges)))
+    graphs += [blow_up(rng) for _ in range(30)]
+    for g in graphs:
+        for q in range(len(g.edges) + 1):
             yield g, q
 
 
+def twin_orbit(g):
+    """A function taking each partition of ``g`` to the least partition of
+    its orbit under the product of the symmetric groups on the true-twin
+    classes of ``g``."""
+    classes = {}
+    for v in range(g.n):
+        classes.setdefault(g.adj[v] | {v}, []).append(v)
+    classes = [c for c in classes.values() if len(c) > 1]
+    perms = []
+    for images in itertools.product(*map(itertools.permutations, classes)):
+        sigma = list(range(g.n))
+        for cls, image in zip(classes, images):
+            for v, w in zip(cls, image):
+                sigma[v] = w
+        perms.append(sigma)
+    return lambda part: min(
+        tuple(sorted(sum(1 << sigma[v] for v in oracle._bits(cl))
+                     for cl in part))
+        for sigma in perms)
+
+
 def test_pure_kernel_agrees():
-    """The kernel finds exactly the brute-force partitions, once each."""
+    """The kernel returns brute-force partitions, once each, and meets
+    every orbit of them under twin swaps: the weights of the partitions it
+    returns in one orbit sum to the orbit's size."""
     for g, q in kernel_inputs():
-        parts, _, complete = enumerate_edge_partitions(g.n, _masks(g), q)
+        pairs, _, complete = enumerate_edge_partitions(g.n, _masks(g), q)
         assert complete
+        parts = [part for part, _weight in pairs]
         assert len(parts) == len(set(parts))
-        assert set(parts) == brute_partitions(g, q), (g.edges, q)
+        brute = brute_partitions(g, q)
+        assert set(parts) <= brute, (g.edges, q)
+        orbit = twin_orbit(g)
+        size = collections.Counter(map(orbit, brute))
+        weights = collections.Counter()
+        for part, weight in pairs:
+            weights[orbit(part)] += weight
+        assert weights == size, (g.edges, q)
 
 
 def budget_inputs():
@@ -201,8 +300,8 @@ def budget_inputs():
 
 def test_budget_prunes_no_partition():
     """A smaller clique budget only drops the partitions it cannot afford:
-    the partitions into at most q cliques are those of the largest budget
-    with at most q cliques, in the same sorted order."""
+    the (partition, weight) pairs with at most q cliques are those of the
+    largest budget with at most q cliques, in the same sorted order."""
     for g, top in budget_inputs():
         masks = _masks(g)
         full, _, complete = enumerate_edge_partitions(g.n, masks, top)
@@ -210,25 +309,38 @@ def test_budget_prunes_no_partition():
         for q in range(top):
             parts, _, complete = enumerate_edge_partitions(g.n, masks, q)
             assert complete
-            assert parts == [p for p in full if len(p) <= q], (g.edges, q)
+            assert parts == [(p, w) for p, w in full if len(p) <= q], \
+                (g.edges, q)
 
 
 def test_census_node_ceiling():
-    """Fail-first branching keeps the K8 census small (28,546 nodes when
-    branching on the least uncovered edge)."""
+    """Twin-orbit pruning keeps the K8 census small: 1,452 nodes (24,420
+    when every labelled partition was searched)."""
     report = verify_dbe(8)
     assert report.complete and report.bound_holds
-    assert report.nodes <= 25_000
+    assert report.nodes <= 2_000
+
+
+@pytest.mark.parametrize("n,ceiling", [(9, 30_000), (10, 60_000)])
+def test_census_of_larger_complete_graphs(n, ceiling):
+    """The K9 and K10 censuses finish within their node ceilings (7,957 and
+    51,063 nodes; 358,260 and 7,033,736 without twin-orbit pruning), with
+    the labelled counts the bound predicts: the whole clique, n
+    near-pencils and no plane."""
+    report = verify_dbe(n)
+    assert report.complete and report.bound_holds
+    assert (report.whole, report.near_pencils, report.planes) == (1, n, 0)
+    assert report.nodes <= ceiling
 
 
 @pytest.mark.parametrize("runs", [1, 2])
 def test_pooled_node_budget(runs):
-    """The K7 census takes 2,290 nodes: complete at that budget, not at
+    """The K7 census takes 321 nodes: complete at that budget, not at
     one node fewer. The budget is per call, so repeating the census in the
     same process gives the same answer."""
     for _ in range(runs):
-        assert verify_dbe(7, node_limit=2290).complete
-        assert not verify_dbe(7, node_limit=2289).complete
+        assert verify_dbe(7, node_limit=321).complete
+        assert not verify_dbe(7, node_limit=320).complete
 
 
 @pytest.mark.parametrize("graph,category,cap", [
