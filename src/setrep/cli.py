@@ -283,10 +283,13 @@ def cmd_dbe(args: argparse.Namespace) -> int:
         "complete": report.complete,
         "nodes": report.nodes,
     }
+    holds = ("unknown (the census is incomplete)"
+             if report.bound_holds is None
+             else f"{str(report.bound_holds).lower()} (no nontrivial "
+                  f"partition smaller than {report.n})")
     human = [
         f"n                 {report.n}",
-        f"bound holds       {str(report.bound_holds).lower()} "
-        f"(no nontrivial partition smaller than {report.n})",
+        f"bound holds       {holds}",
         f"size-{report.n} partitions  near-pencils: {report.near_pencils}, "
         f"planes: {report.planes}, other: {report.other_at_n}",
         f"exhaustive        {str(report.complete).lower()}",

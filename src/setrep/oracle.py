@@ -23,6 +23,10 @@ are generated:
 - ``d`` without ``a``: every vertex with an empty member set is padded,
   and of each group of equal member sets at most one vertex stays bare.
 
+These facts, and the least number of pads they ask for, are computed once
+per partition and run; a level that leaves a partition fewer pads skips
+it.
+
 Categories without "s" fall back to a direct assignment search over all
 nonempty subsets per vertex, which is only viable for very small inputs.
 
@@ -171,6 +175,14 @@ def _symmetry_keyer(graph: Graph, base: Graph | None,
 # ("limit"), the deadline ("deadline") and the limit that stopped ("stop")
 # ---------------------------------------------------------------------------
 
+def _check_limits(node_limit, time_limit=None) -> None:
+    """Refuse a negative node or time limit; 0 is a valid limit."""
+    for name, limit in (("node_limit", node_limit),
+                        ("time_limit", time_limit)):
+        if limit is not None and limit < 0:
+            raise ValueError(f"{name} must not be negative")
+
+
 def _checkpoint(counter: dict, nodes: int) -> int:
     """Store ``nodes`` and record the limit it spends, if any.  Returns the
     node count of the next check: the next multiple of 4,096, or the
@@ -200,26 +212,46 @@ def _bits(mask: int):
         yield b.bit_length() - 1
 
 
-def _placements(member: list[int], t: int, category: str):
-    """The placements of ``t`` single-vertex pads onto the vertices with
-    clique memberships ``member`` that give a solution in ``category``,
-    as sorted vertex tuples in the order that
-    ``combinations_with_replacement(range(n), t)`` lists them.
+def _pad_facts(member: list[int], category: str):
+    """What padding the vertices with clique memberships ``member`` needs
+    in ``category``: ``(must, twin, need)``.
 
     A pad is an element of its vertex alone, so only the bare (unpadded)
-    vertices can be empty, collide or nest.  Pad counts are chosen vertex
-    by vertex, each from the most it can take down to the least it needs,
-    which is that order.  ``need[v]`` is the least number of pads the
-    vertices from v on take; surplus pads can always go to a later vertex,
-    so a branch that keeps it covered ends in a solution."""
+    vertices can be empty, collide or nest.  ``must[v]``: v holds a pad,
+    because its member set is empty or, under a, contained in another
+    vertex's.  ``twin[v]``: under d without a, v's nonempty member set
+    recurs at a later vertex; of the vertices with one member set at most
+    one stays bare, so each with a later twin counts one pad.
+    ``need[v]``: the least number of pads the vertices from v on take;
+    ``need[0]`` is the partition's least pad count in every category."""
     n = len(member)
     want_a = "a" in category
     want_d = "d" in category and not want_a
-    # a vertex must hold a pad if its member set is empty or, under a,
-    # contained in another vertex's
     must = [not m or want_a and any(u != v and m & member[u] == m
                                      for u in range(n))
             for v, m in enumerate(member)]
+    twin = [want_d and m != 0 and m in member[v + 1:]
+            for v, m in enumerate(member)]
+    need = [0] * (n + 1)
+    for v in range(n - 1, -1, -1):
+        need[v] = need[v + 1] + (must[v] or twin[v])
+    return must, twin, need
+
+
+def _placements(member: list[int], facts, t: int, category: str):
+    """The placements of ``t`` single-vertex pads onto the vertices with
+    clique memberships ``member`` and padding facts ``facts`` (from
+    :func:`_pad_facts`) that give a solution in ``category``, as sorted
+    vertex tuples in the order that
+    ``combinations_with_replacement(range(n), t)`` lists them.
+
+    Pad counts are chosen vertex by vertex, each from the most it can take
+    down to the least it needs, which is that order.  Surplus pads can
+    always go to a later vertex, so a branch that keeps ``need`` covered
+    ends in a solution: outside u there is a placement iff
+    ``t >= need[0]``."""
+    n = len(member)
+    must, twin, need = facts
     if "u" in category:
         # n * size = t + sum |member|: every pad count is fixed
         size, rest = divmod(t + sum(m.bit_count() for m in member), n)
@@ -227,18 +259,9 @@ def _placements(member: list[int], t: int, category: str):
         bare = [m for m, c in zip(member, pads) if not c]
         if rest or min(pads) < 0 \
                 or any(f and not c for f, c in zip(must, pads)) \
-                or want_d and len(set(bare)) < len(bare):
+                or "d" in category and len(set(bare)) < len(bare):
             return
         yield tuple(v for v in range(n) for _ in range(pads[v]))
-        return
-    # under d, of the vertices with one nonempty member set at most one
-    # stays bare: every one with a later twin counts one pad in need
-    twin = [want_d and m != 0 and m in member[v + 1:]
-            for v, m in enumerate(member)]
-    need = [0] * (n + 1)
-    for v in range(n - 1, -1, -1):
-        need[v] = need[v + 1] + (must[v] or twin[v])
-    if t < need[0]:
         return
     bare_sets: set[int] = set()  # member sets left bare with twins ahead
     chosen: list[int] = []
@@ -270,16 +293,17 @@ def _placements(member: list[int], t: int, category: str):
     yield from place(0, t, 0)
 
 
-def _shape(n: int, part: tuple[int, ...]):
+def _shape(n: int, part: tuple[int, ...], category: str):
     """The parts of a partition's solutions that no padding changes: the
     clique-membership bitmask of each vertex, the cliques as element
-    groups and the unpadded vertex sets."""
+    groups, the unpadded vertex sets and the padding facts."""
     member = [0] * n
     for j, cl in enumerate(part):
         for v in _bits(cl):
             member[v] |= 1 << j
     return (member, tuple(frozenset(_bits(cl)) for cl in part),
-            [frozenset(_bits(m)) for m in member])
+            [frozenset(_bits(m)) for m in member],
+            _pad_facts(member, category))
 
 
 def _solutions_at_level(category: str, partitions, p: int, counter: dict):
@@ -297,12 +321,12 @@ def _solutions_at_level(category: str, partitions, p: int, counter: dict):
     # check, each yield and at exit
     nodes = counter["nodes"]
     check_at = nodes + 1
-    for (member, cliques, bare), weight in partitions:
+    for (member, cliques, bare, facts), weight in partitions:
         q = len(cliques)
         t = p - q
-        if t < 0:
+        if t < facts[2][0]:  # need[0]: the least pad count
             continue
-        for placement in _placements(member, t, category):
+        for placement in _placements(member, facts, t, category):
             nodes += 1
             if nodes >= check_at:
                 check_at = _checkpoint(counter, nodes)
@@ -340,7 +364,7 @@ def _partition_levels(g: Graph, category: str, counter: dict):
         for part, weight in pairs:
             shape = shapes.get(part)
             if shape is None:
-                shape = shapes[part] = _shape(g.n, part)
+                shape = shapes[part] = _shape(g.n, part, category)
             batch.append((shape, weight))
         yield from _solutions_at_level(category, batch, p, counter)
 
@@ -426,6 +450,7 @@ def oracle_search(graph: Graph, category: str, budget: SearchBudget,
             f"{', '.join(VALID_CATEGORIES)}")
     if budget.max_universe < 1:
         raise ValueError("max_universe must be at least 1")
+    _check_limits(budget.node_limit, budget.time_limit)
     if not graph.n:
         raise ValueError("the graph has no vertices")
     if base is not None:
@@ -502,7 +527,9 @@ class DbeReport:
     near_pencils: int
     planes: int
     other_at_n: int
-    bound_holds: bool
+    # False when a partition breaks the bound, True when a complete census
+    # finds none, None when an incomplete census finds none
+    bound_holds: bool | None
     complete: bool
     nodes: int
 
@@ -517,6 +544,7 @@ def verify_dbe(n: int, node_limit: int | None = None) -> DbeReport:
 
     if n < 3:
         raise ValueError("the census needs n >= 3")
+    _check_limits(node_limit)
     g = complete_graph(n)
     parts, nodes, complete = enumerate_edge_partitions(
         n, _masks(g), n, node_limit=node_limit)
@@ -541,5 +569,6 @@ def verify_dbe(n: int, node_limit: int | None = None) -> DbeReport:
                     other += weight
     return DbeReport(n=n, whole=whole, intermediate=intermediate,
                      near_pencils=near, planes=planes, other_at_n=other,
-                     bound_holds=(intermediate == 0 and other == 0),
+                     bound_holds=(False if intermediate or other
+                                  else True if complete else None),
                      complete=complete, nodes=nodes)

@@ -73,8 +73,6 @@ def enumerate_edge_partitions(n, adj, max_cliques, node_limit=None,
     def descend(cells: list[int], weight: int, active: int,
                 total: int) -> None:
         nonlocal nodes, aborted
-        if aborted:
-            return
         nodes += 1
         if node_limit is not None and nodes > node_limit:
             aborted = True

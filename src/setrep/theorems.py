@@ -33,7 +33,7 @@ act on the sites through the pendant core (``classify.pendant_core``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 from math import prod
 
@@ -132,13 +132,30 @@ def _check_category(category: str) -> None:
         )
 
 
-def _tau_exact(n: int) -> TauValue:
-    return TauValue(exact=n)
+def _report(category: str, theta: int | None, tau: int | str | None,
+            provenance: str, graph: Graph, witnesses=(),
+            notes=()) -> ThetaTauReport:
+    """The report of one closed form.
+
+    ``theta`` is exact, or None when the minimum is referred to the
+    oracle; ``tau`` is exact, a symbolic expression, or None when unknown.
+    A report with an exact tau that lists some witnesses, but fewer than
+    tau, says so in a note.
+    """
+    if isinstance(tau, int) and 0 < len(witnesses) < tau:
+        notes = (*notes, f"{tau} classes exist but only {len(witnesses)} "
+                 "have constructions available here")
+    return ThetaTauReport(
+        category,
+        (ThetaValue(oracle_needed=True) if theta is None
+         else ThetaValue(exact=theta)),
+        (TauValue(unknown=True) if tau is None
+         else TauValue(symbolic=tau) if isinstance(tau, str)
+         else TauValue(exact=tau)),
+        provenance, tuple(notes), tuple(witnesses), graph)
 
 
 def _is_prime_power(r: int) -> bool:
-    if r < 2:
-        return False
     p = 2
     while p * p <= r:
         if r % p == 0:
@@ -149,15 +166,12 @@ def _is_prime_power(r: int) -> bool:
     return True  # r itself is prime
 
 
-def _plane_rep(n: int, g: Graph) -> SetRepresentation | None:
-    """One projective-plane representation of K_n, when constructible."""
-    r = order_for_points(n)
-    if r is None or not _is_prime_power(r):
-        return None
-    try:
-        ls = projective_plane(r)
-    except NoSuchPlaneConstruction:
-        return None
+def _plane_witness(g: Graph, points: int) -> SetRepresentation:
+    """The complete graph ``g`` from the projective plane on ``points``
+    points, punctured down to ``g.n`` of them.  Callers have
+    ``n_pp(points) >= 1``, so the plane's order is one that
+    :func:`projective_plane` builds."""
+    ls = puncture(projective_plane(order_for_points(points)), points - g.n)
     return egp_set(fls_to_cover(ls, g))
 
 
@@ -166,14 +180,6 @@ def _uniform_silly_rep(n: int) -> SetRepresentation:
     g = complete_graph(n)
     cliques = [frozenset(range(n))] + [frozenset({v}) for v in range(n)]
     return egp_set(CliqueCover(g, tuple(cliques)))
-
-
-def _missing_witness_notes(tau: TauValue, witnesses) -> tuple[str, ...]:
-    """The note for an exact class count that has fewer witnesses."""
-    if tau.exact is None or len(witnesses) >= tau.exact:
-        return ()
-    return (f"{tau.exact} classes exist but only {len(witnesses)} "
-            "have constructions available here",)
 
 
 def theta_tau_complete(n: int, category: str) -> ThetaTauReport:
@@ -190,96 +196,47 @@ def theta_tau_complete(n: int, category: str) -> ThetaTauReport:
 
     if n <= 2:
         # Too small for the general pattern; fixed by direct enumeration.
-        if n == 1:
-            rep = egp_set(CliqueCover(g, (frozenset({0}),)))
-            return ThetaTauReport(category, ThetaValue(exact=1), _tau_exact(1),
-                                  "complete-small", witnesses=(rep,), graph=g)
-        if category == "sd":
-            rep = egp_set(CliqueCover(g, (frozenset({0, 1}), frozenset({0}))))
-            return ThetaTauReport(category, ThetaValue(exact=2), _tau_exact(1),
-                                  "complete-small", witnesses=(rep,), graph=g)
-        rep = _uniform_silly_rep(2)
-        return ThetaTauReport(category, ThetaValue(exact=3), _tau_exact(1),
-                              "complete-small", witnesses=(rep,), graph=g)
+        # Outside sd, K2 needs a private element at both ends.
+        rep = (egp_set(silly_partition(n)) if n == 1 or category == "sd"
+               else _uniform_silly_rep(n))
+        return _report(category, len(rep.universe), 1, "complete-small", g,
+                       (rep,))
 
-    if category == "sd":
-        np = n_pp(n)
-        np_rep = egp_set(fls_to_cover(near_pencil(n), g))
-        sp_rep = egp_set(silly_partition(n))
-        witnesses = [sp_rep, np_rep]
-        if np is None:
-            tau = TauValue(symbolic=f"2 + N_PP({n})")
-        else:
-            tau = _tau_exact(2 + np)
-            if np:
-                plane = _plane_rep(n, g)
-                if plane is not None:
-                    witnesses.append(plane)
-        return ThetaTauReport(category, ThetaValue(exact=n), tau, "complete-sd",
-                              notes=_missing_witness_notes(tau, witnesses),
-                              witnesses=tuple(witnesses), graph=g)
-
-    if category == "sa":
-        np = n_pp(n)
-        witnesses = [egp_set(fls_to_cover(near_pencil(n), g))]
-        if np is None:
-            tau = TauValue(symbolic=f"1 + N_PP({n})")
-        else:
-            tau = _tau_exact(1 + np)
-            if np:
-                plane = _plane_rep(n, g)
-                if plane is not None:
-                    witnesses.append(plane)
-        return ThetaTauReport(category, ThetaValue(exact=n), tau, "complete-sa",
-                              notes=_missing_witness_notes(tau, witnesses),
-                              witnesses=tuple(witnesses), graph=g)
+    np = n_pp(n)
+    if category in ("sd", "sa"):
+        # tau counts these witnesses (sd: the silly partition and the
+        # near-pencil; sa: the near-pencil) and the planes
+        witnesses = [egp_set(silly_partition(n))] if category == "sd" else []
+        witnesses.append(egp_set(fls_to_cover(near_pencil(n), g)))
+        tau = (f"{len(witnesses)} + N_PP({n})" if np is None
+               else len(witnesses) + np)
+        if np:
+            witnesses.append(_plane_witness(g, n))
+        return _report(category, n, tau, f"complete-{category}", g, witnesses)
 
     # simple-distinct-uniform
     if n == 3:
         rep = egp_set(fls_to_cover(near_pencil(3), g))
-        return ThetaTauReport(category, ThetaValue(exact=3), _tau_exact(1),
-                              "complete-sdu", witnesses=(rep,), graph=g)
+        return _report(category, 3, 1, "complete-sdu", g, (rep,))
+    if np is None:
+        r = order_for_points(n)
+        if _is_prime_power(r):
+            # A plane of this order exists even though the full census is
+            # open, so the minimum is still n.
+            return _report(category, n, f"N_PP({n})", "complete-sdu", g)
+        return _report(category, None, None, "complete-sdu", g, notes=(
+            f"existence of a projective plane of order {r} is open",))
+    if np:
+        return _report(category, n, np, "complete-sdu", g,
+                       (_plane_witness(g, n),))
 
-    r = order_for_points(n)
-    if r is not None:
-        np = n_pp(n)
-        if np is None:
-            if _is_prime_power(r):
-                # A plane of this order exists even though the full census
-                # is open, so the minimum is still n.
-                return ThetaTauReport(
-                    category, ThetaValue(exact=n), TauValue(symbolic=f"N_PP({n})"),
-                    "complete-sdu", graph=g)
-            return ThetaTauReport(
-                category, ThetaValue(oracle_needed=True), TauValue(unknown=True),
-                "complete-sdu",
-                notes=(f"existence of a projective plane of order {r} is open",),
-                graph=g)
-        if np:
-            witnesses = []
-            plane = _plane_rep(n, g)
-            if plane is not None:
-                witnesses.append(plane)
-            tau = _tau_exact(np)
-            return ThetaTauReport(category, ThetaValue(exact=n), tau, "complete-sdu",
-                                  notes=_missing_witness_notes(tau, witnesses),
-                                  witnesses=tuple(witnesses), graph=g)
-        # No plane at this admissible order: fall through to n + 1.
-
+    # No plane on n points: the minimum is n + 1.
     np1 = n_pp(n + 1)
     witnesses = [_uniform_silly_rep(n)]
-    if np1 is None:
-        tau: TauValue = TauValue(symbolic=f"1 + N_PP({n + 1})")
-    else:
-        tau = _tau_exact(1 + np1)
-        if np1:
-            r1 = order_for_points(n + 1)
-            if r1 is not None and _is_prime_power(r1):
-                ls = puncture(projective_plane(r1), 1)
-                witnesses.append(egp_set(fls_to_cover(ls, g)))
-    return ThetaTauReport(category, ThetaValue(exact=n + 1), tau, "complete-sdu",
-                          notes=_missing_witness_notes(tau, witnesses),
-                          witnesses=tuple(witnesses), graph=g)
+    if np1:
+        witnesses.append(_plane_witness(g, n + 1))
+    tau = f"1 + N_PP({n + 1})" if np1 is None else 1 + np1
+    return _report(category, n + 1, tau, "complete-sdu", g, witnesses)
 
 
 # --------------------------------------------------------------------------
@@ -541,13 +498,12 @@ def _sa_site_choices(base: Graph, eidx: dict, v: int, m: int) -> list[list[froze
         raise TheoremNotApplicable(
             f"plane census unknown for {d} points; cannot enumerate choices")
     if np:
-        r = order_for_points(d)
-        if np > 1 or r is None or not _is_prime_power(r):
+        if np > 1:
             raise NoSuchPlaneConstruction(
                 f"cannot construct all {np} plane classes on {d} points")
         points = pend + [stem]
         plane = [frozenset(points[p] for p in line)
-                 for line in projective_plane(r).lines]
+                 for line in projective_plane(order_for_points(d)).lines]
         choices.append(plane)
     return choices
 
@@ -582,9 +538,7 @@ def witness_sa_variants(base: Graph) -> list[SetRepresentation]:
 # The line-graph dispatch.
 
 def _wrap_inner(inner: ThetaTauReport, lg: Graph, prefix: str) -> ThetaTauReport:
-    return ThetaTauReport(inner.category, inner.theta, inner.tau,
-                          f"{prefix}>{inner.provenance}", inner.notes,
-                          inner.witnesses, lg)
+    return replace(inner, provenance=f"{prefix}>{inner.provenance}", graph=lg)
 
 
 def _peacock_sa_tau(cls: Classification) -> int:
@@ -630,21 +584,18 @@ def _linegraph_sd(base: Graph, cls: Classification, lg: Graph) -> ThetaTauReport
                      for a, b, c in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
         witnesses = (egp_set(CliqueCover(lg, stars)),
                      egp_set(CliqueCover(lg, tris)))
-        return ThetaTauReport("sd", ThetaValue(oracle_needed=True), _tau_exact(2),
-                              "linegraph-sd-K4", witnesses=witnesses, graph=lg)
+        return _report("sd", None, 2, "linegraph-sd-K4", lg, witnesses)
     if cls.kind == "W_t":
-        return ThetaTauReport("sd", ThetaValue(oracle_needed=True), _tau_exact(2),
-                              "linegraph-sd-windmill", graph=lg)
+        return _report("sd", None, 2, "linegraph-sd-windmill", lg)
     if cls.kind == "3K2+K1":
         note = ("the count usually quoted for this family is 3, but two of "
                 "the three labelled minimum solutions are swapped by an "
                 "automorphism of the base graph, leaving 2 classes under the "
                 "equivalence used throughout this package")
-        return ThetaTauReport("sd", ThetaValue(oracle_needed=True), _tau_exact(2),
-                              "linegraph-sd-matching-join", notes=(note,), graph=lg)
+        return _report("sd", None, 2, "linegraph-sd-matching-join", lg,
+                       notes=(note,))
     if cls.kind == "TP1":
-        return ThetaTauReport("sd", ThetaValue(oracle_needed=True), _tau_exact(2),
-                              "linegraph-sd-plumed-triangle", graph=lg)
+        return _report("sd", None, 2, "linegraph-sd-plumed-triangle", lg)
 
     # Generic: includes two-corner plumed triangles and plumed windmills.
     eidx = _edge_indexer(base)
@@ -652,20 +603,17 @@ def _linegraph_sd(base: Graph, cls: Classification, lg: Graph) -> ThetaTauReport
     tau, notes, witnesses = _site_classes(
         base, lg, _base_cliques(base, cls, eidx, shared=1), stalks,
         [2] * len(stalks), lambda: _sd_wing_choices(base, cls, eidx))
-    return ThetaTauReport("sd", ThetaValue(exact=cls.gamma), _tau_exact(tau),
-                          "linegraph-sd-generic", notes=notes,
-                          witnesses=witnesses, graph=lg)
+    return _report("sd", cls.gamma, tau, "linegraph-sd-generic", lg,
+                   witnesses, notes)
 
 
 def _linegraph_sa(base: Graph, cls: Classification, lg: Graph) -> ThetaTauReport:
     if cls.kind in ("K4", "W_t"):
         case = "linegraph-sa-K4" if cls.kind == "K4" else "linegraph-sa-windmill"
-        return ThetaTauReport("sa", ThetaValue(oracle_needed=True), _tau_exact(2),
-                              case, graph=lg)
+        return _report("sa", None, 2, case, lg)
     if cls.kind in ("TP1", "TP2", "TPd1", "TPd2"):
-        return ThetaTauReport("sa", ThetaValue(oracle_needed=True),
-                              _tau_exact(_peacock_sa_tau(cls)),
-                              "linegraph-sa-peacock", graph=lg)
+        return _report("sa", None, _peacock_sa_tau(cls),
+                       "linegraph-sa-peacock", lg)
 
     sites = _sa_sites(base, cls)
     alphabets: list[int] = []
@@ -685,20 +633,18 @@ def _linegraph_sa(base: Graph, cls: Classification, lg: Graph) -> ThetaTauReport
         known = prod(a for a in alphabets if a)
         parts = [str(known)] if known != 1 else []
         parts += [f"(3 + N_PP({d}))" for d in unknown_at]
-        return ThetaTauReport(
-            "sa", ThetaValue(exact=cls.gamma_prime),
-            TauValue(symbolic=" * ".join(parts)), "linegraph-sa-generic",
-            notes=("labelled count; automorphisms may identify some choices",),
-            graph=lg)
+        return _report(
+            "sa", cls.gamma_prime, " * ".join(parts), "linegraph-sa-generic",
+            lg, notes=("labelled count; automorphisms may identify some "
+                       "choices",))
 
     eidx = _edge_indexer(base)
     tau, notes, witnesses = _site_classes(
         base, lg, _base_cliques(base, cls, eidx, shared=0),
         tuple(v for v, _m in sites), alphabets,
         lambda: [_sa_site_choices(base, eidx, v, m) for v, m in sites])
-    return ThetaTauReport("sa", ThetaValue(exact=cls.gamma_prime), _tau_exact(tau),
-                          "linegraph-sa-generic", notes=notes,
-                          witnesses=witnesses, graph=lg)
+    return _report("sa", cls.gamma_prime, tau, "linegraph-sa-generic", lg,
+                   witnesses, notes)
 
 
 def _linegraph_sdu(base: Graph, cls: Classification, lg: Graph) -> ThetaTauReport:
@@ -706,7 +652,5 @@ def _linegraph_sdu(base: Graph, cls: Classification, lg: Graph) -> ThetaTauRepor
                or (cls.kind == "W_t" and cls.t == 2)
                or (cls.kind == "TP1" and cls.plume_counts == (1,)))
     if special:
-        return ThetaTauReport("sdu", ThetaValue(oracle_needed=True), _tau_exact(2),
-                              "linegraph-sdu-special", graph=lg)
-    return ThetaTauReport("sdu", ThetaValue(oracle_needed=True), _tau_exact(1),
-                          "linegraph-sdu-generic", graph=lg)
+        return _report("sdu", None, 2, "linegraph-sdu-special", lg)
+    return _report("sdu", None, 1, "linegraph-sdu-generic", lg)

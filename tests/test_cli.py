@@ -214,6 +214,41 @@ def test_dbe(capsys):
     assert data["nearPencilsAtN"] == 4 and data["otherAtN"] == 0
 
 
+def test_dbe_incomplete_census_claims_no_bound(capsys):
+    code, out, _ = run(capsys, "dbe", "--n", "6", "--node-limit", "10",
+                       "--json")
+    assert code == 3
+    data = json.loads(out)
+    assert data["complete"] is False
+    assert data["boundHolds"] is None
+    assert data["minimumNontrivialPartition"] is None
+    code, out, _ = run(capsys, "dbe", "--n", "6", "--node-limit", "10")
+    assert code == 3
+    assert "bound holds       unknown (the census is incomplete)" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("dbe", "--n", "6", "--node-limit", "-5"),
+    ("oracle", "K4", "--category", "sd", "--node-limit", "-5"),
+    ("oracle", "K4", "--category", "sd", "--time-limit", "-1"),
+], ids=["dbe-nodes", "oracle-nodes", "oracle-seconds"])
+def test_negative_limits_exit_1(capsys, write, argv):
+    k4 = write("k4.graph", format_graph(zoo.build("complete_graph(4)")))
+    code, out, err = run(capsys, *(k4 if a == "K4" else a for a in argv))
+    assert code == 1 and out == ""
+    assert "must not be negative" in err
+
+
+def test_witness_variants_text(capsys, write):
+    g = write("asym.graph", format_graph(zoo.asym_wing()))
+    code, out, _ = run(capsys, "witness", g, "--category", "sd",
+                       "--variants")
+    assert code == 0
+    assert out.count("variant ") == 2
+    assert out.startswith("variant 1 of 2\nuniverse: 5 elements\n")
+    assert "variant 2 of 2\nuniverse: 5 elements\n" in out
+
+
 def test_missing_file_exits_1(capsys):
     code, _, err = run(capsys, "analyze", "/nonexistent/path.graph")
     assert code == 1

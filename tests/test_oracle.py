@@ -23,7 +23,7 @@ from setrep import (
     star_graph,
 )
 from setrep.partitions import enumerate_edge_partitions
-from setrep import oracle
+from setrep import oracle, partitions
 from setrep.oracle import _ClassKeyer, _masks, automorphisms, verify_dbe
 
 
@@ -343,6 +343,47 @@ def test_pooled_node_budget(runs):
         assert not verify_dbe(7, node_limit=320).complete
 
 
+def test_incomplete_census_claims_no_bound(monkeypatch):
+    """A census stopped by its node limit has not seen every partition, so
+    it says nothing about the bound unless it already found a partition
+    that breaks it."""
+    short = verify_dbe(7, node_limit=320)
+    assert not short.complete and short.bound_holds is None
+    full = verify_dbe(7, node_limit=321)
+    assert full.complete and full.bound_holds is True
+
+    # a stubbed kernel that stops after one partition into two cliques
+    monkeypatch.setattr(oracle, "enumerate_edge_partitions",
+                        lambda *args, **limits: ([((0b0111, 0b1001), 1)],
+                                                 2, False))
+    broken = verify_dbe(4, node_limit=1)
+    assert not broken.complete and broken.intermediate == 1
+    assert broken.bound_holds is False
+
+
+@pytest.mark.parametrize("limits", [
+    {"node_limit": -5}, {"time_limit": -1}, {"time_limit": -1e-9},
+], ids=["nodes", "seconds", "tiny-seconds"])
+def test_negative_budgets_are_refused(limits):
+    with pytest.raises(ValueError, match="must not be negative"):
+        oracle_search(complete_graph(4), "sd",
+                      SearchBudget(max_universe=4, **limits))
+
+
+def test_negative_census_budget_is_refused():
+    with pytest.raises(ValueError, match="node_limit must not be negative"):
+        verify_dbe(5, node_limit=-3)
+
+
+def test_zero_budgets_stay_valid():
+    """A zero limit is a real limit: the search stops at once."""
+    r = oracle_search(complete_graph(4), "sd",
+                      SearchBudget(max_universe=4, node_limit=0))
+    assert r.stop_reason == "node_limit" and r.nodes == 1
+    report = verify_dbe(5, node_limit=0)
+    assert not report.complete and report.bound_holds is None
+
+
 @pytest.mark.parametrize("graph,category,cap", [
     (complete_graph(4), "sd", 4),
     (complete_graph(5), "sa", 5),
@@ -407,7 +448,9 @@ def test_placements_match_the_filter():
             member[rng.randrange(n)] = member[rng.randrange(n)]
         for t in range(8):
             for category in ("s", "sd", "sa", "su", "sdu"):
-                assert list(oracle._placements(member, t, category)) == \
+                assert list(oracle._placements(
+                    member, oracle._pad_facts(member, category), t,
+                    category)) == \
                     list(filtered_placements(member, t, category)), \
                     (member, t, category)
 
@@ -489,6 +532,30 @@ def test_deadline_bounds_padding(monkeypatch):
     assert not r.exhausted and r.theta == level
     assert r.searched_to == level - 1
     assert r.stop_reason == "time_limit"
+
+
+def test_deadline_stops_the_kernel(monkeypatch):
+    """The clock passes the deadline at the kernel's first deadline check,
+    its 1,024th node.  On K8 under sd only the level-8 call gets that far
+    (1,452 nodes), so the kernel stops inside it and the run settles every
+    size below 8 and nothing else."""
+    before = run(complete_graph(8), "sd", 7)
+    assert before.exhausted and before.theta is None
+    now = [0.0]
+
+    def kernel_clock():
+        now[0] = 3600.0
+        return now[0]
+
+    monkeypatch.setattr(partitions, "time",
+                        types.SimpleNamespace(monotonic=kernel_clock))
+    monkeypatch.setattr(oracle, "time",
+                        types.SimpleNamespace(monotonic=lambda: now[0]))
+    r = oracle_search(complete_graph(8), "sd",
+                      SearchBudget(max_universe=8, time_limit=60))
+    assert r.stop_reason == "time_limit" and not r.exhausted
+    assert r.theta is None and r.searched_to == 7
+    assert r.nodes == before.nodes + 1024
 
 
 def double_star(a):

@@ -204,6 +204,36 @@ def test_symbolic_tau_for_unknowable_plane_count():
     assert r.tau.symbolic == "(3 + N_PP(133))"
 
 
+def winged_spine(k):
+    """A path s0 … s(k-1) with a triangle wing hung from each spine
+    vertex: si - wi with the triangle wi xi yi, so k 3-wing stalks."""
+    edges = [(f"s{i - 1}", f"s{i}") for i in range(1, k)]
+    for i in range(k):
+        edges += [(f"s{i}", f"w{i}"), (f"w{i}", f"x{i}"), (f"w{i}", f"y{i}"),
+                  (f"x{i}", f"y{i}")]
+    return zoo.from_edges(edges)
+
+
+def test_witness_cap_keeps_one_witness_and_says_so():
+    """Ten 3-wings give 2 ** 10 = 1,024 labelled minimum solutions, past
+    the 512 that are enumerated one per class, in 528 classes (reversing
+    the spine fixes 2 ** 5 of them).  The report lists the star form as
+    its one witness and notes that the other classes have none."""
+    base = winged_spine(10)
+    r = theta_tau_linegraph(base, "sd")
+    assert r.theta.exact == 40 and r.tau.exact == 528
+    assert r.provenance == "linegraph-sd-generic"
+    (rep,) = r.witnesses
+    lg, _ = line_graph(base)
+    assert represents(rep, lg) and rep.universe_size == 40
+    flags = category_flags(rep)
+    assert flags.simple and flags.distinct
+    assert r.notes == (
+        "1024 labelled minimum solutions fall into 528 classes because "
+        "base-graph automorphisms permute the choice sites",
+        "528 classes exist but only 1 have constructions available here")
+
+
 def test_report_witnesses_are_minimum_representations():
     for name, cat, theta, tau, prov in LINE_CASES:
         if "generic" not in prov and ">" not in prov:
