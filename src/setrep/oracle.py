@@ -32,6 +32,9 @@ nonempty subsets per vertex, which is only viable for very small inputs.
 
 Both strategies run in one loop over universe sizes p: a level generator
 yields the labelled solutions of size p and the loop keys them.  The
+partition levels share one kernel frontier: level p resumes the nodes that
+the budget of p - 1 cliques pruned, merges the partitions new at p into
+the sorted list of those found before, and pads them all.  The
 kernel, the padding and the assignment search spend one node budget,
 stop at the first node past ``node_limit`` and check the deadline at
 least every 4,096 nodes.  A key can be slow (a minimum over a listed
@@ -84,7 +87,7 @@ from dataclasses import dataclass
 from .classify import _star_center
 from .errors import SetrepError, TimeLimitReached
 from .graphs import Graph, automorphisms, line_graph
-from .partitions import enumerate_edge_partitions, kernel_name
+from .partitions import Frontier, enumerate_edge_partitions, kernel_name
 from .representations import (SetRepresentation, canonical_form,
                               VALID_CATEGORIES)
 
@@ -172,7 +175,8 @@ def _symmetry_keyer(graph: Graph, base: Graph | None,
 
 # ---------------------------------------------------------------------------
 # The run's budget: a dict of the nodes spent ("nodes"), the node limit
-# ("limit"), the deadline ("deadline") and the limit that stopped ("stop")
+# ("limit"), the deadline ("deadline"), the largest universe size ("top")
+# and the limit that stopped ("stop")
 # ---------------------------------------------------------------------------
 
 def _check_limits(node_limit, time_limit=None) -> None:
@@ -344,29 +348,31 @@ def _solutions_at_level(category: str, partitions, p: int, counter: dict):
 def _partition_levels(g: Graph, category: str, counter: dict):
     """The levels of one partition run: ``level(p)`` pads the kernel's
     partitions into at most ``p`` cliques to universe size ``p``.  The
-    kernel gets the nodes the budget has left.  A partition's shape is
-    built at the first level that returns it and reused at later ones."""
+    kernel gets the nodes the budget has left and resumes the run's
+    frontier, so it returns only the partitions new at ``p``; they are
+    merged into the sorted list of the levels before, and each one's shape
+    is built once."""
     masks = _masks(g)
-    shapes: dict[tuple[int, ...], tuple] = {}
+    frontier = Frontier(counter["top"])
+    found: list[tuple] = []  # (partition, weight, shape), sorted
 
     def level(p: int):
         limit = counter["limit"]
         pairs, nodes, complete = enumerate_edge_partitions(
             g.n, masks, p,
             node_limit=None if limit is None else limit - counter["nodes"],
-            deadline=counter["deadline"])
+            deadline=counter["deadline"], frontier=frontier)
         if not complete:
             # the kernel stopped at a limit; the checkpoint names it
             _checkpoint(counter, counter["nodes"] + nodes)
             return
         counter["nodes"] += nodes
-        batch = []
-        for part, weight in pairs:
-            shape = shapes.get(part)
-            if shape is None:
-                shape = shapes[part] = _shape(g.n, part, category)
-            batch.append((shape, weight))
-        yield from _solutions_at_level(category, batch, p, counter)
+        found.extend((part, weight, _shape(g.n, part, category))
+                     for part, weight in pairs)
+        found.sort()
+        yield from _solutions_at_level(
+            category, [(shape, weight) for _part, weight, shape in found], p,
+            counter)
 
     return level
 
@@ -475,7 +481,8 @@ def oracle_search(graph: Graph, category: str, budget: SearchBudget,
     start = time.monotonic()
     counter = {"nodes": 0, "limit": budget.node_limit, "stop": None,
                "deadline": (None if budget.time_limit is None
-                            else start + budget.time_limit)}
+                            else start + budget.time_limit),
+               "top": budget.max_universe}
     try:
         keyer = _symmetry_keyer(graph, base, counter["deadline"])
     except TimeLimitReached:

@@ -34,6 +34,21 @@ product of the symmetric groups on the true-twin classes, and within each
 orbit their weights sum to the orbit's size: the weighted count is the
 labelled count.  A graph without true twins is searched in full, every
 partition with weight 1.
+
+Budgets resume.  A node's branching edge, candidates and twin cells do not
+depend on the budget, and the budget only prunes, so the tree at budget
+q + 1 contains the tree at q node for node.  A run that asks for growing
+budgets (the oracle's universe sizes) passes one :class:`Frontier`.  Each
+node that the budget prunes is kept there with its chosen cliques, its
+uncovered masks, its cells, weight, active vertices and edge total, and
+the least budget that lets it go on: one more clique when the uncovered
+edges form one clique, two more otherwise.  A later call resumes the
+entries its budget admits and keeps the rest.  A node that closed its
+partition with the whole uncovered clique skips that candidate when it is
+resumed, so each call returns only the partitions new at its budget.  A
+node is counted when it is first visited and not again when resumed, so
+the nodes of a run up to budget q are at most those of one call at q.  A
+node that no budget up to the frontier's cap lets go on is not kept.
 """
 
 from __future__ import annotations
@@ -53,23 +68,43 @@ def _twin_classes(n: int, adj) -> list[int]:
     return [cls for cls in by_closed.values() if cls & (cls - 1)]
 
 
+class Frontier:
+    """The nodes of one run that its clique budgets pruned, kept so that a
+    larger budget resumes them instead of searching from the root again.
+
+    ``cap`` is the largest budget the run will ask for: a node that no
+    budget up to ``cap`` lets go on is not kept.  ``entries`` is None until
+    the first call has searched the root.  A call that stops at a limit
+    leaves the frontier part-resumed; the run must end there."""
+
+    __slots__ = ("cap", "entries")
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.entries: list[tuple] | None = None
+
+
 def enumerate_edge_partitions(n, adj, max_cliques, node_limit=None,
-                              deadline=None):
+                              deadline=None, frontier=None):
     """Enumerate partitions up to twin swaps; returns (pairs, nodes,
     complete), the pairs ``(partition, weight)`` sorted by partition.
 
     ``deadline`` is an absolute ``time.monotonic()`` stamp.  A search
     stopped by ``node_limit`` reports one node more than the limit.
+    Without ``frontier`` the call searches from the root and keeps
+    nothing.  With one, the first call searches from the root and each
+    later call resumes the frontier's nodes that its budget admits; it
+    returns only the partitions new at its budget and counts only the
+    nodes it visits for the first time.
     """
     unc = [adj[v] for v in range(n)]
     cliques: list[int] = []
     partitions: list[tuple[tuple[int, ...], int]] = []
+    kept: list[tuple] = []
+    cap = -1 if frontier is None else frontier.cap
     nodes = 0
     aborted = False
 
-    # cells: the node's cells of two or more vertices; weight: the number
-    # of labelled nodes the node stands for; active: the vertices with an
-    # uncovered edge; total: twice the number of uncovered edges
     def descend(cells: list[int], weight: int, active: int,
                 total: int) -> None:
         nonlocal nodes, aborted
@@ -81,18 +116,31 @@ def enumerate_edge_partitions(n, adj, max_cliques, node_limit=None,
                 and time.monotonic() > deadline:
             aborted = True
             return
+        expand(cells, weight, active, total, 0)
 
+    # cells: the node's cells of two or more vertices; weight: the number
+    # of labelled nodes the node stands for; active: the vertices with an
+    # uncovered edge; total: twice the number of uncovered edges; skip: the
+    # last clique of the partition this node returned at a smaller budget
+    def expand(cells: list[int], weight: int, active: int, total: int,
+               skip: int) -> None:
         if not active:
             partitions.append((tuple(sorted(cliques)), weight))
             return
         remaining = max_cliques - len(cliques)
-        if remaining <= 0:
-            return
-        if remaining == 1:
+        if remaining <= 1:
             # the last clique must be the whole uncovered graph
             k = active.bit_count()
-            if total == k * (k - 1):
+            whole = total == k * (k - 1)
+            if whole and remaining == 1:
                 partitions.append((tuple(sorted(cliques + [active])), weight))
+            # one more clique closes a whole uncovered graph left open;
+            # anything else needs two more to branch
+            least = len(cliques) + (1 if whole and remaining < 1 else 2)
+            if least <= cap:
+                kept.append((least, tuple(cliques), tuple(unc), cells,
+                             weight, active, total,
+                             active if whole and remaining == 1 else 0))
             return
 
         # fail-first edge: fewest common uncovered neighbours
@@ -147,6 +195,8 @@ def enumerate_edge_partitions(n, adj, max_cliques, node_limit=None,
         extend(base, common)
 
         for cl in candidates:
+            if cl == skip:
+                continue
             saved = []
             left = active
             rest = cl
@@ -177,13 +227,28 @@ def enumerate_edge_partitions(n, adj, max_cliques, node_limit=None,
             if aborted:
                 return
 
-    active = 0
-    total = 0
-    for x in range(n):
-        if adj[x]:
-            active |= 1 << x
-            total += adj[x].bit_count()
-    descend(_twin_classes(n, adj), 1, active, total)
+    if frontier is None or frontier.entries is None:
+        active = 0
+        total = 0
+        for x in range(n):
+            if adj[x]:
+                active |= 1 << x
+                total += adj[x].bit_count()
+        descend(_twin_classes(n, adj), 1, active, total)
+    else:
+        for entry in frontier.entries:
+            least, chosen, node_unc, cells, weight, active, total, skip = entry
+            if least > max_cliques:
+                kept.append(entry)
+                continue
+            # a resumed node was counted when it was first visited
+            cliques[:] = chosen
+            unc[:] = node_unc
+            expand(cells, weight, active, total, skip)
+            if aborted:
+                break
+    if frontier is not None:
+        frontier.entries = kept
     partitions.sort()
     return partitions, nodes, not aborted
 
@@ -193,4 +258,4 @@ def kernel_name() -> str:
     return "pure"
 
 
-__all__ = ["enumerate_edge_partitions", "kernel_name"]
+__all__ = ["Frontier", "enumerate_edge_partitions", "kernel_name"]

@@ -313,6 +313,109 @@ def test_budget_prunes_no_partition():
                 (g.edges, q)
 
 
+def connected_base(rng):
+    """A seeded connected graph with 6 to 12 edges on 6 to 13 vertices: a
+    random spanning tree plus random chords."""
+    m = rng.randint(6, 12)
+    n = rng.randint(6, m + 1)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < m:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return Graph(tuple(range(n)), tuple(sorted(edges)))
+
+
+def resume_inputs():
+    """budget_inputs(), the line graphs of K_{1,3}-K_{1,7}, K4-K8 and the
+    line graphs of 200 seeded random connected bases, each with the
+    largest budget to search it to."""
+    yield from budget_inputs()
+    for k in range(3, 8):
+        yield line_graph(star_graph(k))[0], k
+    for n in range(4, 9):
+        yield complete_graph(n), n
+    rng = random.Random(1985)
+    for _ in range(200):
+        lg = line_graph(connected_base(rng))[0]
+        yield lg, lg.n
+
+
+def resumed_levels(g, budgets):
+    """One run of the kernel over ``budgets`` that resumes its frontier:
+    ``(q, pairs, nodes)`` per call."""
+    masks = _masks(g)
+    frontier = partitions.Frontier(max(budgets))
+    for q in budgets:
+        pairs, nodes, complete = enumerate_edge_partitions(
+            g.n, masks, q, frontier=frontier)
+        assert complete
+        yield q, pairs, nodes
+
+
+def test_resumed_levels_match_one_call():
+    """A run that resumes its frontier returns at each budget only the
+    partitions new there, never one twice, and the pairs merged over the
+    budgets up to q are one call's at q, in the same sorted order.  Budgets
+    may also skip or repeat; a repeated one finds nothing new."""
+    for g, top in resume_inputs():
+        masks = _masks(g)
+        for budgets in (range(1, top + 1), [0, 0, 2, 2] + [top, top]):
+            merged = []
+            for q, pairs, _nodes in resumed_levels(g, budgets):
+                assert pairs == sorted(pairs)
+                assert not {p for p, _w in pairs} & {p for p, _w in merged}, \
+                    (g.edges, q)
+                merged = sorted(merged + pairs)
+                assert merged == enumerate_edge_partitions(
+                    g.n, masks, q)[0], (g.edges, q)
+
+
+def test_resumed_levels_spend_no_more_nodes():
+    """A resumed node is counted once per run: the nodes of the budgets
+    1..q together are at most those of one call at q.  The K7 oracle under
+    sd spends 331 nodes (320 in the kernel; 662 when every level searched
+    the kernel from its root)."""
+    for g, top in resume_inputs():
+        masks = _masks(g)
+        spent = 0
+        for q, _pairs, nodes in resumed_levels(g, range(1, top + 1)):
+            spent += nodes
+            assert spent <= enumerate_edge_partitions(g.n, masks, q)[1], \
+                (g.edges, q)
+    assert run(complete_graph(7), "sd", 7).nodes == 331
+
+
+def test_levels_pad_the_partitions_of_one_call(monkeypatch):
+    """Each level of an oracle run pads the partitions of one kernel call
+    at its size, with their weights and in their sorted order: merging the
+    resumed levels keeps the padding order, so the class representatives
+    are those of a kernel restarted at every level.  On the zoo and 60
+    seeded random bases in sd, sa and sdu, and on K3-K7."""
+    rng = random.Random(1984)
+    names = sorted({k for k, _ in zoo.LINEGRAPH_EXPECTED})
+    bases = [zoo.build(name) for name in names]
+    bases += [random_base(rng) for _ in range(60)]
+    cases = [(line_graph(base)[0], base, cat)
+             for base in bases for cat in ("sd", "sa", "sdu")]
+    cases += [(complete_graph(n), None, cat)
+              for n in range(3, 8) for cat in ("sd", "sa", "sdu")]
+    padded = []
+    pad = oracle._solutions_at_level
+
+    def record(category, batch, p, counter):
+        padded.append((p, [(tuple(sum(1 << v for v in grp) for grp in shape[1]),
+                            weight) for shape, weight in batch]))
+        return pad(category, batch, p, counter)
+
+    monkeypatch.setattr(oracle, "_solutions_at_level", record)
+    for g, base, cat in cases:
+        del padded[:]
+        run(g, cat, g.n + 2, base=base)
+        assert padded
+        for p, pairs in padded:
+            assert pairs == enumerate_edge_partitions(g.n, _masks(g), p)[0], \
+                (g.edges, cat, p)
+
+
 def test_census_node_ceiling():
     """Twin-orbit pruning keeps the K8 census small: 1,452 nodes (24,420
     when every labelled partition was searched)."""
@@ -483,13 +586,15 @@ def key_labelled(monkeypatch):
 
 @pytest.mark.parametrize("limit", [1_000, 10_000])
 def test_node_budget_bounds_padding(limit, monkeypatch):
-    """Fourteen disjoint edges under sd take a few hundred kernel nodes and
-    then 16,384 placements at theta's level; the node limit stops the
+    """Fourteen disjoint edges under sd take 14 kernel nodes and then
+    16,384 placements at theta's level; the node limit stops the
     placements, not just the kernel, at the first node past it."""
     key_labelled(monkeypatch)
     g, level = matching(14), 28
-    kernel = run(g, "sd", level - 1).nodes + enumerate_edge_partitions(
-        g.n, _masks(g), level)[1]  # no level below theta has a placement
+    # no level below theta has a placement, so every node before the
+    # placements is one of the resumed kernel's
+    kernel = sum(nodes for _q, _pairs, nodes
+                 in resumed_levels(g, range(1, level + 1)))
     assert kernel < limit
     r = oracle_search(g, "sd", SearchBudget(max_universe=level,
                                             node_limit=limit))
@@ -534,28 +639,102 @@ def test_deadline_bounds_padding(monkeypatch):
     assert r.stop_reason == "time_limit"
 
 
-def test_deadline_stops_the_kernel(monkeypatch):
-    """The clock passes the deadline at the kernel's first deadline check,
-    its 1,024th node.  On K8 under sd only the level-8 call gets that far
-    (1,452 nodes), so the kernel stops inside it and the run settles every
-    size below 8 and nothing else."""
-    before = run(complete_graph(8), "sd", 7)
-    assert before.exhausted and before.theta is None
+def kernel_calls(monkeypatch):
+    """Record ``[budget, resumed]`` for each kernel call of the oracle as
+    it starts, ``resumed`` when it resumes a frontier instead of searching
+    from the root, and append ``complete`` when it returns."""
+    calls = []
+
+    def kernel(n, adj, q, frontier=None, **limits):
+        calls.append([q, frontier is not None and frontier.entries is not None])
+        out = enumerate_edge_partitions(n, adj, q, frontier=frontier, **limits)
+        calls[-1].append(out[2])
+        return out
+
+    monkeypatch.setattr(oracle, "enumerate_edge_partitions", kernel)
+    return calls
+
+
+def kernel_deadline(monkeypatch, calls, level, checks):
+    """A fake clock for the kernel and the oracle that passes the deadline
+    at the ``checks``-th deadline check of the kernel's call at ``level``
+    (the call ``calls`` from :func:`kernel_calls` started last)."""
     now = [0.0]
+    seen = []
 
     def kernel_clock():
-        now[0] = 3600.0
+        if calls[-1][0] == level:
+            seen.append(1)
+            if len(seen) == checks:
+                now[0] = 3600.0
         return now[0]
 
     monkeypatch.setattr(partitions, "time",
                         types.SimpleNamespace(monotonic=kernel_clock))
     monkeypatch.setattr(oracle, "time",
                         types.SimpleNamespace(monotonic=lambda: now[0]))
-    r = oracle_search(complete_graph(8), "sd",
-                      SearchBudget(max_universe=8, time_limit=60))
+
+
+def test_deadline_stops_the_kernel(monkeypatch):
+    """The clock passes the deadline at the first deadline check of K9's
+    level-9 call under sd, its 1,024th node: the kernel stops inside that
+    call, which resumes the frontier of level 8, and the run settles every
+    size below 9 and nothing else."""
+    before = run(complete_graph(9), "sd", 8)
+    assert before.exhausted and before.theta is None
+    calls = kernel_calls(monkeypatch)
+    kernel_deadline(monkeypatch, calls, 9, 1)
+    r = oracle_search(complete_graph(9), "sd",
+                      SearchBudget(max_universe=9, time_limit=60))
     assert r.stop_reason == "time_limit" and not r.exhausted
-    assert r.theta is None and r.searched_to == 7
+    assert r.theta is None and r.searched_to == 8
     assert r.nodes == before.nodes + 1024
+    assert calls[-1] == [9, True, False]
+
+
+@pytest.mark.parametrize("graph,base,category,level", [
+    (complete_graph(8), None, "sd", 8),
+    (line_graph(zoo.friendship3())[0], zoo.friendship3(), "sd", 7),
+    (line_graph(zoo.trimmed_fig5())[0], zoo.trimmed_fig5(), "sa", 5),
+], ids=["K8-sd", "friendship3-sd", "trimmed_fig5-sa"])
+def test_node_limit_inside_a_resumed_level(graph, base, category, level,
+                                           monkeypatch):
+    """A node limit that runs out inside a level's kernel call, which
+    resumes the frontier of the level below, stops the run there: one node
+    past the limit, with every size below the level settled."""
+    below = oracle_search(graph, category, SearchBudget(max_universe=level - 1),
+                          base=base)
+    assert below.exhausted and below.theta is None
+    calls = kernel_calls(monkeypatch)
+    full = oracle_search(graph, category, SearchBudget(max_universe=level),
+                         base=base)
+    assert full.theta == level and calls[-1] == [level, True, True]
+    *_, (_q, _pairs, new) = resumed_levels(graph, range(1, level + 1))
+    assert new > 2
+    for extra in (0, 1, new // 2, new - 1):
+        limit = below.nodes + extra
+        r = oracle_search(graph, category, SearchBudget(
+            max_universe=level, node_limit=limit), base=base)
+        assert r.stop_reason == "node_limit" and not r.exhausted
+        assert r.nodes == limit + 1
+        assert r.theta is None and r.searched_to == level - 1
+        assert calls[-1] == [level, True, False]
+
+
+@pytest.mark.parametrize("level,checks", [(8, 1), (9, 3)])
+def test_deadline_inside_a_resumed_level(level, checks, monkeypatch):
+    """A deadline that passes at any check of a resumed level (K9 under sd:
+    2,033 new nodes at level 8, 4,687 at level 9) stops the run at that
+    check, with every size below the level settled."""
+    before = run(complete_graph(9), "sd", level - 1)
+    calls = kernel_calls(monkeypatch)
+    kernel_deadline(monkeypatch, calls, level, checks)
+    r = oracle_search(complete_graph(9), "sd",
+                      SearchBudget(max_universe=9, time_limit=60))
+    assert r.stop_reason == "time_limit" and not r.exhausted
+    assert r.theta is None and r.searched_to == level - 1
+    assert r.nodes == before.nodes + 1024 * checks
+    assert calls[-1] == [level, True, False]
 
 
 def double_star(a):
