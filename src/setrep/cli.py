@@ -38,7 +38,7 @@ def _read_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _emit(data: dict, as_json: bool, human: str) -> None:
+def _emit(data, as_json: bool, human: str = "") -> None:
     if as_json:
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
@@ -99,26 +99,23 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     categories = ("sd", "sa", "sdu") if args.category == "all" else (args.category,)
     reports = [theta_tau_linegraph(g, c) for c in categories]
 
-    if args.json:
-        out = {
-            "classification": classification_json(g, cls),
-            "reports": [r.to_json_dict() for r in reports],
-        }
-        print(json.dumps(out, indent=2, sort_keys=True))
-    else:
-        lines = _classification_text(g, cls)
-        lines.append("")
-        lines.append(f"{'category':<9} {'theta':<13} {'tau':<10} provenance")
-        for r in reports:
-            lines.append(f"{r.category:<9} {_theta_text(r):<13} "
-                         f"{_tau_text(r):<10} {r.provenance}")
-        for r in reports:
-            for note in r.notes:
-                lines.append(f"note ({r.category}): {note}")
-        if any(r.theta.oracle_needed for r in reports):
-            lines.append("hint: run `setrep oracle --line-graph-of <graph>` "
-                         "for the values marked 'needs oracle'")
-        print("\n".join(lines))
+    data = {
+        "classification": classification_json(g, cls),
+        "reports": [r.to_json_dict() for r in reports],
+    }
+    lines = _classification_text(g, cls)
+    lines.append("")
+    lines.append(f"{'category':<9} {'theta':<13} {'tau':<10} provenance")
+    for r in reports:
+        lines.append(f"{r.category:<9} {_theta_text(r):<13} "
+                     f"{_tau_text(r):<10} {r.provenance}")
+    for r in reports:
+        for note in r.notes:
+            lines.append(f"note ({r.category}): {note}")
+    if any(r.theta.oracle_needed for r in reports):
+        lines.append("hint: run `setrep oracle --line-graph-of <graph>` "
+                     "for the values marked 'needs oracle'")
+    _emit(data, args.json, "\n".join(lines))
 
     if all(r.theta.oracle_needed for r in reports):
         return 2
@@ -128,16 +125,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_linegraph(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     lg, _ = line_graph(g)
-    if args.json:
-        out = {
-            "vertices": list(lg.labels),
-            "edges": [[lg.labels[u], lg.labels[v]] for u, v in lg.edges],
-            "baseEdges": {lg.labels[i]: [g.labels[u], g.labels[v]]
-                          for i, (u, v) in enumerate(g.edges)},
-        }
-        print(json.dumps(out, indent=2, sort_keys=True))
-    else:
-        print(format_graph(lg), end="")
+    data = {
+        "vertices": list(lg.labels),
+        "edges": [[lg.labels[u], lg.labels[v]] for u, v in lg.edges],
+        "baseEdges": {lg.labels[i]: [g.labels[u], g.labels[v]]
+                      for i, (u, v) in enumerate(g.edges)},
+    }
+    _emit(data, args.json, format_graph(lg))
     return 0
 
 
@@ -150,17 +144,17 @@ def cmd_witness(args: argparse.Namespace) -> int:
         build_one = witness_sd if args.category == "sd" else witness_sa
         reps = [build_one(g)]
     lg, _ = line_graph(g)
-    if args.json:
-        payload = [rep_to_json_dict(r, lg.labels) for r in reps]
-        print(json.dumps(payload[0] if not args.variants else payload,
-                         indent=2, sort_keys=True))
-    else:
-        for i, rep in enumerate(reps):
-            if args.variants:
-                print(f"variant {i + 1} of {len(reps)}")
-            print(f"universe: {len(rep.universe)} elements")
-            for v, s in enumerate(rep.sets):
-                print(f"  {lg.labels[v]}: {{{', '.join(map(str, sorted(s)))}}}")
+    payload = [rep_to_json_dict(r, lg.labels) for r in reps]
+    human = []
+    for i, rep in enumerate(reps):
+        if args.variants:
+            human.append(f"variant {i + 1} of {len(reps)}")
+        human.append(f"universe: {len(rep.universe)} elements")
+        for v, s in enumerate(rep.sets):
+            human.append(f"  {lg.labels[v]}: "
+                         f"{{{', '.join(map(str, sorted(s)))}}}")
+    _emit(payload if args.variants else payload[0], args.json,
+          "\n".join(human))
     return 0
 
 
@@ -259,15 +253,12 @@ def cmd_egp(args: argparse.Namespace) -> int:
     graph = _read_graph(args.graph) if args.graph else None
     if args.to_set:
         cover = cover_from_json_dict(data, graph)
-        rep = egp_set(cover)
-        print(json.dumps(rep_to_json_dict(rep, cover.graph.labels),
-                         indent=2, sort_keys=True))
+        _emit(rep_to_json_dict(egp_set(cover), cover.graph.labels), True)
     else:
         if graph is None:
             raise SetrepError("--to-cover needs --graph to interpret the sets")
         rep, _labels = rep_from_json_dict(data, graph.labels)
-        cover = egp_cover(rep, graph)
-        print(json.dumps(cover_to_json_dict(cover), indent=2, sort_keys=True))
+        _emit(cover_to_json_dict(egp_cover(rep, graph)), True)
     return 0
 
 

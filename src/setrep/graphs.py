@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import (DuplicateEdgeError, GraphFormatError, SelfLoopError,
                      TimeLimitReached)
@@ -216,46 +217,99 @@ def star_graph(leaves: int) -> Graph:
     return Graph(labels, tuple((0, i + 1) for i in range(leaves)))
 
 
-def automorphisms(g: Graph, colors=None,
+def automorphisms(g: Graph, points=None,
                   deadline: float | None = None) -> list[tuple[int, ...]]:
-    """All automorphisms of ``g`` as vertex permutation tuples, in
-    lexicographic order; with ``colors``, only those that keep each
-    vertex's colour.  Backtracking over an invariant colouring, for small
-    graphs: do not call it on complete graphs (n! results).
+    """The distinct permutations that Aut(g) induces on ``points``, sorted,
+    as index tuples: entry i is the index of the image of ``points[i]``.
+    A point is a vertex as a 1-tuple or an edge as a pair; the default,
+    each vertex alone, gives Aut(g).  Automorphisms that carry a point off
+    the list are left out.
+
+    Backtracking, the points' vertices first in ascending order, then the
+    others by distance from them.  An image keeps its colour (the degree
+    split by sorted neighbour colours) and its adjacency to the placed
+    vertices, and each placement of the points' vertices is extended
+    once.  When the points leave vertices out, the colours are refined
+    until stable, a vertex with no placed neighbour also keeps its
+    distances to them, and an extension tries one image per class of
+    twins (vertices whose swap is an automorphism).  Do not ask for an
+    image as large as Aut(K_n).
 
     ``deadline`` is an absolute ``time.monotonic()`` stamp, checked every
     1,024 placements; past it, :class:`TimeLimitReached` is raised."""
-    n = g.n
-    # invariant: (colour, degree, sorted neighbour degrees)
-    color = [(colors[v] if colors is not None else None, g.degree(v),
-              tuple(sorted(g.degree(u) for u in g.adj[v])))
-             for v in range(n)]
-    adj = g.adj
-    image = [0] * n
-    used = [False] * n
-    out: list[tuple[int, ...]] = []
-    placed = 0
+    n, adj = g.n, g.adj
+    if points is None:
+        points = [(v,) for v in range(n)]
+    if not points:
+        return [()]
+    moved = set().union(*points)
+    k = len(moved)
+    order = sorted(moved)
+    color, classes = [len(a) for a in adj], 0
+    for _ in range(n if k < n else 1):
+        ids: dict[tuple[int, ...], int] = {}
+        color = [ids.setdefault((c, *sorted([color[u] for u in a])), len(ids))
+                 for c, a in zip(color, adj)]
+        if len(ids) == classes:
+            break
+        classes = len(ids)
+    if k < n:  # extensions are searched: dist and twin serve them
+        @cache
+        def dist(source: int) -> list[int]:
+            """Breadth-first distances from ``source``; n where no path."""
+            row = [n] * n
+            row[source], queue = 0, [source]
+            for u in queue:
+                for w in adj[u]:
+                    if row[w] == n:
+                        row[w] = row[u] + 1
+                        queue.append(w)
+            return row
 
-    def place(v: int) -> None:
+        order += sorted(set(range(n)) - moved,
+                        key=lambda v: min(dist(u)[v] for u in moved))
+        first: dict[frozenset[int], int] = {}  # open or closed neighbourhoods
+        twin = [first.setdefault(a, first.setdefault(a | {v}, v))
+                for v, a in enumerate(adj)]
+    image, used, found, placed = [0] * n, [False] * n, [], 0
+
+    def place(i: int) -> bool:
+        """Place ``order[i]`` in every way that fits; past the points'
+        vertices, stop at the first automorphism.  True if one was found."""
         nonlocal placed
         placed += 1
         if deadline is not None and placed % 1024 == 0 \
                 and time.monotonic() > deadline:
             raise TimeLimitReached("automorphism search passed its deadline")
-        if v == n:
-            out.append(tuple(image))
-            return
+        if i == n:
+            found.append(tuple(image))
+            return True
+        v, prefix, tried = order[i], order[:i], set()
+        av, dv = adj[v], k < n and adj[v].isdisjoint(prefix) and dist(v)
         for w in range(n):
             if used[w] or color[w] != color[v]:
                 continue
-            for u in range(v):
-                if (u in adj[v]) != (image[u] in adj[w]):
+            if i >= k:  # w's twins fit and extend where w does
+                if twin[w] in tried:
+                    continue
+                tried.add(twin[w])
+            if dv and any(dv[u] != dist(w)[image[u]] for u in prefix):
+                continue
+            aw = adj[w]
+            for u in prefix:
+                if (u in av) != (image[u] in aw):
                     break
             else:
-                image[v] = w
-                used[w] = True
-                place(v + 1)
+                image[v], used[w] = w, True
+                done = place(i + 1) and i >= k
                 used[w] = False
+                if done:
+                    return True
+        return False
 
     place(0)
-    return out
+    index = {pair: i for i, p in enumerate(points)
+             for pair in ((p[0], p[-1]), (p[-1], p[0]))}
+    perms = {tuple(index.get((sigma[p[0]], sigma[p[-1]])) for p in points)
+             for sigma in found}
+    return sorted(perm for perm in perms if None not in perm)

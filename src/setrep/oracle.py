@@ -122,16 +122,6 @@ class OracleResult:
         return len(self.classes)
 
 
-def _induced_edge_permutations(base: Graph, deadline: float | None
-                               ) -> list[tuple[int, ...]]:
-    """Aut(base) acting on the edge list (= vertices of the line graph)."""
-    idx: dict[tuple[int, int], int] = {}
-    for i, (u, v) in enumerate(base.edges):
-        idx[(u, v)] = idx[(v, u)] = i
-    return [tuple(idx[(sigma[u], sigma[v])] for u, v in base.edges)
-            for sigma in automorphisms(base, deadline=deadline)]
-
-
 # ---------------------------------------------------------------------------
 # Class keys: a labelled solution is the multiset of its element groups
 # (group of element e = vertices whose set contains e).  Solutions are
@@ -170,7 +160,8 @@ def _symmetry_keyer(graph: Graph, base: Graph | None,
         # leaves permute freely, so the induced action on the edges is
         # the full symmetric group on the line graph's vertices
         return _ClassKeyer(graph.n, None)
-    return _ClassKeyer(graph.n, _induced_edge_permutations(base, deadline))
+    return _ClassKeyer(graph.n, automorphisms(base, points=base.edges,
+                                              deadline=deadline))
 
 
 # ---------------------------------------------------------------------------

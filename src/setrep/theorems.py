@@ -28,7 +28,7 @@ they are the vertices with at least two pendant edges and a single other
 edge: the saturated star with private pendant elements, a near-pencil on
 the site's edges, or a projective plane on them.  tau is the number of
 orbits of bundle assignments under the base graph's automorphisms, which
-act on the sites through the pendant core (``classify.pendant_core``).
+``graphs.automorphisms`` lists as they act on the sites, not in full.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 from itertools import product
 from math import prod
 
-from .classify import Classification, classify, pendant_core
+from .classify import Classification, classify
 from .cliquecover import CliqueCover, egp_set, silly_partition
 from .errors import NoSuchPlaneConstruction, TheoremNotApplicable
 from .geometry import (fls_to_cover, n_pp, near_pencil, order_for_points,
@@ -268,55 +268,24 @@ def _base_cliques(base: Graph, cls: Classification, eidx: dict,
 
 
 def _core_site_permutations(base: Graph, sites: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """How base-graph automorphisms can permute the given choice sites.
-
-    The sites are vertices of the pendant core (:func:`pendant_core`),
-    coloured by plume count; automorphisms of the coloured core are exactly
-    the automorphisms of the full graph up to permutations of pendants at a
-    common neighbour, and those act trivially on the sites.  Returns the
-    distinct induced permutations of ``sites`` (as index tuples); always
-    includes the identity.
-    """
-    if not sites:
-        return [()]
-    core, of, plumes = pendant_core(base)
-    at = {v: i for i, v in enumerate(of)}
-    site_pos = {v: i for i, v in enumerate(sites)}
-    return sorted({tuple(site_pos[of[sigma[at[v]]]] for v in sites)
-                   for sigma in automorphisms(core, plumes)})
-
-
-def _site_orbit_notes(labelled: int, tau: int) -> list[str]:
-    """The note for labelled solutions that automorphisms identify."""
-    if tau == labelled:
-        return []
-    return [f"{labelled} labelled minimum solutions fall into {tau} classes "
-            "because base-graph automorphisms permute the choice sites"]
-
-
-def _cycles(perm: tuple[int, ...]) -> list[list[int]]:
-    seen = [False] * len(perm)
-    out = []
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        cyc = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j)
-            j = perm[j]
-        out.append(cyc)
-    return out
+    """The distinct permutations that Aut(base) induces on the choice
+    sites (base vertices that every automorphism permutes), as index
+    tuples into ``sites``; always includes the identity."""
+    return automorphisms(base, points=[(v,) for v in sites])
 
 
 def _orbit_count(perms: list[tuple[int, ...]], alphabets: list[int]) -> int:
-    """Burnside count of site assignments up to the induced permutations."""
+    """Burnside count of site assignments up to the induced permutations:
+    an assignment that ``pi`` fixes picks one bundle per cycle of ``pi``."""
     total = 0
     for pi in perms:
-        fixed = 1
-        for cyc in _cycles(pi):
-            fixed *= alphabets[cyc[0]]
+        fixed, seen = 1, set()
+        for i in range(len(pi)):
+            if i not in seen:
+                fixed *= alphabets[i]
+                while i not in seen:
+                    seen.add(i)
+                    i = pi[i]
         total += fixed
     count, rem = divmod(total, len(perms))
     assert rem == 0, "orbit count must be an integer"
@@ -325,24 +294,15 @@ def _orbit_count(perms: list[tuple[int, ...]], alphabets: list[int]) -> int:
 
 def _orbit_representatives(perms: list[tuple[int, ...]],
                            alphabets: list[int]) -> list[tuple[int, ...]]:
-    """Lexicographically least assignment from each orbit."""
+    """Lexicographically least assignment from each orbit.  ``perms`` is
+    a whole group, so it holds every inverse, and the orbit of ``a`` is
+    its images under ``perms`` in one pass."""
     reps = []
     seen: set[tuple[int, ...]] = set()
     for a in product(*(range(k) for k in alphabets)):
-        if a in seen:
-            continue
-        reps.append(a)
-        stack = [a]
-        while stack:
-            b = stack.pop()
-            for pi in perms:
-                c = [0] * len(b)
-                for i, choice in enumerate(b):
-                    c[pi[i]] = choice
-                ct = tuple(c)
-                if ct not in seen:
-                    seen.add(ct)
-                    stack.append(ct)
+        if a not in seen:
+            reps.append(a)
+            seen.update(tuple(a[i] for i in pi) for pi in perms)
     return reps
 
 
@@ -378,7 +338,9 @@ def _site_classes(base: Graph, lg: Graph, cliques: list[frozenset[int]],
     perms = _core_site_permutations(base, sites)
     tau = _orbit_count(perms, alphabets)
     labelled = prod(alphabets)
-    notes = _site_orbit_notes(labelled, tau)
+    notes = [] if tau == labelled else [
+        f"{labelled} labelled minimum solutions fall into {tau} classes "
+        "because base-graph automorphisms permute the choice sites"]
     if labelled <= _WITNESS_ENUM_CAP:
         try:
             site_choices = build_choices()

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -116,23 +117,53 @@ def test_line_graph_labels_are_base_edges():
     assert lg.labels == ("a-b", "b-c")
 
 
-def brute_automorphisms(g, colors=None):
+def brute_automorphisms(g):
     edges = {frozenset(e) for e in g.edges}
     return [p for p in itertools.permutations(range(g.n))
-            if (colors is None or all(colors[p[v]] == colors[v]
-                                      for v in range(g.n)))
-            and {frozenset((p[u], p[v])) for u, v in g.edges} == edges]
+            if {frozenset((p[u], p[v])) for u, v in g.edges} == edges]
+
+
+def brute_projection(g, points):
+    """The brute-force automorphisms that map ``points`` onto points,
+    projected onto them as index tuples, deduplicated and sorted."""
+    at = {frozenset(q): i for i, q in enumerate(points)}
+    images = [tuple(at.get(frozenset(p[v] for v in q)) for q in points)
+              for p in brute_automorphisms(g)]
+    return sorted({img for img in images if None not in img})
 
 
 def test_automorphisms_match_brute_force():
-    """Every vertex permutation that preserves the edges (and, with
-    colours, each vertex's colour), in lexicographic order, on seeded
-    graphs with at most 7 vertices."""
+    """Every vertex permutation that preserves the edges, in lexicographic
+    order, on seeded graphs with at most 7 vertices.  With the edges or
+    each of three seeded vertex subsets as points, the distinct
+    permutations of the points that those automorphisms induce, keeping
+    the automorphisms that map points onto points."""
     rng = random.Random(1981)
     graphs = [cycle_graph(6), star_graph(4), path_graph(5)]
     graphs += [zoo.random_graph(rng, max_n=7) for _ in range(25)]
     for g in graphs:
         assert automorphisms(g) == brute_automorphisms(g), g.edges
-        colors = [rng.randrange(2) for _ in range(g.n)]
-        assert automorphisms(g, colors) == brute_automorphisms(g, colors), \
-            (g.edges, colors)
+        subsets = [[(v,) for v in rng.sample(range(g.n), rng.randint(0, g.n))]
+                   for _ in range(3)]
+        for points in [list(g.edges)] + subsets:
+            assert automorphisms(g, points=points) == \
+                brute_projection(g, points), (g.edges, points)
+
+
+def test_failed_extension_tries_one_image_per_twin_class():
+    """Two arms a - x1 - v1 - w1 - u1 - y1 - b and a - x2 - … - c, with 10
+    pendants at each of x1 and x2.  For the swap of b and c the search
+    first sends x1 to itself, places the pendants, which are nearer the
+    points than w1 and w2, and fails at w1.  Pendants at one vertex are
+    twins, so the failed branch tries one image for each instead of
+    10! · 10! orderings."""
+    edges = []
+    for i, end in ((1, "b"), (2, "c")):
+        arm = ["a"] + [f"{x}{i}" for x in "xvwuy"] + [end]
+        edges += list(zip(arm, arm[1:]))
+        edges += [(f"x{i}", f"x{i}.{j}") for j in range(10)]
+    g = zoo.from_edges(edges)
+    points = [(g.labels.index(v),) for v in ("a", "b", "c")]
+    start = time.monotonic()
+    assert automorphisms(g, points=points) == [(0, 1, 2), (0, 2, 1)]
+    assert time.monotonic() - start < 5.0

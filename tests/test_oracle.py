@@ -134,7 +134,7 @@ def test_line_graph_twin_swaps_are_base_symmetries():
     bases += [random_base(rng) for _ in range(300)]
     swaps = 0
     for base in bases:
-        induced = set(oracle._induced_edge_permutations(base, None))
+        induced = set(automorphisms(base, points=base.edges))
         for sigma in twin_swaps(line_graph(base)[0], closed=True):
             assert sigma in induced, (base.edges, sigma)
             swaps += 1
@@ -142,7 +142,7 @@ def test_line_graph_twin_swaps_are_base_symmetries():
     k4 = complete_graph(4)
     false = twin_swaps(line_graph(k4)[0], closed=False)
     assert len(false) == 3
-    assert not set(false) & set(oracle._induced_edge_permutations(k4, None))
+    assert not set(false) & set(automorphisms(k4, points=k4.edges))
 
 
 # -- plain categories against an in-test brute force ---------------------------

@@ -7,6 +7,8 @@ witness builders.
 """
 
 import random
+import time
+from math import factorial
 
 import pytest
 
@@ -31,7 +33,7 @@ from setrep import (
 )
 from setrep import oracle
 from setrep.graphs import automorphisms
-from setrep.theorems import _core_site_permutations
+from setrep.theorems import _core_site_permutations, _sa_sites
 
 # -- complete graphs -----------------------------------------------------------
 
@@ -383,9 +385,9 @@ def _random_base(rng):
 
 
 def test_core_site_permutations_project_full_automorphisms():
-    """The site permutations found on the pendant-stripped, coloured core
-    are Aut(base) projected onto the sites, for two Aut-invariant site
-    sets: every core vertex, and the core vertices that carry pendants."""
+    """The site permutations equal the full list of Aut(base) projected
+    onto the sites, for two Aut-invariant site sets: every core vertex,
+    and the core vertices that carry pendants."""
     rng = random.Random(2014)
     bases = [zoo.build(name) for name in sorted({k for k, _ in
                                                  zoo.LINEGRAPH_EXPECTED})]
@@ -401,6 +403,121 @@ def test_core_site_permutations_project_full_automorphisms():
                            for sigma in full}) if sites else [()]
             assert _core_site_permutations(base, sites) == want, \
                 (base.edges, sites)
+
+
+def winged_star(k):
+    """A hub with k branches, each a stalk carrying a wing triangle."""
+    return zoo.from_edges([e for i in range(k) for e in (
+        ("hub", f"s{i}"), (f"s{i}", f"x{i}"), (f"s{i}", f"y{i}"),
+        (f"x{i}", f"y{i}"))])
+
+
+@pytest.mark.parametrize("k", [4, 5, 6, 7])
+def test_winged_star_lists_site_permutations_not_the_group(k):
+    """The winged star has k!·2^k automorphisms, which permute its k
+    stalks in k! ways.  The sd closed form counts the 2^k wing choices up
+    to those: theta 3k + 1, and tau k + 1 classes (by the number of
+    flipped wings), one witness each.  Listing the whole group only to
+    project it took tens of seconds at k = 7."""
+    base = winged_star(k)
+    stalks = classify(base).three_wing_stalks
+    assert len(stalks) == k
+    assert len(_core_site_permutations(base, stalks)) == factorial(k)
+    start = time.monotonic()
+    r = theta_tau_linegraph(base, "sd")
+    assert time.monotonic() - start < 5.0
+    assert (r.theta.exact, r.tau.exact) == (3 * k + 1, k + 1)
+    assert r.provenance == "linegraph-sd-generic"
+    lg, _ = line_graph(base)
+    assert len(r.witnesses) == k + 1
+    for rep in r.witnesses:
+        assert represents(rep, lg) and rep.universe_size == 3 * k + 1
+        flags = category_flags(rep)
+        assert flags.simple and flags.distinct
+
+
+def test_winged_spine_ties_its_stalks_together():
+    """The 12 stalks of a winged spine are permuted only by reversing the
+    spine.  Its 10 interior stalks look alike to the neighbour-degree
+    colouring and no two are adjacent, so placing each with nothing but
+    that colouring would try 2·10! maps of them; the colours refined
+    along the spine and the stalks' distances each tie a stalk to its
+    mirror image.  tau counts the 2 ** 12 wing choices up to the
+    reversal, which fixes 2 ** 6 of them."""
+    base = winged_spine(12)
+    stalks = classify(base).three_wing_stalks
+    assert len(stalks) == 12
+    start = time.monotonic()
+    perms = _core_site_permutations(base, stalks)
+    r = theta_tau_linegraph(base, "sd")
+    assert time.monotonic() - start < 5.0
+    assert len(perms) == 2
+    assert (r.theta.exact, r.tau.exact) == (48, (2 ** 12 + 2 ** 6) // 2)
+
+
+def test_sa_sites_on_a_rigid_path_are_not_swapped():
+    """Two sa sites with 10 pendants each hang from the ends of a path
+    that a triangle makes rigid, and their pendants are numbered before
+    the path.  The swap of the two sites keeps their degrees and their
+    distance but does not extend.  The colours refined along the path
+    tell the sites apart, so the swap is not tried, and the pendants at a
+    site are twins, so a failed extension would try one image for them
+    instead of each of their 10! orderings."""
+    edges = [(site, f"{site}{j}") for site in "ab" for j in range(10)]
+    edges += [("a", "p0"), ("p0", "p1"), ("p1", "p2"), ("p2", "p3"),
+              ("p3", "p4"), ("p4", "b"), ("p1", "t0"), ("p1", "t1"),
+              ("t0", "t1")]
+    base = zoo.from_edges(edges)
+    sites = tuple(v for v, _m in _sa_sites(base, classify(base)))
+    assert [base.labels[v] for v in sites] == ["a", "b"]
+    start = time.monotonic()
+    perms = _core_site_permutations(base, sites)
+    r = theta_tau_linegraph(base, "sa")
+    assert time.monotonic() - start < 5.0
+    assert perms == [(0, 1)]
+    assert r.provenance == "linegraph-sa-generic"
+
+
+def test_winged_ring_ties_its_stalks_by_distance():
+    """Closing a winged spine of 10 stalks into a ring leaves every stalk
+    alike to any colouring, and no two stalks are adjacent, so only their
+    distances tie each to the first one placed: the 20 rotations and
+    reflections, not 10! maps that each need an extension.  tau counts
+    the 2 ** 10 wing choices up to them, the 78 binary bracelets of
+    length 10."""
+    spine = winged_spine(10)
+    base = zoo.from_edges([(spine.labels[u], spine.labels[v])
+                           for u, v in spine.edges] + [("s9", "s0")])
+    stalks = classify(base).three_wing_stalks
+    assert len(stalks) == 10
+    start = time.monotonic()
+    perms = _core_site_permutations(base, stalks)
+    r = theta_tau_linegraph(base, "sd")
+    assert time.monotonic() - start < 5.0
+    assert len(perms) == 20
+    assert (r.theta.exact, r.tau.exact) == (40, 78)
+
+
+def test_stalks_told_apart_by_their_tails():
+    """Nine stalks hang from a hub through vertices that each carry a tail
+    of a different length, so no automorphism moves a stalk.  The stalks
+    are pairwise at distance 4 and their neighbours have equal degrees;
+    only colours refined along the tails tell them apart, where otherwise
+    each of the 9! maps of the stalks would be tried and fail."""
+    edges = []
+    for i in range(9):
+        edges += [("hub", f"a{i}"), (f"a{i}", f"s{i}"), (f"a{i}", f"t{i}.0"),
+                  (f"s{i}", f"x{i}"), (f"s{i}", f"y{i}"), (f"x{i}", f"y{i}")]
+        edges += [(f"t{i}.{j}", f"t{i}.{j + 1}") for j in range(i)]
+    base = zoo.from_edges(edges)
+    stalks = classify(base).three_wing_stalks
+    assert len(stalks) == 9
+    start = time.monotonic()
+    perms = _core_site_permutations(base, stalks)
+    r = theta_tau_linegraph(base, "sd")
+    assert time.monotonic() - start < 5.0
+    assert perms == [tuple(range(9))]
+    assert r.tau.exact == 2 ** 9
 
 
 def test_report_witnesses_are_one_per_class():
