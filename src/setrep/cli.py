@@ -22,7 +22,8 @@ from .graphs import Graph, format_graph, line_graph, parse_graph
 from .oracle import SearchBudget, oracle_search, verify_dbe
 from .representations import (VALID_CATEGORIES, category_flags,
                               rep_from_json_dict, rep_to_json_dict)
-from .theorems import (ThetaTauReport, theta_tau_linegraph, witness_sa,
+from .theorems import (_CLOSED_FORM_CATEGORIES, _WITNESS_CATEGORIES,
+                       ThetaTauReport, theta_tau_linegraph, witness_sa,
                        witness_sa_variants, witness_sd, witness_sd_variants)
 
 __all__ = ["main"]
@@ -33,7 +34,7 @@ def _read_graph(path: str) -> Graph:
         return parse_graph(fh.read())
 
 
-def _read_json(path: str) -> dict:
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -96,7 +97,8 @@ def _tau_text(report: ThetaTauReport) -> str:
 def cmd_analyze(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     cls = classify(g)
-    categories = ("sd", "sa", "sdu") if args.category == "all" else (args.category,)
+    categories = (_CLOSED_FORM_CATEGORIES if args.category == "all"
+                  else (args.category,))
     reports = [theta_tau_linegraph(g, c) for c in categories]
 
     data = {
@@ -299,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="classify a base graph and report "
                        "theta/tau for its line graph")
     p.add_argument("graph")
-    p.add_argument("--category", choices=("sd", "sa", "sdu", "all"),
+    p.add_argument("--category", choices=(*_CLOSED_FORM_CATEGORIES, "all"),
                    default="all")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_analyze)
@@ -312,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="construct minimum representations "
                        "of a base graph's line graph")
     p.add_argument("graph")
-    p.add_argument("--category", choices=("sd", "sa"), required=True)
+    p.add_argument("--category", choices=_WITNESS_CATEGORIES, required=True)
     p.add_argument("--variants", action="store_true",
                    help="emit every site choice, not just the star form")
     p.add_argument("--json", action="store_true")

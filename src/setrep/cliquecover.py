@@ -123,36 +123,47 @@ def silly_partition(n: int) -> CliqueCover:
     return CliqueCover(graph=g, cliques=tuple(cliques))
 
 
-def cover_to_json_dict(cover: CliqueCover, *, inline_graph: bool = True) -> dict:
+def cover_to_json_dict(cover: CliqueCover) -> dict:
+    """The cover's cliques by vertex label, with the graph inline as
+    edge-list text."""
     from .graphs import format_graph
 
-    data: dict = {
+    return {
         "cliques": [sorted(cover.graph.labels[v] for v in q)
                     for q in cover.cliques],
+        "graph": format_graph(cover.graph),
     }
-    if inline_graph:
-        data["graph"] = format_graph(cover.graph)
-    return data
 
 
 def cover_from_json_dict(data: dict, graph: Graph | None = None) -> CliqueCover:
     """Load a cover; the graph may be supplied by the caller, inline as
     edge-list text under "graph" (recognised by its newline), or as a
-    path string under "graph"."""
+    path string under "graph".  JSON of any other shape raises
+    InvalidCoverError naming the bad field."""
     from .graphs import parse_graph
 
+    if not isinstance(data, dict):
+        raise InvalidCoverError('cover JSON must be an object with "cliques"')
+    cliques = data.get("cliques")
+    if not isinstance(cliques, list) or not all(
+            isinstance(q, list) and all(isinstance(lab, str) for lab in q)
+            for q in cliques):
+        raise InvalidCoverError(
+            '"cliques" must be a list of lists of vertex labels')
     if graph is None:
         ref = data.get("graph")
         if ref is None:
             raise InvalidCoverError(
                 "cover JSON carries no graph and none was supplied")
+        if not isinstance(ref, str):
+            raise InvalidCoverError(
+                '"graph" must be edge-list text or a path to it')
         if "\n" in ref:
             graph = parse_graph(ref)
         else:
             with open(ref, "r", encoding="utf-8") as fh:
                 graph = parse_graph(fh.read())
-    cliques = tuple(frozenset(graph.index(lab) for lab in q)
-                    for q in data["cliques"])
-    cover = CliqueCover(graph=graph, cliques=cliques)
+    cover = CliqueCover(graph=graph, cliques=tuple(
+        frozenset(graph.index(lab) for lab in q) for q in cliques))
     validate_cover(cover)
     return cover

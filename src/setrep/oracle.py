@@ -171,11 +171,12 @@ def _symmetry_keyer(graph: Graph, base: Graph | None,
 # ---------------------------------------------------------------------------
 
 def _check_limits(node_limit, time_limit=None) -> None:
-    """Refuse a negative node or time limit; 0 is a valid limit."""
+    """Refuse a negative or NaN node or time limit; 0 and infinity are
+    valid limits.  A NaN deadline would never pass, so it is no limit."""
     for name, limit in (("node_limit", node_limit),
                         ("time_limit", time_limit)):
-        if limit is not None and limit < 0:
-            raise ValueError(f"{name} must not be negative")
+        if limit is not None and not limit >= 0:
+            raise ValueError(f"{name} must not be negative or NaN")
 
 
 def _checkpoint(counter: dict, nodes: int) -> int:

@@ -255,13 +255,26 @@ def rep_to_json_dict(rep: SetRepresentation,
     }
 
 
+def _int_list(value, name: str) -> list[int]:
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise ValueError(f"{name} must be a list of integers")
+    return value
+
+
 def rep_from_json_dict(data: dict,
                        label_order: Iterable[str] | None = None
                        ) -> tuple[SetRepresentation, tuple[str, ...]]:
     """Returns the representation together with the vertex label order
-    actually used (the graph's order when given, insertion order else)."""
-    universe = tuple(sorted(int(x) for x in data["universe"]))
-    raw = data["sets"]
+    actually used (the graph's order when given, insertion order else).
+    JSON of any other shape raises ValueError naming the bad field."""
+    if not isinstance(data, dict):
+        raise ValueError('representation JSON must be an object with '
+                         '"universe" and "sets"')
+    universe = tuple(sorted(_int_list(data.get("universe"), '"universe"')))
+    raw = data.get("sets")
+    if not isinstance(raw, dict):
+        raise ValueError('"sets" must be an object from vertex labels to '
+                         'lists of integers')
     if label_order is None:
         labels = tuple(raw.keys())
     else:
@@ -272,5 +285,6 @@ def rep_from_json_dict(data: dict,
             raise ValueError(
                 f"set keys do not match the graph's vertices "
                 f"(missing {missing}, unexpected {extra})")
-    sets = tuple(frozenset(int(x) for x in raw[lab]) for lab in labels)
+    sets = tuple(frozenset(_int_list(raw[lab], f"the set of {lab!r}"))
+                 for lab in labels)
     return SetRepresentation(universe=universe, sets=sets), labels

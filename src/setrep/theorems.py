@@ -12,30 +12,34 @@ graph (for a complete graph, all vertex permutations).  This matches what
 ``setrep.oracle`` reports for the same inputs, so the two can be checked
 against each other mechanically.
 
-A handful of exceptional base-graph shapes (the complete graph on four
-vertices, windmills of triangles over a shared edge, the triple matching
-joined to a single vertex, triangles with pendant edges on one corner, stars)
-have minimum counts that do not follow the generic pattern; they are
-dispatched to hard-coded values here, with the minimum size itself left to
-the oracle where no closed form is safe.  Reports say which case produced
-them via the ``provenance`` string.
+Line graphs are decided by the kind that ``classify`` gives the base.
+Stars and triangles have complete line graphs and take the complete-graph
+report.  A table per category, ``_EXCEPTIONAL``, lists the other kinds its
+generic case does not cover (K4, the windmills of triangles over a shared
+edge, the triple matching joined to a single vertex, triangles and
+windmills with plumes) with their class count and provenance; their
+minimum size is left to the oracle, and the witness builders refuse them.
 
-On the other line graphs a minimum solution is a set of fixed cliques plus
-one clique bundle at each choice site.  For ``sd`` the sites are the
-3-wing stalks: the stars of the stalk and of its two wing tips, or the wing
-triangle with two pairs bridging to the stalk's third edge.  For ``sa``
-they are the vertices with at least two pendant edges and a single other
-edge: the saturated star with private pendant elements, a near-pencil on
-the site's edges, or a projective plane on them.  tau is the number of
-orbits of bundle assignments under the base graph's automorphisms, which
-``graphs.automorphisms`` lists as they act on the sites, not in full.
+Everywhere else ``_construction`` gives a minimum solution as a set of
+fixed cliques plus one clique bundle at each choice site.  For ``sd`` the
+sites are the 3-wing stalks: the stars of the stalk and of its two wing
+tips, or the wing triangle with two pairs bridging to the stalk's third
+edge.  For ``sa`` they are the vertices with at least two pendant edges and
+a single other edge: the saturated star with private pendant elements, a
+near-pencil on the site's edges, or a projective plane on them.  tau is the
+number of orbits of bundle assignments under the base graph's
+automorphisms, which ``graphs.automorphisms`` lists as they act on the
+sites, not in full.  ``sdu`` has no construction: outside its table tau is
+1 and the minimum size is the oracle's.  Reports say which case produced
+them via the ``provenance`` string.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import product
+from itertools import combinations, product
 from math import prod
+from typing import Callable, NamedTuple
 
 from .classify import Classification, classify
 from .cliquecover import CliqueCover, egp_set, silly_partition
@@ -58,6 +62,7 @@ __all__ = [
 ]
 
 _CLOSED_FORM_CATEGORIES = ("sd", "sa", "sdu")
+_WITNESS_CATEGORIES = ("sd", "sa")  # the ones with a construction
 
 # Enumerating one witness per class is cheap for every graph we expect to
 # see; the cap only guards against pathological inputs with dozens of
@@ -67,10 +72,13 @@ _WITNESS_ENUM_CAP = 512
 
 @dataclass(frozen=True)
 class ThetaValue:
-    """Minimum universe size: either an exact number or a referral."""
+    """Minimum universe size: exact, or None when referred to the oracle."""
 
     exact: int | None = None
-    oracle_needed: bool = False
+
+    @property
+    def oracle_needed(self) -> bool:
+        return self.exact is None
 
     def to_json_dict(self) -> dict:
         if self.oracle_needed:
@@ -80,7 +88,7 @@ class ThetaValue:
 
 @dataclass(frozen=True)
 class TauValue:
-    """Number of classes: exact, a symbolic expression, or unknown.
+    """Number of classes: exact, a symbolic expression, or unknown (neither set).
 
     Symbolic values appear when the count depends on how many projective
     planes exist at an order where the census is open.
@@ -88,7 +96,10 @@ class TauValue:
 
     exact: int | None = None
     symbolic: str | None = None
-    unknown: bool = False
+
+    @property
+    def unknown(self) -> bool:
+        return self.exact is None and self.symbolic is None
 
     def to_json_dict(self) -> dict:
         if self.unknown:
@@ -146,12 +157,8 @@ def _report(category: str, theta: int | None, tau: int | str | None,
         notes = (*notes, f"{tau} classes exist but only {len(witnesses)} "
                  "have constructions available here")
     return ThetaTauReport(
-        category,
-        (ThetaValue(oracle_needed=True) if theta is None
-         else ThetaValue(exact=theta)),
-        (TauValue(unknown=True) if tau is None
-         else TauValue(symbolic=tau) if isinstance(tau, str)
-         else TauValue(exact=tau)),
+        category, ThetaValue(theta),
+        TauValue(symbolic=tau) if isinstance(tau, str) else TauValue(tau),
         provenance, tuple(notes), tuple(witnesses), graph)
 
 
@@ -240,11 +247,69 @@ def theta_tau_complete(n: int, category: str) -> ThetaTauReport:
 
 
 # --------------------------------------------------------------------------
-# Line graphs: shared machinery for the generic constructions.
+# Line graphs: the exceptional kinds.
 
-def _edge_indexer(base: Graph) -> dict[frozenset[int], int]:
-    return {frozenset(e): i for i, e in enumerate(base.edges)}
+# Kinds with a complete line graph, by their provenance prefix.
+_COMPLETE_KINDS = {"star": "linegraph-star", "K3": "linegraph-triangle"}
 
+
+class _Case(NamedTuple):
+    """A kind outside the generic case: theta is the oracle's, tau known."""
+
+    tau: int | Callable[[Classification], int | None]  # None: generic after all
+    suffix: str  # of the provenance "linegraph-{category}-{suffix}"
+    notes: tuple[str, ...] = ()
+    witnesses: Callable[[Graph, Graph], tuple] | None = None
+
+
+def _k4_stars_and_triangles(base: Graph, lg: Graph) -> tuple[SetRepresentation, ...]:
+    """The two sd classes of L(K4): the four stars, or the four triangles."""
+    eidx = {frozenset(e): i for i, e in enumerate(base.edges)}
+    stars = tuple(_star_clique(base, eidx, v) for v in range(4))
+    tris = tuple(frozenset(eidx[frozenset(p)] for p in combinations(t, 2))
+                 for t in combinations(range(4), 3))
+    return egp_set(CliqueCover(lg, stars)), egp_set(CliqueCover(lg, tris))
+
+
+def _tp2_sa_tau(cls: Classification) -> int:
+    """sa classes of a triangle plumed at two corners (m1 >= m2 plumes)."""
+    m1, m2 = cls.plume_counts
+    if m2 >= 2:
+        return 5 if m1 != m2 else 4
+    return 3 if m1 >= 2 else 2
+
+
+_EXCEPTIONAL: dict[str, dict[str, _Case]] = {
+    "sd": {
+        "K4": _Case(2, "K4", witnesses=_k4_stars_and_triangles),
+        "W_t": _Case(2, "windmill"),
+        "3K2+K1": _Case(2, "matching-join", (
+            "the count usually quoted for this family is 3, but two of "
+            "the three labelled minimum solutions are swapped by an "
+            "automorphism of the base graph, leaving 2 classes under the "
+            "equivalence used throughout this package",)),
+        "TP1": _Case(2, "plumed-triangle"),
+    },
+    "sa": {
+        "K4": _Case(2, "K4"),
+        "W_t": _Case(2, "windmill"),
+        "TP1": _Case(2, "peacock"),
+        "TP2": _Case(_tp2_sa_tau, "peacock"),
+        "TPd1": _Case(2, "peacock"),
+        "TPd2": _Case(2, "peacock"),
+    },
+    # tau is 1 but on K4, W_2 and the triangle with one plume
+    "sdu": {
+        "K4": _Case(2, "special"),
+        "W_t": _Case(lambda cls: 2 if cls.t == 2 else None, "special"),
+        "TP1": _Case(lambda cls: 2 if cls.plume_counts == (1,) else None,
+                     "special"),
+    },
+}
+
+
+# --------------------------------------------------------------------------
+# Line graphs: the generic construction.
 
 def _star_clique(base: Graph, eidx: dict, v: int) -> frozenset[int]:
     return frozenset(eidx[frozenset((v, u))] for u in base.adj[v])
@@ -265,13 +330,6 @@ def _base_cliques(base: Graph, cls: Classification, eidx: dict,
         cliques += [frozenset({e})
                     for e in _pendant_edges(base, eidx, v)[:m - shared]]
     return cliques
-
-
-def _core_site_permutations(base: Graph, sites: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The distinct permutations that Aut(base) induces on the choice
-    sites (base vertices that every automorphism permutes), as index
-    tuples into ``sites``; always includes the identity."""
-    return automorphisms(base, points=[(v,) for v in sites])
 
 
 def _orbit_count(perms: list[tuple[int, ...]], alphabets: list[int]) -> int:
@@ -323,19 +381,25 @@ def _site_reps(lg: Graph, cliques: list[frozenset[int]], site_choices,
 
 
 def _site_classes(base: Graph, lg: Graph, cliques: list[frozenset[int]],
-                  sites: tuple[int, ...], alphabets: list[int], build_choices):
+                  sites: tuple[int, ...], alphabets: list, bundles):
     """(tau, notes, witnesses) for the minimum solutions that swap one
-    bundle into ``cliques`` at each choice site.
+    bundle into ``cliques`` at each choice site, as
+    :func:`_construction` gives them.
 
-    Site ``sites[i]``, a base vertex, offers ``alphabets[i]`` bundles;
-    ``build_choices()`` lists them per site as :func:`_site_reps` takes
-    them.  tau counts the orbits of bundle assignments under the
-    permutations that Aut(base) induces on the sites, and the witnesses
-    are the least assignment of each orbit.  Past ``_WITNESS_ENUM_CAP``
-    labelled solutions, or when a site's planes cannot be built, the one
-    witness is ``cliques`` itself.
+    tau counts the orbits of bundle assignments under the permutations
+    that Aut(base) induces on the sites, and the witnesses are the least
+    assignment of each orbit.  Past ``_WITNESS_ENUM_CAP`` labelled
+    solutions, or when a site's planes cannot be built, the one witness is
+    ``cliques`` itself.  A symbolic alphabet makes tau the labelled count,
+    with no witness.
     """
-    perms = _core_site_permutations(base, sites)
+    open_sites = [a for a in alphabets if isinstance(a, str)]
+    if open_sites:
+        known = prod(a for a in alphabets if isinstance(a, int))
+        return (" * ".join(([str(known)] if known != 1 else []) + open_sites),
+                ("labelled count; automorphisms may identify some choices",),
+                ())
+    perms = automorphisms(base, points=[(v,) for v in sites])
     tau = _orbit_count(perms, alphabets)
     labelled = prod(alphabets)
     notes = [] if tau == labelled else [
@@ -343,7 +407,7 @@ def _site_classes(base: Graph, lg: Graph, cliques: list[frozenset[int]],
         "because base-graph automorphisms permute the choice sites"]
     if labelled <= _WITNESS_ENUM_CAP:
         try:
-            site_choices = build_choices()
+            site_choices = bundles()
         except NoSuchPlaneConstruction as exc:  # pragma: no cover - huge sites
             notes.append(str(exc))
         else:
@@ -351,12 +415,6 @@ def _site_classes(base: Graph, lg: Graph, cliques: list[frozenset[int]],
                 lg, cliques, site_choices,
                 _orbit_representatives(perms, alphabets)))
     return tau, tuple(notes), (egp_set(CliqueCover(lg, tuple(cliques))),)
-
-
-# --------------------------------------------------------------------------
-# Simple-distinct witnesses for line graphs.
-
-_SD_EXCLUDED = {"K3", "K4", "W_t", "3K2+K1", "star", "TP1"}
 
 
 def _sd_wing_choices(base: Graph, cls: Classification,
@@ -378,48 +436,6 @@ def _sd_wing_choices(base: Graph, cls: Classification,
                     [frozenset({sx, sy, xy}), frozenset({sx, sw}),
                      frozenset({sy, sw})]])
     return out
-
-
-def _generic_base(base: Graph, excluded: set[str]):
-    """The classification, line graph and edge index of ``base`` for the
-    star/pendant constructions, which refuse the ``excluded`` kinds."""
-    cls = classify(base)
-    if cls.kind in excluded:
-        raise TheoremNotApplicable(
-            f"the star/pendant construction does not apply to {cls.kind} base graphs; "
-            "use the oracle or the dispatch report for those"
-        )
-    return cls, line_graph(base)[0], _edge_indexer(base)
-
-
-def witness_sd(base: Graph) -> SetRepresentation:
-    """A minimum simple-distinct representation of the line graph of ``base``.
-
-    Saturated stars on every internal vertex, with one private element for
-    all but one pendant edge at each pendant-carrying vertex.  Applies to
-    connected base graphs outside the exceptional shapes.
-    """
-    cls, lg, eidx = _generic_base(base, _SD_EXCLUDED)
-    return egp_set(CliqueCover(lg, tuple(_base_cliques(base, cls, eidx, shared=1))))
-
-
-def witness_sd_variants(base: Graph) -> list[SetRepresentation]:
-    """All star/triangle variants of :func:`witness_sd`.
-
-    Each 3-wing independently keeps its stars or flips to the wing triangle
-    plus two bridging pairs, giving ``2 ** k`` representations for a base
-    graph with ``k`` 3-wings (in subset order: the all-stars form first).
-    """
-    cls, lg, eidx = _generic_base(base, _SD_EXCLUDED)
-    choices = _sd_wing_choices(base, cls, eidx)
-    return _site_reps(lg, _base_cliques(base, cls, eidx, shared=1), choices,
-                      product(*(range(len(c)) for c in choices)))
-
-
-# --------------------------------------------------------------------------
-# Simple-antichain witnesses for line graphs.
-
-_SA_EXCLUDED = {"K3", "K4", "W_t", "star", "TP1", "TP2", "TPd1", "TPd2"}
 
 
 def _sa_sites(base: Graph, cls: Classification) -> list[tuple[int, int]]:
@@ -445,12 +461,9 @@ def _sa_site_choices(base: Graph, eidx: dict, v: int, m: int) -> list[list[froze
     (stem,) = sorted(eidx[frozenset((v, u))] for u in base.adj[v]
                      if base.degree(u) >= 2)
     k_conf = [_star_clique(base, eidx, v)] + [frozenset({e}) for e in pend]
-    if m == 2:
-        np_conf = [frozenset({pend[0], pend[1]}),
-                   frozenset({pend[0], stem}),
-                   frozenset({pend[1], stem})]
-        return [k_conf, np_conf]
     hub_stem = [frozenset(pend)] + [frozenset({e, stem}) for e in pend]
+    if m == 2:  # the hub at a pendant edge gives the same triangle
+        return [k_conf, hub_stem]
     rest = pend[1:] + [stem]
     hub_pend = [frozenset(rest)] + [frozenset({e, pend[0]}) for e in rest]
     choices = [k_conf, hub_stem, hub_pend]
@@ -459,15 +472,74 @@ def _sa_site_choices(base: Graph, eidx: dict, v: int, m: int) -> list[list[froze
     if np is None:
         raise TheoremNotApplicable(
             f"plane census unknown for {d} points; cannot enumerate choices")
+    if np > 1:
+        raise NoSuchPlaneConstruction(
+            f"cannot construct all {np} plane classes on {d} points")
     if np:
-        if np > 1:
-            raise NoSuchPlaneConstruction(
-                f"cannot construct all {np} plane classes on {d} points")
         points = pend + [stem]
-        plane = [frozenset(points[p] for p in line)
-                 for line in projective_plane(order_for_points(d)).lines]
-        choices.append(plane)
+        choices.append([frozenset(points[p] for p in line)
+                        for line in projective_plane(order_for_points(d)).lines])
     return choices
+
+
+def _construction(base: Graph, cls: Classification, category: str):
+    """The generic minimum solutions of L(base) in sd or sa: (cliques,
+    sites, alphabets, bundles).  ``cliques`` is the star form, of size
+    theta; site ``sites[i]`` offers ``alphabets[i]`` bundles (a symbolic
+    count where its plane census is open), which ``bundles()`` lists as
+    :func:`_site_reps` takes them or raises where they cannot be built."""
+    eidx = {frozenset(e): i for i, e in enumerate(base.edges)}
+    if category == "sd":
+        stalks = cls.three_wing_stalks
+        return (_base_cliques(base, cls, eidx, shared=1), stalks,
+                [2] * len(stalks), lambda: _sd_wing_choices(base, cls, eidx))
+    sites = _sa_sites(base, cls)
+    alphabets: list[int | str] = []
+    for _v, m in sites:
+        np = n_pp(m + 1)
+        alphabets.append(2 if m == 2 else f"(3 + N_PP({m + 1}))"
+                         if np is None else 3 + np)
+    return (_base_cliques(base, cls, eidx, shared=0),
+            tuple(v for v, _m in sites), alphabets,
+            lambda: [_sa_site_choices(base, eidx, v, m) for v, m in sites])
+
+
+def _witnesses(base: Graph, category: str, variants: bool):
+    """The star form of :func:`_construction`, or with ``variants`` every
+    choice of bundles in subset order; refuses the excepted kinds."""
+    cls = classify(base)
+    if cls.kind in _COMPLETE_KINDS or cls.kind in _EXCEPTIONAL[category]:
+        raise TheoremNotApplicable(
+            f"the star/pendant construction does not apply to {cls.kind} base graphs; "
+            "use the oracle or the dispatch report for those"
+        )
+    lg = line_graph(base)[0]
+    cliques, _sites, _alphabets, bundles = _construction(base, cls, category)
+    if not variants:
+        return egp_set(CliqueCover(lg, tuple(cliques)))
+    choices = bundles()
+    return _site_reps(lg, cliques, choices,
+                      product(*(range(len(c)) for c in choices)))
+
+
+def witness_sd(base: Graph) -> SetRepresentation:
+    """A minimum simple-distinct representation of the line graph of ``base``.
+
+    Saturated stars on every internal vertex, with one private element for
+    all but one pendant edge at each pendant-carrying vertex.  Applies to
+    connected base graphs outside the exceptional shapes.
+    """
+    return _witnesses(base, "sd", variants=False)
+
+
+def witness_sd_variants(base: Graph) -> list[SetRepresentation]:
+    """All star/triangle variants of :func:`witness_sd`.
+
+    Each 3-wing independently keeps its stars or flips to the wing triangle
+    plus two bridging pairs, giving ``2 ** k`` representations for a base
+    graph with ``k`` 3-wings (in subset order: the all-stars form first).
+    """
+    return _witnesses(base, "sd", variants=True)
 
 
 def witness_sa(base: Graph) -> SetRepresentation:
@@ -477,8 +549,7 @@ def witness_sa(base: Graph) -> SetRepresentation:
     element, which restores the antichain property at the cost of one extra
     universe element per pendant-carrying vertex.
     """
-    cls, lg, eidx = _generic_base(base, _SA_EXCLUDED)
-    return egp_set(CliqueCover(lg, tuple(_base_cliques(base, cls, eidx, shared=0))))
+    return _witnesses(base, "sa", variants=False)
 
 
 def witness_sa_variants(base: Graph) -> list[SetRepresentation]:
@@ -489,30 +560,11 @@ def witness_sa_variants(base: Graph) -> list[SetRepresentation]:
     the hub at the stem or at a pendant edge (one form when there are only
     two pendants), or a projective plane on its edges when one exists.
     """
-    cls, lg, eidx = _generic_base(base, _SA_EXCLUDED)
-    choices = [_sa_site_choices(base, eidx, v, m)
-               for v, m in _sa_sites(base, cls)]
-    return _site_reps(lg, _base_cliques(base, cls, eidx, shared=0), choices,
-                      product(*(range(len(c)) for c in choices)))
+    return _witnesses(base, "sa", variants=True)
 
 
 # --------------------------------------------------------------------------
 # The line-graph dispatch.
-
-def _wrap_inner(inner: ThetaTauReport, lg: Graph, prefix: str) -> ThetaTauReport:
-    return replace(inner, provenance=f"{prefix}>{inner.provenance}", graph=lg)
-
-
-def _peacock_sa_tau(cls: Classification) -> int:
-    if cls.kind == "TP2":
-        m1, m2 = cls.plume_counts
-        if m2 >= 2:
-            return 5 if m1 != m2 else 4
-        if m1 >= 2:
-            return 3
-        return 2
-    return 2
-
 
 def theta_tau_linegraph(base: Graph, category: str) -> ThetaTauReport:
     """Minimum size and class count for the line graph of ``base``.
@@ -524,95 +576,22 @@ def theta_tau_linegraph(base: Graph, category: str) -> ThetaTauReport:
     _check_category(category)
     cls = classify(base)
     lg, _ = line_graph(base)
-
-    if cls.kind == "star":
-        return _wrap_inner(theta_tau_complete(cls.star_degree, category),
-                           lg, "linegraph-star")
-    if cls.kind == "K3":
-        return _wrap_inner(theta_tau_complete(3, category), lg, "linegraph-triangle")
-
-    if category == "sd":
-        return _linegraph_sd(base, cls, lg)
-    if category == "sa":
-        return _linegraph_sa(base, cls, lg)
-    return _linegraph_sdu(base, cls, lg)
-
-
-def _linegraph_sd(base: Graph, cls: Classification, lg: Graph) -> ThetaTauReport:
-    if cls.kind == "K4":
-        eidx = _edge_indexer(base)
-        stars = tuple(_star_clique(base, eidx, v) for v in range(4))
-        tris = tuple(frozenset(eidx[frozenset(p)] for p in ((a, b), (b, c), (a, c)))
-                     for a, b, c in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
-        witnesses = (egp_set(CliqueCover(lg, stars)),
-                     egp_set(CliqueCover(lg, tris)))
-        return _report("sd", None, 2, "linegraph-sd-K4", lg, witnesses)
-    if cls.kind == "W_t":
-        return _report("sd", None, 2, "linegraph-sd-windmill", lg)
-    if cls.kind == "3K2+K1":
-        note = ("the count usually quoted for this family is 3, but two of "
-                "the three labelled minimum solutions are swapped by an "
-                "automorphism of the base graph, leaving 2 classes under the "
-                "equivalence used throughout this package")
-        return _report("sd", None, 2, "linegraph-sd-matching-join", lg,
-                       notes=(note,))
-    if cls.kind == "TP1":
-        return _report("sd", None, 2, "linegraph-sd-plumed-triangle", lg)
-
-    # Generic: includes two-corner plumed triangles and plumed windmills.
-    eidx = _edge_indexer(base)
-    stalks = cls.three_wing_stalks
-    tau, notes, witnesses = _site_classes(
-        base, lg, _base_cliques(base, cls, eidx, shared=1), stalks,
-        [2] * len(stalks), lambda: _sd_wing_choices(base, cls, eidx))
-    return _report("sd", cls.gamma, tau, "linegraph-sd-generic", lg,
-                   witnesses, notes)
-
-
-def _linegraph_sa(base: Graph, cls: Classification, lg: Graph) -> ThetaTauReport:
-    if cls.kind in ("K4", "W_t"):
-        case = "linegraph-sa-K4" if cls.kind == "K4" else "linegraph-sa-windmill"
-        return _report("sa", None, 2, case, lg)
-    if cls.kind in ("TP1", "TP2", "TPd1", "TPd2"):
-        return _report("sa", None, _peacock_sa_tau(cls),
-                       "linegraph-sa-peacock", lg)
-
-    sites = _sa_sites(base, cls)
-    alphabets: list[int] = []
-    unknown_at: list[int] = []
-    for _v, m in sites:
-        if m == 2:
-            alphabets.append(2)
-            continue
-        np = n_pp(m + 1)
-        if np is None:
-            unknown_at.append(m + 1)
-            alphabets.append(0)
-        else:
-            alphabets.append(3 + np)
-
-    if unknown_at:
-        known = prod(a for a in alphabets if a)
-        parts = [str(known)] if known != 1 else []
-        parts += [f"(3 + N_PP({d}))" for d in unknown_at]
-        return _report(
-            "sa", cls.gamma_prime, " * ".join(parts), "linegraph-sa-generic",
-            lg, notes=("labelled count; automorphisms may identify some "
-                       "choices",))
-
-    eidx = _edge_indexer(base)
-    tau, notes, witnesses = _site_classes(
-        base, lg, _base_cliques(base, cls, eidx, shared=0),
-        tuple(v for v, _m in sites), alphabets,
-        lambda: [_sa_site_choices(base, eidx, v, m) for v, m in sites])
-    return _report("sa", cls.gamma_prime, tau, "linegraph-sa-generic", lg,
-                   witnesses, notes)
-
-
-def _linegraph_sdu(base: Graph, cls: Classification, lg: Graph) -> ThetaTauReport:
-    special = (cls.kind == "K4"
-               or (cls.kind == "W_t" and cls.t == 2)
-               or (cls.kind == "TP1" and cls.plume_counts == (1,)))
-    if special:
-        return _report("sdu", None, 2, "linegraph-sdu-special", lg)
-    return _report("sdu", None, 1, "linegraph-sdu-generic", lg)
+    if cls.kind in _COMPLETE_KINDS:
+        inner = theta_tau_complete(cls.star_degree or 3, category)
+        return replace(inner, graph=lg, provenance=(
+            f"{_COMPLETE_KINDS[cls.kind]}>{inner.provenance}"))
+    case = _EXCEPTIONAL[category].get(cls.kind)
+    tau = case and (case.tau(cls) if callable(case.tau) else case.tau)
+    if tau is not None:
+        return _report(category, None, tau,
+                       f"linegraph-{category}-{case.suffix}", lg,
+                       case.witnesses(base, lg) if case.witnesses else (),
+                       case.notes)
+    provenance = f"linegraph-{category}-generic"
+    if category not in _WITNESS_CATEGORIES:
+        return _report(category, None, 1, provenance, lg)
+    cliques, sites, alphabets, bundles = _construction(base, cls, category)
+    tau, notes, witnesses = _site_classes(base, lg, cliques, sites,
+                                          alphabets, bundles)
+    return _report(category, len(cliques), tau, provenance, lg, witnesses,
+                   notes)

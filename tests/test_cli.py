@@ -205,6 +205,43 @@ def test_egp_to_cover_needs_graph(capsys, write):
     assert code == 1
 
 
+TRIANGLE = "3 3\na b\na c\nb c\n"
+
+
+@pytest.mark.parametrize("command,data,field", [
+    ("verify", [], "object"),
+    ("verify", {"universe": [1]}, '"sets"'),
+    ("verify", {"sets": {"a": [1], "b": [1], "c": [1]}}, '"universe"'),
+    ("verify", {"universe": [1], "sets": {"a": 1, "b": [1], "c": [1]}},
+     "the set of 'a'"),
+    ("verify", {"universe": [1, 2], "sets": {"a": [1.5], "b": [1],
+                                             "c": [1]}}, "the set of 'a'"),
+    ("verify", {"universe": [1.5], "sets": {"a": [1], "b": [1], "c": [1]}},
+     '"universe"'),
+    ("to-cover", [], "object"),
+    ("to-set", [], "object"),
+    ("to-set", {"cliques": [["a", "b", "c"]], "graph": 5}, '"graph"'),
+    ("to-set", {"cliques": "abc", "graph": TRIANGLE}, '"cliques"'),
+    ("to-set", {"cliques": ["abc"], "graph": TRIANGLE}, '"cliques"'),
+    ("to-set", {"cliques": [[["a"]]], "graph": TRIANGLE}, '"cliques"'),
+], ids=["rep-list", "rep-no-sets", "rep-no-universe", "rep-set-not-list",
+        "rep-fraction", "rep-fraction-universe", "to-cover-list",
+        "cover-list", "cover-graph-number", "cover-cliques-string",
+        "cover-clique-string", "cover-label-list"])
+def test_malformed_json_exits_1(capsys, write, command, data, field):
+    """JSON of the wrong shape is bad input: exit 1 and a one-line error
+    that names the field, never a traceback."""
+    g = write("tri.graph", TRIANGLE)
+    path = write("bad.json", json.dumps(data))
+    argv = (("verify", g, path) if command == "verify"
+            else ("egp", f"--{command}", path, "--graph", g)
+            if command == "to-cover" else ("egp", f"--{command}", path))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and field in err, err
+    assert "Traceback" not in err
+
+
 def test_dbe(capsys):
     code, out, _ = run(capsys, "dbe", "--n", "4", "--json")
     assert code == 0
@@ -231,7 +268,8 @@ def test_dbe_incomplete_census_claims_no_bound(capsys):
     ("dbe", "--n", "6", "--node-limit", "-5"),
     ("oracle", "K4", "--category", "sd", "--node-limit", "-5"),
     ("oracle", "K4", "--category", "sd", "--time-limit", "-1"),
-], ids=["dbe-nodes", "oracle-nodes", "oracle-seconds"])
+    ("oracle", "K4", "--category", "sd", "--time-limit", "nan"),
+], ids=["dbe-nodes", "oracle-nodes", "oracle-seconds", "oracle-nan-seconds"])
 def test_negative_limits_exit_1(capsys, write, argv):
     k4 = write("k4.graph", format_graph(zoo.build("complete_graph(4)")))
     code, out, err = run(capsys, *(k4 if a == "K4" else a for a in argv))

@@ -99,7 +99,7 @@ def test_validate_cover_rejects(cliques, message):
 def test_cover_json_round_trip(tmp_path):
     g = zoo.wing_path()
     cov = zoo.random_cover(random.Random(7), g)
-    data = cover_to_json_dict(cov, inline_graph=True)
+    data = cover_to_json_dict(cov)
     text = json.dumps(data)  # must be serializable as-is
     again = cover_from_json_dict(json.loads(text))
     assert as_multiset(again) == as_multiset(cov)

@@ -466,7 +466,8 @@ def test_incomplete_census_claims_no_bound(monkeypatch):
 
 @pytest.mark.parametrize("limits", [
     {"node_limit": -5}, {"time_limit": -1}, {"time_limit": -1e-9},
-], ids=["nodes", "seconds", "tiny-seconds"])
+    {"time_limit": float("nan")},
+], ids=["nodes", "seconds", "tiny-seconds", "nan-seconds"])
 def test_negative_budgets_are_refused(limits):
     with pytest.raises(ValueError, match="must not be negative"):
         oracle_search(complete_graph(4), "sd",
@@ -485,6 +486,13 @@ def test_zero_budgets_stay_valid():
     assert r.stop_reason == "node_limit" and r.nodes == 1
     report = verify_dbe(5, node_limit=0)
     assert not report.complete and report.bound_holds is None
+
+
+def test_infinite_time_limit_stays_valid():
+    """An infinite time limit never stops the search."""
+    r = oracle_search(complete_graph(4), "sd",
+                      SearchBudget(max_universe=4, time_limit=float("inf")))
+    assert r.exhausted and r.stop_reason is None and r.theta == 4
 
 
 @pytest.mark.parametrize("graph,category,cap", [

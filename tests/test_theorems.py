@@ -33,7 +33,7 @@ from setrep import (
 )
 from setrep import oracle
 from setrep.graphs import automorphisms
-from setrep.theorems import _core_site_permutations, _sa_sites
+from setrep.theorems import _sa_sites
 
 # -- complete graphs -----------------------------------------------------------
 
@@ -401,7 +401,7 @@ def test_core_site_permutations_project_full_automorphisms():
             at = {v: i for i, v in enumerate(sites)}
             want = sorted({tuple(at[sigma[v]] for v in sites)
                            for sigma in full}) if sites else [()]
-            assert _core_site_permutations(base, sites) == want, \
+            assert automorphisms(base, points=[(v,) for v in sites]) == want, \
                 (base.edges, sites)
 
 
@@ -422,7 +422,7 @@ def test_winged_star_lists_site_permutations_not_the_group(k):
     base = winged_star(k)
     stalks = classify(base).three_wing_stalks
     assert len(stalks) == k
-    assert len(_core_site_permutations(base, stalks)) == factorial(k)
+    assert len(automorphisms(base, points=[(v,) for v in stalks])) == factorial(k)
     start = time.monotonic()
     r = theta_tau_linegraph(base, "sd")
     assert time.monotonic() - start < 5.0
@@ -448,7 +448,7 @@ def test_winged_spine_ties_its_stalks_together():
     stalks = classify(base).three_wing_stalks
     assert len(stalks) == 12
     start = time.monotonic()
-    perms = _core_site_permutations(base, stalks)
+    perms = automorphisms(base, points=[(v,) for v in stalks])
     r = theta_tau_linegraph(base, "sd")
     assert time.monotonic() - start < 5.0
     assert len(perms) == 2
@@ -471,7 +471,7 @@ def test_sa_sites_on_a_rigid_path_are_not_swapped():
     sites = tuple(v for v, _m in _sa_sites(base, classify(base)))
     assert [base.labels[v] for v in sites] == ["a", "b"]
     start = time.monotonic()
-    perms = _core_site_permutations(base, sites)
+    perms = automorphisms(base, points=[(v,) for v in sites])
     r = theta_tau_linegraph(base, "sa")
     assert time.monotonic() - start < 5.0
     assert perms == [(0, 1)]
@@ -491,7 +491,7 @@ def test_winged_ring_ties_its_stalks_by_distance():
     stalks = classify(base).three_wing_stalks
     assert len(stalks) == 10
     start = time.monotonic()
-    perms = _core_site_permutations(base, stalks)
+    perms = automorphisms(base, points=[(v,) for v in stalks])
     r = theta_tau_linegraph(base, "sd")
     assert time.monotonic() - start < 5.0
     assert len(perms) == 20
@@ -513,7 +513,7 @@ def test_stalks_told_apart_by_their_tails():
     stalks = classify(base).three_wing_stalks
     assert len(stalks) == 9
     start = time.monotonic()
-    perms = _core_site_permutations(base, stalks)
+    perms = automorphisms(base, points=[(v,) for v in stalks])
     r = theta_tau_linegraph(base, "sd")
     assert time.monotonic() - start < 5.0
     assert perms == [tuple(range(9))]
@@ -540,3 +540,26 @@ def test_report_witnesses_are_one_per_class():
                 (base.edges, cat)
             checked += 1
     assert checked >= 150
+
+
+@pytest.mark.parametrize("cat,build", [("sd", witness_sd), ("sa", witness_sa)])
+def test_witness_refuses_exactly_the_excepted_kinds(cat, build):
+    """The witness builder refuses a base exactly when the category's
+    report does not come from the generic construction."""
+    rng = random.Random(13)
+    names = {k for k, _ in zoo.LINEGRAPH_EXPECTED} | {"cornered_triangle()"}
+    bases = [zoo.build(name) for name in sorted(names)]
+    bases += [star_graph(4), complete_graph(3)]
+    bases += [_random_base(rng) for _ in range(100)]
+    refused = set()
+    for base in bases:
+        r = theta_tau_linegraph(base, cat)
+        generic = r.provenance == f"linegraph-{cat}-generic"
+        try:
+            build(base)
+        except TheoremNotApplicable:
+            assert not generic, base.edges
+            refused.add(r.provenance)
+        else:
+            assert generic, (base.edges, r.provenance)
+    assert len(refused) >= 5, refused
