@@ -162,7 +162,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
-    rep, _labels = rep_from_json_dict(_read_json(args.rep), g.labels)
+    rep = rep_from_json_dict(_read_json(args.rep), g.labels)
     # the graph's labels give one set per vertex, so the representation
     # holds exactly when no pair fails
     bad_pair = next(((g.labels[u], g.labels[v])
@@ -203,7 +203,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
     max_universe = args.max_universe
     if max_universe is None:
-        max_universe = target.n + 1
+        # outside u, one element per edge plus a private one per vertex is
+        # a simple, distinct antichain representation: theta <= m + n
+        simple = "s" in args.category and "u" not in args.category
+        max_universe = target.m + target.n if simple else target.n + 1
     budget = SearchBudget(max_universe=max_universe,
                           node_limit=args.node_limit,
                           time_limit=args.time_limit)
@@ -259,7 +262,7 @@ def cmd_egp(args: argparse.Namespace) -> int:
     else:
         if graph is None:
             raise SetrepError("--to-cover needs --graph to interpret the sets")
-        rep, _labels = rep_from_json_dict(data, graph.labels)
+        rep = rep_from_json_dict(data, graph.labels)
         _emit(cover_to_json_dict(egp_cover(rep, graph)), True)
     return 0
 
@@ -331,7 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--line-graph-of", metavar="FILE",
                    help="search the line graph of this base graph")
     p.add_argument("--category", choices=VALID_CATEGORIES, required=True)
-    p.add_argument("--max-universe", type=int, default=None)
+    p.add_argument("--max-universe", type=int, default=None,
+                   help="largest universe size searched (default: m + n "
+                        "for s, sd and sa, where theta never exceeds it; "
+                        "n + 1 otherwise)")
     p.add_argument("--time-limit", type=float, default=None,
                    metavar="SECONDS")
     p.add_argument("--node-limit", type=int, default=None)

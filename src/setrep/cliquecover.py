@@ -94,7 +94,9 @@ def egp_set(cover: CliqueCover) -> SetRepresentation:
 def egp_cover(rep: SetRepresentation, graph: Graph) -> CliqueCover:
     """Inverse reading: universe element ``e`` becomes the vertex group
     holding ``e``.  Requires ``rep`` to represent ``graph`` and to use
-    every universe element (a stale element would silently vanish)."""
+    every universe element (a stale element would silently vanish).  The
+    result is then a valid cover: two vertices in one group share its
+    element, so they are adjacent, and every edge's ends share one."""
     if not represents(rep, graph):
         raise InvalidCoverError(
             "representation does not realise the graph's adjacency")
@@ -103,10 +105,8 @@ def egp_cover(rep: SetRepresentation, graph: Graph) -> CliqueCover:
     for e, grp in groups.items():
         if not grp:
             raise InvalidCoverError(f"universe element {e} is in no set")
-    cover = CliqueCover(graph=graph,
-                        cliques=tuple(groups[e] for e in sorted(groups)))
-    validate_cover(cover)
-    return cover
+    return CliqueCover(graph=graph,
+                       cliques=tuple(groups[e] for e in sorted(groups)))
 
 
 def silly_partition(n: int) -> CliqueCover:

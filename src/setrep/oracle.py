@@ -60,8 +60,12 @@ element) determine H: u and v are adjacent iff some group holds both.
 So a vertex permutation that carries one solution's groups onto
 another's is an automorphism of H, and for direct input the classes are
 keyed by the canonical form of the groups under all vertex permutations,
-without listing Aut(H).  Line-graph input minimises the groups over the
-listed permutations that Aut(G) induces on E(G).
+without listing Aut(H).  So is line-graph input whose line graph is
+complete: then every two edges of G meet, so they form a star or a
+triangle, and Aut(G) induces every permutation of them.  Other line-graph
+input minimises the groups over the listed permutations that Aut(G)
+induces on E(G).  A solution is carried as its groups alone; a class's
+representative is built from them once, when the class is first seen.
 
 The kernel returns one partition per orbit under swaps of true twins
 (vertices with equal closed neighbourhoods), each with its weight: the
@@ -84,10 +88,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .classify import _star_center
 from .errors import SetrepError, TimeLimitReached
 from .graphs import Graph, automorphisms, line_graph
-from .partitions import Frontier, enumerate_edge_partitions, kernel_name
+from .partitions import Frontier, enumerate_edge_partitions
 from .representations import (SetRepresentation, canonical_form,
                               VALID_CATEGORIES)
 
@@ -112,7 +115,7 @@ class OracleResult:
     searched_to: int
     nodes: int
     elapsed: float
-    kernel: str
+    kernel: str  # the search strategy: "partition" or "assignment"
     # "node_limit" or "time_limit" when that limit stopped the search,
     # "max_universe" when every size up to the cap was searched in full
     # without a solution, None when theta's level was searched in full
@@ -152,13 +155,11 @@ def _symmetry_keyer(graph: Graph, base: Graph | None,
                     deadline: float | None) -> _ClassKeyer:
     """The run's keyer.  Listing Aut(base) past ``deadline`` raises
     :class:`TimeLimitReached`."""
-    if base is None:
+    if base is None or graph.m == graph.n * (graph.n - 1) // 2:
         # The groups determine H, so any vertex permutation carrying one
-        # solution's groups onto another's is already in Aut(H).
-        return _ClassKeyer(graph.n, None)
-    if base.n > 1 and _star_center(base) is not None:
-        # leaves permute freely, so the induced action on the edges is
-        # the full symmetric group on the line graph's vertices
+        # solution's groups onto another's is in Aut(H); a complete line
+        # graph's base is a star or a triangle, whose symmetries induce
+        # every permutation of its edges.
         return _ClassKeyer(graph.n, None)
     return _ClassKeyer(graph.n, automorphisms(base, points=base.edges,
                                               deadline=deadline))
@@ -292,13 +293,12 @@ def _placements(member: list[int], facts, t: int, category: str):
 def _shape(n: int, part: tuple[int, ...], category: str):
     """The parts of a partition's solutions that no padding changes: the
     clique-membership bitmask of each vertex, the cliques as element
-    groups, the unpadded vertex sets and the padding facts."""
+    groups and the padding facts."""
     member = [0] * n
     for j, cl in enumerate(part):
         for v in _bits(cl):
             member[v] |= 1 << j
     return (member, tuple(frozenset(_bits(cl)) for cl in part),
-            [frozenset(_bits(m)) for m in member],
             _pad_facts(member, category))
 
 
@@ -307,17 +307,17 @@ def _solutions_at_level(category: str, partitions, p: int, counter: dict):
     built from the given ``(shape, weight)`` pairs of edge partitions plus
     single-vertex padding.
 
-    Yields (groups, sets, weight) triples: the element groups (for class
-    keys), the per-vertex sets (for the representative representation)
-    and the partition's weight, the number of labelled solutions the
-    solution stands for.  Each placement generated spends one node of the
-    run's budget in ``counter``; a spent budget ends the level.
+    Yields (groups, weight) pairs: the element groups (the cliques, then
+    one single-vertex group per pad) and the partition's weight, the
+    number of labelled solutions the solution stands for.  Each placement
+    generated spends one node of the run's budget in ``counter``; a spent
+    budget ends the level.
     """
     # a local count keeps the dict off the hot path; it is stored at each
     # check, each yield and at exit
     nodes = counter["nodes"]
     check_at = nodes + 1
-    for (member, cliques, bare, facts), weight in partitions:
+    for (member, cliques, facts), weight in partitions:
         q = len(cliques)
         t = p - q
         if t < facts[2][0]:  # need[0]: the least pad count
@@ -328,12 +328,8 @@ def _solutions_at_level(category: str, partitions, p: int, counter: dict):
                 check_at = _checkpoint(counter, nodes)
                 if counter["stop"]:
                     return
-            sets = bare.copy()
-            for e, v in enumerate(placement, q):
-                sets[v] = sets[v] | {e}
             counter["nodes"] = nodes
-            yield (cliques + tuple(frozenset((v,)) for v in placement),
-                   tuple(sets), weight)
+            yield cliques + tuple(frozenset((v,)) for v in placement), weight
     counter["nodes"] = nodes
 
 
@@ -380,8 +376,9 @@ _ASSIGN_MAX_P = 6
 def _assignment_level(g: Graph, category: str, p: int, counter: dict,
                       adj: list[int]):
     """All labelled category solutions with universe size exactly ``p``,
-    by giving each vertex in turn a nonempty subset of the universe.  Each
-    vertex placed spends one node of the run's budget in ``counter``."""
+    as (groups, 1) pairs, by giving each vertex in turn a nonempty subset
+    of the universe.  Each vertex placed spends one node of the run's
+    budget in ``counter``."""
     want_d = "d" in category and "a" not in category
     want_a = "a" in category
     want_u = "u" in category
@@ -399,9 +396,8 @@ def _assignment_level(g: Graph, category: str, p: int, counter: dict,
                 return
         if v == n:
             counter["nodes"] = nodes
-            yield (tuple(frozenset(u for u in range(n) if chosen[u] >> e & 1)
-                         for e in range(p)),
-                   tuple(frozenset(_bits(c)) for c in chosen), 1)
+            yield tuple(frozenset(u for u in range(n) if chosen[u] >> e & 1)
+                        for e in range(p)), 1
             return
         for cand in range(1, 1 << p):
             if want_u and chosen and \
@@ -462,7 +458,7 @@ def oracle_search(graph: Graph, category: str, budget: SearchBudget,
                 "graph is not the line graph of the declared base "
                 "(adjacency mismatch)")
     if "s" in category:
-        levels, kernel = _partition_levels, kernel_name()
+        levels, kernel = _partition_levels, "partition"
     elif graph.n > _ASSIGN_MAX_N or budget.max_universe > _ASSIGN_MAX_P:
         raise SetrepError(
             f"category {category!r} needs the direct assignment search, "
@@ -486,16 +482,18 @@ def oracle_search(graph: Graph, category: str, budget: SearchBudget,
     for p in range(1, budget.max_universe + 1):
         if counter["stop"]:  # symmetry setup ran out of time
             break
-        universe = tuple(range(p))
-        for groups, sets, weight in level(p):
+        for groups, weight in level(p):
             if labeled and counter["deadline"] is not None:
                 _checkpoint(counter, counter["nodes"])
                 if counter["stop"]:
                     break
             labeled += weight
             key = keyer.key(groups)
-            if key not in classes:
-                classes[key] = SetRepresentation(universe=universe, sets=sets)
+            if key not in classes:  # the first solution of its class
+                classes[key] = SetRepresentation(
+                    universe=tuple(range(p)),
+                    sets=tuple(frozenset(e for e, grp in enumerate(groups)
+                                         if v in grp) for v in range(graph.n)))
         if counter["stop"] is None:
             searched_to = p
             if not classes:  # the search goes on to the next size

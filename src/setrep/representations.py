@@ -19,7 +19,7 @@ of subsets of its universe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graphs import Graph
 
@@ -233,14 +233,9 @@ def partition_into_classes(
     """Group indices of ``reps`` by isomorphism; classes keep first-seen
     order and each class lists indices ascending."""
     classes: dict[_Encoding, list[int]] = {}
-    order: list[_Encoding] = []
     for i, rep in enumerate(reps):
-        key = canonical_form(rep)
-        if key not in classes:
-            classes[key] = []
-            order.append(key)
-        classes[key].append(i)
-    return [classes[k] for k in order]
+        classes.setdefault(canonical_form(rep), []).append(i)
+    return list(classes.values())
 
 
 # -- JSON translation used by the CLI and the file formats -----------------
@@ -262,11 +257,10 @@ def _int_list(value, name: str) -> list[int]:
 
 
 def rep_from_json_dict(data: dict,
-                       label_order: Iterable[str] | None = None
-                       ) -> tuple[SetRepresentation, tuple[str, ...]]:
-    """Returns the representation together with the vertex label order
-    actually used (the graph's order when given, insertion order else).
-    JSON of any other shape raises ValueError naming the bad field."""
+                       labels: Sequence[str]) -> SetRepresentation:
+    """The representation whose i-th set is the one keyed by ``labels[i]``,
+    the graph's vertex labels.  JSON of any other shape raises ValueError
+    naming the bad field."""
     if not isinstance(data, dict):
         raise ValueError('representation JSON must be an object with '
                          '"universe" and "sets"')
@@ -275,16 +269,12 @@ def rep_from_json_dict(data: dict,
     if not isinstance(raw, dict):
         raise ValueError('"sets" must be an object from vertex labels to '
                          'lists of integers')
-    if label_order is None:
-        labels = tuple(raw.keys())
-    else:
-        labels = tuple(label_order)
-        missing = [lab for lab in labels if lab not in raw]
-        extra = [lab for lab in raw if lab not in set(labels)]
-        if missing or extra:
-            raise ValueError(
-                f"set keys do not match the graph's vertices "
-                f"(missing {missing}, unexpected {extra})")
+    missing = [lab for lab in labels if lab not in raw]
+    extra = [lab for lab in raw if lab not in set(labels)]
+    if missing or extra:
+        raise ValueError(
+            f"set keys do not match the graph's vertices "
+            f"(missing {missing}, unexpected {extra})")
     sets = tuple(frozenset(_int_list(raw[lab], f"the set of {lab!r}"))
                  for lab in labels)
-    return SetRepresentation(universe=universe, sets=sets), labels
+    return SetRepresentation(universe=universe, sets=sets)

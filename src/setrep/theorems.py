@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple
 
 from .classify import Classification, classify
 from .cliquecover import CliqueCover, egp_set, silly_partition
-from .errors import NoSuchPlaneConstruction, TheoremNotApplicable
+from .errors import TheoremNotApplicable
 from .geometry import (fls_to_cover, n_pp, near_pencil, order_for_points,
                        projective_plane, puncture)
 from .graphs import Graph, automorphisms, complete_graph, line_graph
@@ -408,7 +408,7 @@ def _site_classes(base: Graph, lg: Graph, cliques: list[frozenset[int]],
     if labelled <= _WITNESS_ENUM_CAP:
         try:
             site_choices = bundles()
-        except NoSuchPlaneConstruction as exc:  # pragma: no cover - huge sites
+        except TheoremNotApplicable as exc:
             notes.append(str(exc))
         else:
             return tau, tuple(notes), tuple(_site_reps(
@@ -473,7 +473,7 @@ def _sa_site_choices(base: Graph, eidx: dict, v: int, m: int) -> list[list[froze
         raise TheoremNotApplicable(
             f"plane census unknown for {d} points; cannot enumerate choices")
     if np > 1:
-        raise NoSuchPlaneConstruction(
+        raise TheoremNotApplicable(
             f"cannot construct all {np} plane classes on {d} points")
     if np:
         points = pend + [stem]
@@ -487,7 +487,8 @@ def _construction(base: Graph, cls: Classification, category: str):
     sites, alphabets, bundles).  ``cliques`` is the star form, of size
     theta; site ``sites[i]`` offers ``alphabets[i]`` bundles (a symbolic
     count where its plane census is open), which ``bundles()`` lists as
-    :func:`_site_reps` takes them or raises where they cannot be built."""
+    :func:`_site_reps` takes them or, where they cannot all be built,
+    refuses with :class:`TheoremNotApplicable`."""
     eidx = {frozenset(e): i for i, e in enumerate(base.edges)}
     if category == "sd":
         stalks = cls.three_wing_stalks

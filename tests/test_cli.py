@@ -155,6 +155,22 @@ def test_oracle_reports_stop_reason(capsys, write):
     assert "stop reason  node_limit" in out
 
 
+def test_oracle_default_cap_reaches_theta(capsys, write):
+    """Without --max-universe, s, sd and sa search up to m + n, where one
+    element per edge and one per vertex always give a solution: F3 under
+    sa has theta 9, past n + 1 = 8.  u categories keep the cap n + 1."""
+    f3 = write("f3.graph", format_graph(zoo.friendship3()))
+    code, out, _ = run(capsys, "oracle", f3, "--category", "sa", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["theta"], data["classCount"], data["labeledSolutions"],
+            data["exhausted"]) == (9, 4, 8, True)
+    code, out, _ = run(capsys, "oracle", f3, "--category", "sdu", "--json")
+    assert code == 3
+    data = json.loads(out)
+    assert (data["searchedTo"], data["stopReason"]) == (8, "max_universe")
+
+
 def test_oracle_requires_exactly_one_input(capsys, p4):
     code, _, err = run(capsys, "oracle", "--category", "sd")
     assert code == 1
@@ -285,6 +301,49 @@ def test_witness_variants_text(capsys, write):
     assert out.count("variant ") == 2
     assert out.startswith("variant 1 of 2\nuniverse: 5 elements\n")
     assert "variant 2 of 2\nuniverse: 5 elements\n" in out
+
+
+def pendant_site(m):
+    """One sa site: the vertex v with m pendants and the stem v - u - w."""
+    return zoo.from_edges([("v", "u"), ("u", "w")]
+                          + [("v", f"p{i}") for i in range(m)])
+
+
+@pytest.mark.parametrize("m", [90, 132])
+def test_witness_site_without_all_planes_exits_2(capsys, write, m):
+    """The bundles of an sa site with m + 1 = 91 points include 4 plane
+    classes, more than the package builds; with 133 points the plane
+    census is open.  Both refuse the variants with the oracle hint."""
+    g = write("site.graph", format_graph(pendant_site(m)))
+    code, out, err = run(capsys, "witness", g, "--category", "sa",
+                         "--variants")
+    assert code == 2 and out == ""
+    assert "oracle" in err
+
+
+def test_analyze_site_without_all_planes_keeps_its_notes(capsys, write):
+    g = write("site.graph", format_graph(pendant_site(90)))
+    code, out, _ = run(capsys, "analyze", g, "--category", "sa")
+    assert code == 0
+    assert "sa        93            7" in out
+    assert "note (sa): cannot construct all 4 plane classes on 91 points" \
+        in out
+    assert "note (sa): 7 classes exist but only 1 have constructions " \
+        "available here" in out
+
+
+def test_analyze_prints_symbolic_and_unknown_tau(capsys, write):
+    g = write("site.graph", format_graph(pendant_site(132)))
+    code, out, _ = run(capsys, "analyze", g, "--category", "sa")
+    assert code == 0
+    assert "sa        135           (3 + N_PP(133))" in out
+    star = write("star.graph", format_graph(zoo.from_edges(
+        [("c", f"l{i}") for i in range(157)])))
+    code, out, _ = run(capsys, "analyze", star, "--category", "sdu")
+    assert code == 2
+    assert "sdu       needs oracle  unknown" in out
+    assert "note (sdu): existence of a projective plane of order 12 is " \
+        "open" in out
 
 
 def test_missing_file_exits_1(capsys):

@@ -9,6 +9,7 @@ import zoo
 from setrep import (
     CliqueCover,
     InvalidCoverError,
+    SetRepresentation,
     category_flags,
     complete_graph,
     egp_cover,
@@ -55,6 +56,19 @@ def test_round_trip_small():
     rep = egp_set(cov)
     back = egp_cover(rep, g)
     assert as_multiset(back) == as_multiset(cov)
+
+
+def test_egp_cover_refusals():
+    """A representation that misses an adjacency, or an element that no
+    set holds, has no cover."""
+    g = path_graph(3)
+    with pytest.raises(InvalidCoverError, match="adjacency"):
+        egp_cover(SetRepresentation((0, 1), (frozenset({0}), frozenset({1}),
+                                            frozenset({1}))), g)
+    with pytest.raises(InvalidCoverError, match="element 2 is in no set"):
+        egp_cover(SetRepresentation((0, 1, 2), (frozenset({0}),
+                                               frozenset({0, 1}),
+                                               frozenset({1}))), g)
 
 
 def test_round_trip_random():

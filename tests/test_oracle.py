@@ -22,6 +22,7 @@ from setrep import (
     represents,
     star_graph,
 )
+from setrep.errors import SetrepError
 from setrep.partitions import enumerate_edge_partitions
 from setrep import oracle, partitions
 from setrep.oracle import _ClassKeyer, _masks, automorphisms, verify_dbe
@@ -940,3 +941,75 @@ def test_direct_input_lists_no_automorphisms(monkeypatch):
     monkeypatch.setattr(oracle, "automorphisms", refuse)
     r = run(star_graph(9), "sd", 9)
     assert r.exhausted and r.theta == 9 and len(r.classes) == 1
+
+
+def star_plus_isolated(k):
+    """K_{1,k} with one more vertex that no edge touches."""
+    return Graph(tuple(range(k + 2)), tuple((0, i) for i in range(1, k + 1)))
+
+
+COMPLETE_LINE_GRAPH_BASES = [complete_graph(3)] + [
+    star_plus_isolated(k) for k in (3, 4, 5)]
+
+
+@pytest.mark.parametrize("base", COMPLETE_LINE_GRAPH_BASES,
+                         ids=["triangle", "K1,3+K1", "K1,4+K1", "K1,5+K1"])
+@pytest.mark.parametrize("cat", ["sd", "sa", "sdu"])
+def test_complete_line_graph_lists_no_automorphisms(base, cat, monkeypatch):
+    """A complete line graph's base is a star or a triangle, whose
+    symmetries induce every permutation of its edges: such a run keys by
+    canonical form, lists nothing, and finds the classes, representatives
+    and counts that minimising over the listed action of Aut(base) finds."""
+    lg = line_graph(base)[0]
+    monkeypatch.setattr(oracle, "_symmetry_keyer",
+                        lambda graph, base, deadline=None: _ClassKeyer(
+                            graph.n, automorphisms(base, points=base.edges)))
+    want = run(lg, cat, lg.n + 2, base=base)
+    monkeypatch.undo()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("automorphisms listed for a complete line graph")
+
+    monkeypatch.setattr(oracle, "automorphisms", refuse)
+    got = run(lg, cat, lg.n + 2, base=base)
+    assert (got.theta, got.classes, got.labeled_solutions, got.exhausted) \
+        == (want.theta, want.classes, want.labeled_solutions, want.exhausted)
+
+
+def test_star_with_isolated_vertex_is_keyed_fast():
+    """K_{1,9} plus an isolated vertex under sd: its 9! edge permutations
+    are never listed, so the run is exhausted within 2 s."""
+    base = star_plus_isolated(9)
+    lg = line_graph(base)[0]
+    start = time.monotonic()
+    r = oracle_search(lg, "sd", SearchBudget(max_universe=lg.n + 2,
+                                             time_limit=10), base=base)
+    assert time.monotonic() - start < 2
+    assert (r.exhausted, r.theta, len(r.classes), r.labeled_solutions) \
+        == (True, 9, 2, 18)
+
+
+def test_kernel_names_the_strategy():
+    assert run(complete_graph(3), "sd", 3).kernel == "partition"
+    assert run(complete_graph(3), "d", 3).kernel == "assignment"
+    assert partitions.kernel_name() == "pure"
+
+
+@pytest.mark.parametrize("graph,category,cap,base,error,match", [
+    (complete_graph(3), "sx", 3, None, ValueError, "unknown category"),
+    (complete_graph(3), "sd", 0, None, ValueError, "at least 1"),
+    (complete_graph(3), "sd", 3, path_graph(3), ValueError, "2 base edges"),
+    (complete_graph(3), "sd", 3, path_graph(4), ValueError,
+     "adjacency mismatch"),
+    (path_graph(8), "d", 6, None, SetrepError, "n <= 7"),
+    (path_graph(4), "d", 7, None, SetrepError, "universe <= 6"),
+], ids=["category", "max_universe", "base-size", "base-adjacency",
+        "plain-n", "plain-universe"])
+def test_oracle_refuses(graph, category, cap, base, error, match):
+    with pytest.raises(error, match=match):
+        run(graph, category, cap, base=base)
+
+
+def test_census_needs_three_vertices():
+    with pytest.raises(ValueError, match="n >= 3"):
+        verify_dbe(2)
