@@ -578,7 +578,7 @@ def theta_tau_linegraph(base: Graph, category: str) -> ThetaTauReport:
     cls = classify(base)
     lg, _ = line_graph(base)
     if cls.kind in _COMPLETE_KINDS:
-        inner = theta_tau_complete(cls.star_degree or 3, category)
+        inner = theta_tau_complete(lg.n, category)
         return replace(inner, graph=lg, provenance=(
             f"{_COMPLETE_KINDS[cls.kind]}>{inner.provenance}"))
     case = _EXCEPTIONAL[category].get(cls.kind)

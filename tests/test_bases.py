@@ -1,0 +1,104 @@
+"""Every connected base graph with a few edges, one per isomorphism class.
+
+The generator is gated on the counts of OEIS A002905.  On the whole corpus
+the classification must name exactly the families that their definitions
+build, and on the bases with at most eight edges the closed forms must
+agree with the oracle in ``sd``, ``sa`` and ``sdu``.
+"""
+
+from collections import Counter
+
+import pytest
+
+import zoo
+from setrep import (
+    SearchBudget,
+    category_flags,
+    classify,
+    complete_graph,
+    line_graph,
+    oracle_search,
+    represents,
+    star_graph,
+    theta_tau_linegraph,
+)
+
+A002905 = [1, 1, 3, 5, 12, 30, 79, 227, 710]  # connected graphs by edges
+MAX_M = len(A002905)
+ORACLE_MAX_M = 8
+
+
+@pytest.fixture(scope="module")
+def bases():
+    return zoo.connected_bases(MAX_M)
+
+
+def test_connected_base_counts_match_oeis_a002905(bases):
+    assert [len(level) for level in bases] == A002905
+    for m, level in enumerate(bases, 1):
+        assert all(g.m == m and g.is_connected() for g in level.values())
+
+
+def named_families(max_m):
+    """(graph, (kind, t, plume_counts)) for every member of a named family
+    with at most ``max_m`` edges, each built from its definition."""
+    out = [(star_graph(d), ("star", None, ())) for d in range(1, max_m + 1)]
+    out += [(complete_graph(3), ("K3", None, ())),
+            (complete_graph(4), ("K4", None, ())),
+            (zoo.friendship3(), ("3K2+K1", None, ()))]
+    out += [(zoo.book(t), ("W_t", t, ())) for t in range(2, max_m)]
+    for m1 in range(1, max_m):
+        out.append((zoo.plumed_triangle(m1), ("TP1", None, (m1,))))
+        for m2 in range(1, m1 + 1):
+            out.append((zoo.two_plumed_triangle(m1, m2),
+                        ("TP2", None, (m1, m2))))
+        for t in range(2, max_m):
+            out.append((zoo.plumed_book(t, m1), ("TPd1", t, (m1,))))
+            for m2 in range(1, m1 + 1):
+                out.append((zoo.plumed_book(t, m1, m2),
+                            ("TPd2", t, (m1, m2))))
+    return [(g, want) for g, want in out if g.m <= max_m]
+
+
+def test_kinds_match_their_definitions(bases):
+    """A base is named exactly when a family's definition builds it, and
+    then with that family's parameters; every other base is generic."""
+    named = {zoo.edge_key(g): want for g, want in named_families(MAX_M)}
+    tally = Counter()
+    for level in bases:
+        for key, g in level.items():
+            c = classify(g)
+            got = (c.kind, c.t, c.plume_counts)
+            assert got == named.get(key, ("generic", None, ())), g.edges
+            tally[c.kind] += 1
+    assert tally == {"star": 9, "K3": 1, "K4": 1, "W_t": 3, "3K2+K1": 1,
+                     "TP1": 6, "TP2": 9, "TPd1": 6, "TPd2": 5,
+                     "generic": 1027}
+
+
+@pytest.mark.parametrize("category", ["sd", "sa", "sdu"])
+def test_closed_forms_agree_with_the_oracle_up_to_eight_edges(bases,
+                                                              category):
+    """The oracle, capped at the closed θ or else at gamma (sd), gamma'
+    (sa) or 3m (sdu), finds θ on every base; it equals the closed θ and
+    the class count equals the closed τ wherever those are exact."""
+    runs = 0
+    for level in bases[:ORACLE_MAX_M]:
+        for base in level.values():
+            c = classify(base)
+            lg, _ = line_graph(base)
+            report = theta_tau_linegraph(base, category)
+            bound = {"sd": c.gamma, "sa": c.gamma_prime, "sdu": 3 * base.m}
+            cap = report.theta.exact or bound[category]
+            r = oracle_search(lg, category, SearchBudget(max_universe=cap),
+                              base=base)
+            assert r.exhausted and r.theta is not None, base.edges
+            if report.theta.exact is not None:
+                assert r.theta == report.theta.exact, base.edges
+            if report.tau.exact is not None:
+                assert r.class_count() == report.tau.exact, base.edges
+            for rep in report.witnesses + r.classes:
+                assert represents(rep, lg), base.edges
+                assert category_flags(rep).satisfies(category), base.edges
+            runs += 1
+    assert runs == sum(A002905[:ORACLE_MAX_M])

@@ -384,7 +384,7 @@ def _random_base(rng):
     return Graph(tuple(f"v{i}" for i in range(n)), tuple(sorted(edges)))
 
 
-def test_core_site_permutations_project_full_automorphisms():
+def test_site_automorphisms_project_the_full_group():
     """The site permutations equal the full list of Aut(base) projected
     onto the sites, for two Aut-invariant site sets: every core vertex,
     and the core vertices that carry pendants."""

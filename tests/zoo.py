@@ -5,7 +5,15 @@ themselves.  Labels are strings so that the text format round-trips
 without surprises.
 """
 
-from setrep import Graph, complete_graph, cycle_graph, path_graph, star_graph
+from setrep import (
+    Graph,
+    SetRepresentation,
+    canonical_form,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    star_graph,
+)
 
 
 def from_edges(edges):
@@ -173,6 +181,38 @@ LINEGRAPH_EXPECTED = {
     ("asym_wing()", "sd"): (5, 2),
     ("asym_wing()", "sa"): (6, 2),
 }
+
+
+def edge_key(g):
+    """The canonical form of a graph's edges as 2-sets over its vertices:
+    equal for two graphs without isolated vertices exactly when they are
+    isomorphic."""
+    return canonical_form(SetRepresentation(
+        tuple(range(g.n)), tuple(frozenset(e) for e in g.edges)))
+
+
+def connected_bases(max_m):
+    """The connected graphs with m = 1..max_m edges, one per isomorphism
+    class: a dict per m (index m - 1) from ``edge_key`` to graph.
+
+    Each graph with m - 1 edges grows by one edge, between two of its
+    vertices or to a new one, and a growth is kept when its key is new:
+    isomorph rejection by canonical form, as in canonical augmentation
+    (McKay, J. Algorithms 26, 1998).
+    """
+    k2 = Graph(("v0", "v1"), ((0, 1),))
+    levels = [{edge_key(k2): k2}]
+    while len(levels) < max_m:
+        level = {}
+        for g in levels[-1].values():
+            grow = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                    if not g.has_edge(u, v)]
+            for u, v in grow + [(u, g.n) for u in range(g.n)]:
+                h = Graph(tuple(f"v{i}" for i in range(max(g.n, v + 1))),
+                          tuple(sorted(g.edges + ((u, v),))))
+                level.setdefault(edge_key(h), h)
+        levels.append(level)
+    return levels
 
 
 def random_graph(rng, max_n=8):
