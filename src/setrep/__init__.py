@@ -22,8 +22,8 @@ from .graphs import (Graph, LineGraphMap, complete_graph, cycle_graph,
                      star_graph)
 from .oracle import OracleResult, SearchBudget, oracle_search, verify_dbe
 from .representations import (CategoryFlags, SetRepresentation,
-                              canonical_form, category_flags, isomorphic,
-                              partition_into_classes, represents)
+                              canonical_form, category_flags, failing_pair,
+                              isomorphic, partition_into_classes, represents)
 from .theorems import (ThetaTauReport, theta_tau_complete,
                        theta_tau_linegraph, witness_sa, witness_sa_variants,
                        witness_sd, witness_sd_variants)

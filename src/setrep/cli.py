@@ -21,10 +21,10 @@ from .geometry import linear_space_to_json_dict, projective_plane, puncture
 from .graphs import Graph, format_graph, line_graph, parse_graph
 from .oracle import SearchBudget, oracle_search, verify_dbe
 from .representations import (VALID_CATEGORIES, category_flags,
-                              rep_from_json_dict, rep_to_json_dict)
+                              failing_pair, rep_from_json_dict,
+                              rep_to_json_dict)
 from .theorems import (_CLOSED_FORM_CATEGORIES, _WITNESS_CATEGORIES,
-                       ThetaTauReport, theta_tau_linegraph, witness_sa,
-                       witness_sa_variants, witness_sd, witness_sd_variants)
+                       ThetaValue, TauValue, _witnesses, theta_tau_linegraph)
 
 __all__ = ["main"]
 
@@ -79,19 +79,12 @@ def _classification_text(g: Graph, cls: Classification) -> list[str]:
     return lines
 
 
-def _theta_text(report: ThetaTauReport) -> str:
-    if report.theta.oracle_needed:
-        return "needs oracle"
-    return str(report.theta.exact)
-
-
-def _tau_text(report: ThetaTauReport) -> str:
-    t = report.tau
-    if t.unknown:
-        return "unknown"
-    if t.symbolic is not None:
-        return t.symbolic
-    return str(t.exact)
+def _value_text(value: ThetaValue | TauValue) -> str:
+    """theta or tau as the table shows it: the one entry of its JSON
+    encoding, a value or a flag."""
+    ((key, entry),) = value.to_json_dict().items()
+    return {"oracleNeeded": "needs oracle", "unknown": "unknown"}.get(
+        key, str(entry))
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -109,8 +102,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     lines.append("")
     lines.append(f"{'category':<9} {'theta':<13} {'tau':<10} provenance")
     for r in reports:
-        lines.append(f"{r.category:<9} {_theta_text(r):<13} "
-                     f"{_tau_text(r):<10} {r.provenance}")
+        lines.append(f"{r.category:<9} {_value_text(r.theta):<13} "
+                     f"{_value_text(r.tau):<10} {r.provenance}")
     for r in reports:
         for note in r.notes:
             lines.append(f"note ({r.category}): {note}")
@@ -139,12 +132,9 @@ def cmd_linegraph(args: argparse.Namespace) -> int:
 
 def cmd_witness(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
-    if args.variants:
-        build = witness_sd_variants if args.category == "sd" else witness_sa_variants
-        reps = build(g)
-    else:
-        build_one = witness_sd if args.category == "sd" else witness_sa
-        reps = [build_one(g)]
+    reps = _witnesses(g, args.category, args.variants)
+    if not args.variants:
+        reps = [reps]
     lg, _ = line_graph(g)
     payload = [rep_to_json_dict(r, lg.labels) for r in reps]
     human = []
@@ -165,11 +155,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rep = rep_from_json_dict(_read_json(args.rep), g.labels)
     # the graph's labels give one set per vertex, so the representation
     # holds exactly when no pair fails
-    bad_pair = next(((g.labels[u], g.labels[v])
-                     for u in range(g.n) for v in range(u + 1, g.n)
-                     if (v in g.adj[u]) != bool(rep.sets[u] & rep.sets[v])),
-                    None)
-    ok = bad_pair is None
+    bad_pair = [g.labels[v] for v in failing_pair(rep, g) or ()]
+    ok = not bad_pair
     flags = category_flags(rep)
     data = {
         "represents": ok,
@@ -179,10 +166,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "uniform": flags.uniform,
     }
     if bad_pair:
-        data["failingPair"] = list(bad_pair)
+        data["failingPair"] = bad_pair
     human = [f"represents   {'true' if ok else 'false'}"]
     if bad_pair:
-        human.append(f"failing pair {bad_pair[0]}, {bad_pair[1]}")
+        human.append(f"failing pair {', '.join(bad_pair)}")
     human.append(f"simple       {str(flags.simple).lower()}")
     human.append(f"distinct     {str(flags.distinct).lower()}")
     human.append(f"antichain    {str(flags.antichain).lower()}")
@@ -306,12 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--category", choices=(*_CLOSED_FORM_CATEGORIES, "all"),
                    default="all")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("linegraph", help="emit the line graph of a graph")
     p.add_argument("graph")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_linegraph)
 
     p = sub.add_parser("witness", help="construct minimum representations "
@@ -320,13 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--category", choices=_WITNESS_CATEGORIES, required=True)
     p.add_argument("--variants", action="store_true",
                    help="emit every site choice, not just the star form")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("verify", help="check a representation against a graph")
     p.add_argument("graph")
     p.add_argument("rep", help="representation JSON file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="exhaustive minimum-representation search")
@@ -341,14 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-limit", type=float, default=None,
                    metavar="SECONDS")
     p.add_argument("--node-limit", type=int, default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("planes", help="construct a projective plane")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--puncture", type=int, default=0, metavar="H",
                    help="delete the last H points")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_planes)
 
     p = sub.add_parser("egp", help="convert between covers and representations")
@@ -359,16 +340,17 @@ def build_parser() -> argparse.ArgumentParser:
                      help="representation JSON in, cover JSON out")
     p.add_argument("file")
     p.add_argument("--graph", help="graph file (required for --to-cover)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_egp)
 
     p = sub.add_parser("dbe", help="verify the minimum partition size of "
                        "a complete graph and classify the equality cases")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--node-limit", type=int, default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_dbe)
 
+    # declared last, so each subcommand's usage and help list it last
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return top
 
 

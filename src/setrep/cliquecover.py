@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidCoverError
-from .graphs import Graph
+from .graphs import Graph, complete_graph, format_graph, parse_graph
 from .representations import SetRepresentation, represents
 
 
@@ -113,8 +113,6 @@ def silly_partition(n: int) -> CliqueCover:
     """The one-big-clique partition of the complete graph on ``n``
     vertices: the whole vertex set plus a trivial clique on every vertex
     but the last (exactly enough padding to keep the sets distinct)."""
-    from .graphs import complete_graph
-
     if n < 1:
         raise ValueError("n must be positive")
     g = complete_graph(n)
@@ -126,8 +124,6 @@ def silly_partition(n: int) -> CliqueCover:
 def cover_to_json_dict(cover: CliqueCover) -> dict:
     """The cover's cliques by vertex label, with the graph inline as
     edge-list text."""
-    from .graphs import format_graph
-
     return {
         "cliques": [sorted(cover.graph.labels[v] for v in q)
                     for q in cover.cliques],
@@ -140,8 +136,6 @@ def cover_from_json_dict(data: dict, graph: Graph | None = None) -> CliqueCover:
     edge-list text under "graph" (recognised by its newline), or as a
     path string under "graph".  JSON of any other shape raises
     InvalidCoverError naming the bad field."""
-    from .graphs import parse_graph
-
     if not isinstance(data, dict):
         raise InvalidCoverError('cover JSON must be an object with "cliques"')
     cliques = data.get("cliques")

@@ -89,7 +89,8 @@ import time
 from dataclasses import dataclass
 
 from .errors import SetrepError, TimeLimitReached
-from .graphs import Graph, automorphisms, line_graph
+from .geometry import LinearSpace, is_projective_plane
+from .graphs import Graph, automorphisms, complete_graph, line_graph
 from .partitions import Frontier, enumerate_edge_partitions
 from .representations import (SetRepresentation, canonical_form,
                               VALID_CATEGORIES)
@@ -313,24 +314,18 @@ def _solutions_at_level(category: str, partitions, p: int, counter: dict):
     generated spends one node of the run's budget in ``counter``; a spent
     budget ends the level.
     """
-    # a local count keeps the dict off the hot path; it is stored at each
-    # check, each yield and at exit
-    nodes = counter["nodes"]
-    check_at = nodes + 1
+    check_at = counter["nodes"] + 1
     for (member, cliques, facts), weight in partitions:
-        q = len(cliques)
-        t = p - q
+        t = p - len(cliques)
         if t < facts[2][0]:  # need[0]: the least pad count
             continue
         for placement in _placements(member, facts, t, category):
-            nodes += 1
-            if nodes >= check_at:
-                check_at = _checkpoint(counter, nodes)
+            counter["nodes"] += 1
+            if counter["nodes"] >= check_at:
+                check_at = _checkpoint(counter, counter["nodes"])
                 if counter["stop"]:
                     return
-            counter["nodes"] = nodes
             yield cliques + tuple(frozenset((v,)) for v in placement), weight
-    counter["nodes"] = nodes
 
 
 def _partition_levels(g: Graph, category: str, counter: dict):
@@ -536,9 +531,6 @@ def verify_dbe(n: int, node_limit: int | None = None) -> DbeReport:
     partition of the edges into fewer than n proper cliques is the
     single whole clique, and the partitions into exactly n cliques are
     near-pencils and projective planes, nothing else."""
-    from .geometry import LinearSpace, is_projective_plane
-    from .graphs import complete_graph
-
     if n < 3:
         raise ValueError("the census needs n >= 3")
     _check_limits(node_limit)

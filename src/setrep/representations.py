@@ -82,15 +82,21 @@ def category_flags(rep: SetRepresentation) -> CategoryFlags:
                          uniform=uniform, simple=simple)
 
 
-def represents(rep: SetRepresentation, graph: Graph) -> bool:
-    """Does ``rep`` realise exactly the adjacencies of ``graph``?"""
-    if len(rep.sets) != graph.n:
-        return False
+def failing_pair(rep: SetRepresentation,
+                 graph: Graph) -> tuple[int, int] | None:
+    """The first vertex pair (i, j), i < j, whose sets meet although they
+    are not adjacent in ``graph`` or the other way round; None when every
+    pair agrees.  ``rep`` must hold one set per vertex."""
     for i in range(graph.n):
         for j in range(i + 1, graph.n):
             if bool(rep.sets[i] & rep.sets[j]) != graph.has_edge(i, j):
-                return False
-    return True
+                return i, j
+    return None
+
+
+def represents(rep: SetRepresentation, graph: Graph) -> bool:
+    """Does ``rep`` realise exactly the adjacencies of ``graph``?"""
+    return len(rep.sets) == graph.n and failing_pair(rep, graph) is None
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +204,14 @@ def canonical_form(rep: SetRepresentation) -> _Encoding:
             leaf(colors)
             return
         explored: list[int] = []
+        orbit: set[int] | None = set()
         for chosen in target:
-            if explored and chosen in _orbit(
-                    explored, [g for g in automorphisms
-                               if all(g[x] == x for x in fixed)]):
+            if orbit is None:
+                # only a walk records automorphisms, so the orbit holds
+                # until the next child is walked
+                orbit = _orbit(explored, [g for g in automorphisms
+                                          if all(g[x] == x for x in fixed)])
+            if chosen in orbit:
                 continue
             # Slot the chosen element just below the rest of its cell.
             branched = [2 * c for c in colors]
@@ -210,13 +220,10 @@ def canonical_form(rep: SetRepresentation) -> _Encoding:
                     branched[other] += 1
             walk(_relabel(branched), fixed + [chosen])
             explored.append(chosen)
+            orbit = None
 
-    if n:
-        walk([0] * n, [])
-        body = best[0]
-    else:
-        body = ()
-    return (n, len(set_elems), body)
+    walk([0] * n, [])
+    return (n, len(set_elems), best[0])
 
 
 def isomorphic(a: SetRepresentation, b: SetRepresentation) -> bool:

@@ -103,6 +103,15 @@ def test_verify_reports_failing_pair(capsys, write):
     assert set(data["failingPair"]) == {"a", "b"}
 
 
+def test_verify_names_the_failing_pair_in_text(capsys, write):
+    g = write("k2.graph", "2 1\na b\n")
+    rep = write("bad.rep", json.dumps(
+        {"universe": [1, 2], "sets": {"a": [1], "b": [2]}}))
+    code, out, _ = run(capsys, "verify", g, rep)
+    assert code == 0
+    assert out.startswith("represents   false\nfailing pair a, b\n")
+
+
 def test_witness_not_applicable_exits_2(capsys, write):
     k4 = write("k4.graph", format_graph(zoo.build("complete_graph(4)")))
     code, _, err = run(capsys, "witness", k4, "--category", "sd")

@@ -35,6 +35,11 @@ def test_silly_partition_shape():
     assert sizes == [1, 1, 1, 1, 1, 1, 7]
 
 
+def test_silly_partition_needs_a_vertex():
+    with pytest.raises(ValueError, match="n must be positive"):
+        silly_partition(0)
+
+
 def test_egp_set_adjacency():
     # labels sort to a..f: triangles {0,1,2} and {3,4,5}, bridge 2-3
     g = zoo.bridged_triangles()
@@ -102,6 +107,7 @@ def test_simple_iff_partition():
         ((frozenset({0, 2}), frozenset({1}), frozenset({3})), "non-edge"),
         ((frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3}), frozenset({17})), "out of range"),
         ((frozenset({0, 1}), frozenset({2, 3})), "not covered"),
+        ((frozenset({0, 1}), frozenset({1, 2})), "vertices not covered: v4"),
     ],
 )
 def test_validate_cover_rejects(cliques, message):
@@ -118,3 +124,14 @@ def test_cover_json_round_trip(tmp_path):
     again = cover_from_json_dict(json.loads(text))
     assert as_multiset(again) == as_multiset(cov)
     assert again.graph.labels == g.labels
+
+
+def test_cover_json_reads_its_graph_from_a_path(tmp_path):
+    g = zoo.wing_path()
+    data = cover_to_json_dict(zoo.random_cover(random.Random(7), g))
+    path = tmp_path / "wing.graph"
+    path.write_text(data["graph"])
+    again = cover_from_json_dict({**data, "graph": str(path)})
+    assert again.graph.labels == g.labels
+    with pytest.raises(InvalidCoverError, match='"graph" must be edge-list'):
+        cover_from_json_dict({**data, "graph": 7})

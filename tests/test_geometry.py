@@ -6,6 +6,7 @@ import pytest
 
 from setrep import (
     InvalidCoverError,
+    LinearSpace,
     NoPlaneExists,
     NoSuchPlaneConstruction,
     complete_graph,
@@ -61,6 +62,45 @@ def test_near_pencil_shape():
     assert sizes == [2, 2, 2, 2, 2, 2, 6]
     assert not is_projective_plane(ls)
     validate_linear_space(ls)
+
+
+@pytest.mark.parametrize("points,lines,message", [
+    (0, (), "at least one point"),
+    (3, ((0, 0, 1), (1, 2), (0, 2)), "repeats a point"),
+    (3, ((0, 3), (0, 1), (1, 2)), "out of range"),
+    (3, ((0, 1, 2),), "has 3 points; allowed range is 2..2"),
+    (3, ((0, 1), (1, 0), (1, 2), (0, 2)), "lie on two lines"),
+    (3, ((0, 1), (1, 2)), "points 0 and 2 lie on no line"),
+], ids=["no-points", "repeat", "range", "long-line", "two-lines", "no-line"])
+def test_validate_linear_space_refusals(points, lines, message):
+    ls = LinearSpace(points=points, lines=lines)
+    with pytest.raises(ValueError, match=message):
+        validate_linear_space(ls)
+    assert not is_projective_plane(ls)
+
+
+def test_parallel_lines_make_no_plane():
+    """K4's six edges as lines form a linear space, but the lines 0-1 and
+    2-3 do not meet."""
+    ls = LinearSpace(points=4,
+                     lines=tuple(itertools.combinations(range(4), 2)))
+    validate_linear_space(ls)
+    assert not is_projective_plane(ls)
+
+
+def test_plane_order_refuses_non_planes():
+    for ls in (near_pencil(7), puncture(projective_plane(2), 1)):
+        with pytest.raises(ValueError, match="not a projective plane"):
+            plane_order(ls)
+
+
+def test_near_pencil_and_puncture_refusals():
+    with pytest.raises(ValueError, match="at least 3 points"):
+        near_pencil(2)
+    fano = projective_plane(2)
+    for h in (-1, 7):
+        with pytest.raises(ValueError, match=f"cannot remove {h} of 7"):
+            puncture(fano, h)
 
 
 def test_puncture_drops_last_points():

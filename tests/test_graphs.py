@@ -28,6 +28,11 @@ def test_parse_basic():
     assert not g.has_edge(g.index("a"), g.index("c"))
 
 
+def test_index_refuses_an_unknown_label():
+    with pytest.raises(GraphFormatError, match="unknown vertex label 'z'"):
+        path_graph(3).index("z")
+
+
 def test_parse_comments_and_blank_lines():
     text = "# a path\n3 2\n\nx y\n# middle\ny z\n"
     g = parse_graph(text)
@@ -53,6 +58,9 @@ def test_format_round_trip():
         "1 0\na b\n",  # header disagrees
         "nonsense\n",
         "3 2\na\nb c\n",  # malformed edge line
+        "a b\n",  # header not integers
+        "0 0\n",  # header out of range
+        "3 1\na b\n",  # header promises a third vertex
     ],
 )
 def test_parse_rejects_malformed(text):

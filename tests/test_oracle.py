@@ -465,6 +465,17 @@ def test_incomplete_census_claims_no_bound(monkeypatch):
     assert broken.bound_holds is False
 
 
+def test_census_counts_a_size_n_partition_of_another_shape(monkeypatch):
+    """A partition of K4 into four cliques that is neither a near-pencil
+    nor a plane (a stubbed kernel returns one) breaks the bound."""
+    monkeypatch.setattr(oracle, "enumerate_edge_partitions",
+                        lambda *args, **limits: (
+                            [((0b0011, 0b0101, 0b1001, 0b0110), 1)], 4, True))
+    report = verify_dbe(4)
+    assert (report.near_pencils, report.planes, report.other_at_n) == (0, 0, 1)
+    assert report.complete and report.bound_holds is False
+
+
 @pytest.mark.parametrize("limits", [
     {"node_limit": -5}, {"time_limit": -1}, {"time_limit": -1e-9},
     {"time_limit": float("nan")},

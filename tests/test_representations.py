@@ -15,6 +15,7 @@ from setrep import (
     complete_graph,
     cycle_graph,
     egp_set,
+    failing_pair,
     fls_to_cover,
     isomorphic,
     near_pencil,
@@ -64,6 +65,20 @@ def test_represents():
     assert not represents(R({1}, {1}), p3)
     k3 = complete_graph(3)
     assert represents(R({1}, {1}, {1}), k3)
+
+
+def test_failing_pair_names_the_first_disagreement():
+    p3 = path_graph(3)
+    assert failing_pair(R({1}, {1, 2}, {2}), p3) is None
+    # the ends meet though they are not adjacent
+    assert failing_pair(R({1}, {1, 2}, {2, 1}), p3) == (0, 2)
+    # the first pair fails by missing an edge, and comes first
+    assert failing_pair(R({1}, {2}, {1, 2}), p3) == (0, 1)
+
+
+def test_satisfies_rejects_an_unknown_letter():
+    with pytest.raises(ValueError, match="unknown category 'x'"):
+        category_flags(R({1})).satisfies("x")
 
 
 def test_isomorphic_relabel():
@@ -273,6 +288,42 @@ def test_refine_calls_ceiling(ls, monkeypatch):
         calls = 0
         canonical_form(rep)
         assert calls <= 200
+
+
+def test_canonical_form_of_the_empty_structure():
+    assert canonical_form(SetRepresentation((), ())) == (0, 0, ())
+
+
+def test_orbit_computed_at_most_once_per_walked_child(monkeypatch):
+    """Keying the sd solution of a star (the centre holds every element,
+    each leaf one) skips all but one candidate of each cell; the orbit
+    that decides the skips is computed once per walked child, not once
+    per candidate.  Each walk refines once, the root's walk included."""
+    counts = Counter()
+
+    def counted(name):
+        real = getattr(representations, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in ("_refine", "_orbit"):
+        monkeypatch.setattr(representations, name, counted(name))
+    k = 12
+    canonical_form(R(set(range(k)), *({e} for e in range(k))))
+    assert counts["_orbit"] <= counts["_refine"] - 1
+
+
+def test_rep_json_rejects_mismatched_labels():
+    rep = R({1}, {1, 2})
+    with pytest.raises(ValueError, match="label count"):
+        rep_to_json_dict(rep, ["a"])
+    data = rep_to_json_dict(rep, ["a", "b"])
+    with pytest.raises(ValueError, match=r"missing \['c'\], "
+                       r"unexpected \['b'\]"):
+        rep_from_json_dict(data, ["a", "c"])
 
 
 def test_rep_json_round_trip():
