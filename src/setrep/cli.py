@@ -19,7 +19,7 @@ from .cliquecover import (cover_from_json_dict, cover_to_json_dict,
 from .errors import SetrepError, TheoremNotApplicable
 from .geometry import linear_space_to_json_dict, projective_plane, puncture
 from .graphs import Graph, format_graph, line_graph, parse_graph
-from .oracle import SearchBudget, oracle_search, verify_dbe
+from .oracle import _ASSIGN_MAX_P, SearchBudget, oracle_search, verify_dbe
 from .representations import (VALID_CATEGORIES, category_flags,
                               failing_pair, rep_from_json_dict,
                               rep_to_json_dict)
@@ -180,7 +180,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     if (args.graph is None) == (args.line_graph_of is None):
-        raise SetrepError("give either a graph file or --line-graph-of, not both")
+        raise SetrepError("give a graph file or --line-graph-of"
+                          if args.graph is None else
+                          "give either a graph file or --line-graph-of, not both")
     base = None
     if args.line_graph_of is not None:
         base = _read_graph(args.line_graph_of)
@@ -194,6 +196,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         # a simple, distinct antichain representation: theta <= m + n
         simple = "s" in args.category and "u" not in args.category
         max_universe = target.m + target.n if simple else target.n + 1
+        if "s" not in args.category:  # as far as the assignment search goes
+            max_universe = min(max_universe, _ASSIGN_MAX_P)
     budget = SearchBudget(max_universe=max_universe,
                           node_limit=args.node_limit,
                           time_limit=args.time_limit)
@@ -320,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-universe", type=int, default=None,
                    help="largest universe size searched (default: m + n "
                         "for s, sd and sa, where theta never exceeds it; "
-                        "n + 1 otherwise)")
+                        "n + 1 for su and sdu; n + 1, at most "
+                        f"{_ASSIGN_MAX_P}, for d, a and u)")
     p.add_argument("--time-limit", type=float, default=None,
                    metavar="SECONDS")
     p.add_argument("--node-limit", type=int, default=None)

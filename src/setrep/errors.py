@@ -31,7 +31,3 @@ class NoSuchPlaneConstruction(SetrepError, LookupError):
 
 class TheoremNotApplicable(SetrepError, ValueError):
     """The input graph is outside the hypotheses of the requested result."""
-
-
-class TimeLimitReached(SetrepError, TimeoutError):
-    """A search given a deadline ran past it before it finished."""

@@ -15,12 +15,10 @@ tokens.  Vertices are numbered 0..n-1 in order of first appearance.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import (DuplicateEdgeError, GraphFormatError, SelfLoopError,
-                     TimeLimitReached)
+from .errors import DuplicateEdgeError, GraphFormatError, SelfLoopError
 
 
 class Graph:
@@ -217,8 +215,7 @@ def star_graph(leaves: int) -> Graph:
     return Graph(labels, tuple((0, i + 1) for i in range(leaves)))
 
 
-def automorphisms(g: Graph, points=None,
-                  deadline: float | None = None) -> list[tuple[int, ...]]:
+def automorphisms(g: Graph, points=None) -> list[tuple[int, ...]]:
     """The distinct permutations that Aut(g) induces on ``points``, sorted,
     as index tuples: entry i is the index of the image of ``points[i]``.
     A point is a vertex as a 1-tuple or an edge as a pair; the default,
@@ -233,10 +230,7 @@ def automorphisms(g: Graph, points=None,
     until stable, a vertex with no placed neighbour also keeps its
     distances to them, and an extension tries one image per class of
     twins (vertices whose swap is an automorphism).  Do not ask for an
-    image as large as Aut(K_n).
-
-    ``deadline`` is an absolute ``time.monotonic()`` stamp, checked every
-    1,024 placements; past it, :class:`TimeLimitReached` is raised."""
+    image as large as Aut(K_n)."""
     n, adj = g.n, g.adj
     if points is None:
         points = [(v,) for v in range(n)]
@@ -271,16 +265,11 @@ def automorphisms(g: Graph, points=None,
         first: dict[frozenset[int], int] = {}  # open or closed neighbourhoods
         twin = [first.setdefault(a, first.setdefault(a | {v}, v))
                 for v, a in enumerate(adj)]
-    image, used, found, placed = [0] * n, [False] * n, [], 0
+    image, used, found = [0] * n, [False] * n, []
 
     def place(i: int) -> bool:
         """Place ``order[i]`` in every way that fits; past the points'
         vertices, stop at the first automorphism.  True if one was found."""
-        nonlocal placed
-        placed += 1
-        if deadline is not None and placed % 1024 == 0 \
-                and time.monotonic() > deadline:
-            raise TimeLimitReached("automorphism search passed its deadline")
         if i == n:
             found.append(tuple(image))
             return True

@@ -37,14 +37,13 @@ the budget of p - 1 cliques pruned, merges the partitions new at p into
 the sorted list of those found before, and pads them all.  The
 kernel, the padding and the assignment search spend one node budget,
 stop at the first node past ``node_limit`` and check the deadline at
-least every 4,096 nodes.  A key can be slow (a minimum over a listed
-Aut(G)), so a run with a ``time_limit`` also checks it before each key
-but the first and at the end of each level that found none: it returns
-within one key of the deadline.  The symmetry setup that lists Aut(G) for
-line-graph input checks it every 1,024 placements.  A level cut short
-after it found solutions still settles theta = p (every smaller size was
-searched in full), with ``exhausted=False``, the classes found so far, and
-the limit that stopped it in ``stop_reason``.
+least every 4,096 nodes.  A key can be slow (a canonical form), so a run
+with a ``time_limit`` also checks it before each key but the first and at
+the end of each level that found none: it returns within one key of the
+deadline.  A level cut short after it found solutions still settles
+theta = p (every smaller size was searched in full), with
+``exhausted=False``, the classes found so far, and the limit that stopped
+it in ``stop_reason``.
 
 Two optimal solutions count as the same class when a permutation of the
 universe together with a symmetry of the *input* carries one onto the
@@ -60,12 +59,16 @@ element) determine H: u and v are adjacent iff some group holds both.
 So a vertex permutation that carries one solution's groups onto
 another's is an automorphism of H, and for direct input the classes are
 keyed by the canonical form of the groups under all vertex permutations,
-without listing Aut(H).  So is line-graph input whose line graph is
-complete: then every two edges of G meet, so they form a star or a
-triangle, and Aut(G) induces every permutation of them.  Other line-graph
-input minimises the groups over the listed permutations that Aut(G)
-induces on E(G).  A solution is carried as its groups alone; a class's
-representative is built from them once, when the class is first seen.
+without listing Aut(H).  Line-graph input is keyed the same way, with the
+base's stars added to the groups: the star of a base vertex of degree two
+or more is the set of its edges.  A vertex permutation that carries stars
+to stars is induced by an automorphism of the base, and the stars are
+told from the groups by how often they occur (see :class:`_ClassKeyer`),
+so a key is a canonical form in every run and no run lists a group.  A
+level's first solution is keyed only when a second one arrives: a level
+with one solution is one class.  A solution is carried as its groups
+alone; a class's representative is built from them once, when the class
+is first seen.
 
 The kernel returns one partition per orbit under swaps of true twins
 (vertices with equal closed neighbourhoods), each with its weight: the
@@ -88,8 +91,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .errors import SetrepError, TimeLimitReached
+from .errors import SetrepError
 from .geometry import LinearSpace, is_projective_plane
+# automorphisms is not called here: the layer tracer and the tests hook it
 from .graphs import Graph, automorphisms, complete_graph, line_graph
 from .partitions import Frontier, enumerate_edge_partitions
 from .representations import (SetRepresentation, canonical_form,
@@ -134,36 +138,56 @@ class OracleResult:
 # ---------------------------------------------------------------------------
 
 class _ClassKeyer:
-    def __init__(self, n: int, perms: list[tuple[int, ...]] | None):
-        """``perms = None`` keys by the canonical form of the groups as
-        a set system on the vertices, i.e. up to every vertex
-        permutation; otherwise the key is the least image under
-        ``perms``."""
-        self.n = n
-        self.perms = perms
+    """Keys element groups by the canonical form of the groups together
+    with ``copies`` copies of each star, as a set system on the ``n``
+    vertices, where ``copies`` is 2 in the ``s`` categories (``simple``)
+    and one more than the number of groups otherwise.  Direct input has no
+    stars, so its key allows every vertex permutation.
+
+    *Stars fix Aut(base) exactly.*  Let a permutation of E(G) map stars to
+    stars.  An edge between two non-leaf vertices is the intersection of
+    their stars.  The pendant edges at v lie in v's star alone and are
+    interchangeable.  K2 components lie in no star.  So the permutation is
+    induced by an automorphism of G.  This covers Whitney's exceptions
+    (K4, K4 - e and the paw, whose line graphs have symmetries no
+    relabelling of the base induces) and the complete line graphs with no
+    special case.
+
+    *Repetition tells stars from groups.*  In the ``s`` categories a group
+    of two or more vertices is a clique of an edge partition, so it occurs
+    once, and a pad has one vertex: a set of size two or more that occurs
+    twice or more is a star.  In the plain categories a group occurs at
+    most ``len(groups)`` times, fewer than a star's copies.  So a vertex
+    permutation carrying one key's sets onto another's maps the stars onto
+    themselves and the one solution's groups onto the other's."""
+
+    def __init__(self, n: int, stars: tuple, simple: bool):
+        self.universe = tuple(range(n))
+        self.stars = stars
+        self.simple = simple
 
     def key(self, groups: tuple[frozenset[int], ...]):
-        if self.perms is None:
-            shape = SetRepresentation(universe=tuple(range(self.n)),
-                                      sets=groups)
-            return canonical_form(shape)
-        return min(tuple(sorted(tuple(sorted(sigma[v] for v in grp))
-                                for grp in groups))
-                   for sigma in self.perms)
+        copies = 2 if self.simple else len(groups) + 1
+        return canonical_form(SetRepresentation(
+            universe=self.universe, sets=groups + self.stars * copies))
 
 
 def _symmetry_keyer(graph: Graph, base: Graph | None,
-                    deadline: float | None) -> _ClassKeyer:
-    """The run's keyer.  Listing Aut(base) past ``deadline`` raises
-    :class:`TimeLimitReached`."""
-    if base is None or graph.m == graph.n * (graph.n - 1) // 2:
-        # The groups determine H, so any vertex permutation carrying one
-        # solution's groups onto another's is in Aut(H); a complete line
-        # graph's base is a star or a triangle, whose symmetries induce
-        # every permutation of its edges.
-        return _ClassKeyer(graph.n, None)
-    return _ClassKeyer(graph.n, automorphisms(base, points=base.edges,
-                                              deadline=deadline))
+                    category: str) -> _ClassKeyer:
+    """The run's keyer: the base's stars are the edges at each base vertex
+    of degree two or more; direct input has none."""
+    stars = () if base is None else tuple(
+        frozenset(i for i, edge in enumerate(base.edges) if v in edge)
+        for v in range(base.n) if base.degree(v) >= 2)
+    return _ClassKeyer(graph.n, stars, "s" in category)
+
+
+def _representative(groups, p: int, n: int) -> SetRepresentation:
+    """The solution with element groups ``groups`` over universe size
+    ``p``: vertex v's set holds the elements whose group holds v."""
+    return SetRepresentation(universe=tuple(range(p)), sets=tuple(
+        frozenset(e for e, grp in enumerate(groups) if v in grp)
+        for v in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -466,29 +490,30 @@ def oracle_search(graph: Graph, category: str, budget: SearchBudget,
                "deadline": (None if budget.time_limit is None
                             else start + budget.time_limit),
                "top": budget.max_universe}
-    try:
-        keyer = _symmetry_keyer(graph, base, counter["deadline"])
-    except TimeLimitReached:
-        counter["stop"] = "time_limit"
+    keyer = _symmetry_keyer(graph, base, category)
     level = levels(graph, category, counter)
     classes: dict = {}
     labeled = 0
     searched_to = 0
     for p in range(1, budget.max_universe + 1):
-        if counter["stop"]:  # symmetry setup ran out of time
-            break
+        first = None  # the level's first solution, keyed when a second comes
         for groups, weight in level(p):
-            if labeled and counter["deadline"] is not None:
-                _checkpoint(counter, counter["nodes"])
-                if counter["stop"]:
-                    break
+            if first is None:
+                first = groups
+            else:
+                if not classes:
+                    classes[keyer.key(first)] = _representative(first, p,
+                                                                graph.n)
+                if counter["deadline"] is not None:
+                    _checkpoint(counter, counter["nodes"])
+                    if counter["stop"]:
+                        break
+                key = keyer.key(groups)
+                if key not in classes:  # the first solution of its class
+                    classes[key] = _representative(groups, p, graph.n)
             labeled += weight
-            key = keyer.key(groups)
-            if key not in classes:  # the first solution of its class
-                classes[key] = SetRepresentation(
-                    universe=tuple(range(p)),
-                    sets=tuple(frozenset(e for e, grp in enumerate(groups)
-                                         if v in grp) for v in range(graph.n)))
+        if first is not None and not classes:  # one solution, one class
+            classes[None] = _representative(first, p, graph.n)
         if counter["stop"] is None:
             searched_to = p
             if not classes:  # the search goes on to the next size

@@ -41,7 +41,7 @@ from setrep import (
     witness_sd,
     witness_sd_variants,
 )
-from setrep.oracle import automorphisms
+from setrep.graphs import automorphisms
 
 
 def family(*sets):

@@ -181,11 +181,28 @@ def test_oracle_default_cap_reaches_theta(capsys, write):
 
 
 def test_oracle_requires_exactly_one_input(capsys, p4):
+    """No input and two inputs are refused with exit 1, each with a
+    message that names its own mistake."""
     code, _, err = run(capsys, "oracle", "--category", "sd")
     assert code == 1
+    assert err == "error: give a graph file or --line-graph-of\n"
     code, _, err = run(capsys, "oracle", p4, "--line-graph-of", p4,
                        "--category", "sd")
     assert code == 1
+    assert err == \
+        "error: give either a graph file or --line-graph-of, not both\n"
+
+
+def test_oracle_default_cap_fits_the_assignment_search(capsys, write):
+    """The plain categories' default cap is n + 1, but no more than the
+    assignment search takes: K_{1,5} has 6 vertices, and under d it is
+    searched to universe 6, where theta is 5."""
+    star = write("k15.graph", format_graph(zoo.build("star_graph(5)")))
+    code, out, err = run(capsys, "oracle", star, "--category", "d", "--json")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert (data["theta"], data["classCount"], data["labeledSolutions"],
+            data["exhausted"]) == (5, 1, 120, True)
 
 
 def test_planes(capsys):

@@ -23,9 +23,10 @@ from setrep import (
     star_graph,
 )
 from setrep.errors import SetrepError
+from setrep.graphs import automorphisms
 from setrep.partitions import enumerate_edge_partitions
 from setrep import oracle, partitions
-from setrep.oracle import _ClassKeyer, _masks, automorphisms, verify_dbe
+from setrep.oracle import _ClassKeyer, _masks, verify_dbe
 
 
 def run(graph, category, cap, base=None):
@@ -601,7 +602,7 @@ def key_labelled(monkeypatch):
     measure the padding, not the canonical form of thousands of keys."""
     keyer = types.SimpleNamespace(key=lambda groups: groups)
     monkeypatch.setattr(oracle, "_symmetry_keyer",
-                        lambda graph, base, deadline=None: keyer)
+                        lambda graph, base, category: keyer)
 
 
 @pytest.mark.parametrize("limit", [1_000, 10_000])
@@ -763,25 +764,34 @@ def double_star(a):
                                           for hub in "xy" for i in range(a)])
 
 
-def test_deadline_bounds_symmetry_setup():
-    """Listing the 1,036,800 automorphisms of the double star with 6 + 6
-    leaves takes seconds; under a 0.1-s limit the run stops during the
-    listing, before any level is searched."""
-    base = double_star(6)
+def broom():
+    """A hub with ten leaves, one of which carries one more pendant: its
+    edges have 9! permutations induced by automorphisms."""
+    return zoo.from_edges([("h", f"l{i}") for i in range(10)] + [("l0", "t")])
+
+
+@pytest.mark.parametrize("base,theta,labeled,seconds", [
+    (double_star(6), 12, 36, 3.0),
+    (broom(), 10, 9, 2.0),
+], ids=["double-star-6+6", "broom"])
+def test_large_base_groups_are_keyed_fast(base, theta, labeled, seconds):
+    """Bases with 1,036,800 and 362,880 edge symmetries are keyed by a
+    canonical form, never by a listing of their group, so each run under
+    sd is exhausted within seconds, with one class."""
     lg, _ = line_graph(base)
     start = time.monotonic()
     r = oracle_search(lg, "sd", SearchBudget(max_universe=lg.n,
-                                             time_limit=0.1), base=base)
-    assert time.monotonic() - start < 1.0
-    assert r.stop_reason == "time_limit" and not r.exhausted
-    assert r.theta is None and r.searched_to == 0 and r.nodes == 0
+                                             time_limit=10), base=base)
+    assert time.monotonic() - start < seconds
+    assert (r.exhausted, r.theta, len(r.classes), r.labeled_solutions) \
+        == (True, theta, 1, labeled)
 
 
 def test_deadline_bounds_keying(monkeypatch):
     """The double star with 4 + 4 leaves has 16 labelled solutions at
-    theta = 8, each keyed by a minimum over 1,152 listed permutations.
-    The oracle's clock passes the deadline during the first key, and the
-    run stops before the second, not at the padding's next check."""
+    theta = 8.  The first is keyed when the second arrives; the oracle's
+    clock passes the deadline during that first key, and the run stops
+    before the second key, not at the padding's next check."""
     base = double_star(4)
     lg, _ = line_graph(base)
     late = []
@@ -824,6 +834,45 @@ def test_deadline_in_last_key_keeps_full_level(monkeypatch):
     assert r.labeled_solutions == 16 and len(r.classes) == 1
     assert r.exhausted and r.stop_reason is None
     assert r.theta == 8 and r.searched_to == 8
+
+
+def count_keys(monkeypatch):
+    """Record the groups of each key the oracle makes, and the universe
+    size of each solution that the padding yields."""
+    keys, sizes = [], []
+    key, level = _ClassKeyer.key, oracle._solutions_at_level
+
+    def counted_key(self, groups):
+        keys.append(groups)
+        return key(self, groups)
+
+    def counted_level(category, partitions, p, counter):
+        for item in level(category, partitions, p, counter):
+            sizes.append(p)
+            yield item
+
+    monkeypatch.setattr(_ClassKeyer, "key", counted_key)
+    monkeypatch.setattr(oracle, "_solutions_at_level", counted_level)
+    return keys, sizes
+
+
+@pytest.mark.parametrize("base,category,solutions", [
+    (path_graph(5), "sd", 1),
+    (complete_graph(3), "sa", 1),
+    (complete_graph(4), "sd", 2),
+    (star_graph(4), "sa", 3),
+    (double_star(4), "sd", 16),
+], ids=["P5-sd", "K3-sa", "K4-sd", "K1,4-sa", "double-star-4+4-sd"])
+@pytest.mark.parametrize("declared", [True, False], ids=["base", "direct"])
+def test_a_level_is_keyed_once_it_holds_two_solutions(
+        base, category, solutions, declared, monkeypatch):
+    """A theta level with one solution is one class and makes no key; a
+    level with k >= 2 solutions makes exactly k keys, one per solution."""
+    keys, sizes = count_keys(monkeypatch)
+    lg, _ = line_graph(base)
+    r = run(lg, category, lg.n + lg.m, base=base if declared else None)
+    assert r.exhausted and sizes.count(r.theta) == solutions
+    assert len(keys) == (0 if solutions == 1 else solutions)
 
 
 @pytest.mark.parametrize("category", ["d", "sd"])
@@ -909,6 +958,19 @@ def test_automorphism_counts(gname, count):
 
 # -- direct input: keyed by canonical form, not by a listed Aut(H) -----------------
 
+class ListedKeyer:
+    """The reference keyer: the least image of the groups under a listed
+    group of vertex permutations."""
+
+    def __init__(self, perms):
+        self.perms = perms
+
+    def key(self, groups):
+        return min(tuple(sorted(tuple(sorted(sigma[v] for v in grp))
+                                for grp in groups))
+                   for sigma in self.perms)
+
+
 def multipartite(*sizes):
     parts = [(i, j) for i, size in enumerate(sizes) for j in range(size)]
     return zoo.from_edges([(f"p{a}_{x}", f"p{b}_{y}")
@@ -935,8 +997,8 @@ def test_direct_keyer_matches_listed_automorphisms(g, cat, monkeypatch):
     cap = g.n + g.m
     got = run(g, cat, cap)
     monkeypatch.setattr(oracle, "_symmetry_keyer",
-                        lambda graph, base, deadline=None: _ClassKeyer(
-                            graph.n, automorphisms(graph)))
+                        lambda graph, base, category: ListedKeyer(
+                            automorphisms(graph)))
     want = run(g, cat, cap)
     assert got.exhausted and want.exhausted
     assert (got.theta, len(got.classes), got.labeled_solutions,
@@ -973,8 +1035,8 @@ def test_complete_line_graph_lists_no_automorphisms(base, cat, monkeypatch):
     and counts that minimising over the listed action of Aut(base) finds."""
     lg = line_graph(base)[0]
     monkeypatch.setattr(oracle, "_symmetry_keyer",
-                        lambda graph, base, deadline=None: _ClassKeyer(
-                            graph.n, automorphisms(base, points=base.edges)))
+                        lambda graph, base, category: ListedKeyer(
+                            automorphisms(base, points=base.edges)))
     want = run(lg, cat, lg.n + 2, base=base)
     monkeypatch.undo()
 
@@ -1024,3 +1086,86 @@ def test_oracle_refuses(graph, category, cap, base, error, match):
 def test_census_needs_three_vertices():
     with pytest.raises(ValueError, match="n >= 3"):
         verify_dbe(2)
+
+
+# -- line-graph input: the base's stars fix Aut(base) -------------------------------
+
+@pytest.mark.parametrize("base", [complete_graph(4), zoo.book(2),
+                                  zoo.plumed_triangle(1)],
+                         ids=["K4", "K4-e", "paw"])
+@pytest.mark.parametrize("cat", ["sd", "sdu"])
+def test_whitney_exceptions_split_by_base(base, cat):
+    """K4, K4 - e and the paw are the connected bases whose line graphs
+    have symmetries that no relabelling of the base induces (Whitney,
+    1932).  Keyed with the base's stars their two optimal classes stay
+    apart; keyed by the line graph alone they merge into one."""
+    lg, _ = line_graph(base)
+    cap = lg.n + lg.m
+    with_base, direct = run(lg, cat, cap, base=base), run(lg, cat, cap)
+    assert with_base.exhausted and direct.exhausted
+    assert with_base.theta == direct.theta
+    assert (len(with_base.classes), len(direct.classes)) == (2, 1)
+
+
+@pytest.fixture(scope="module")
+def small_bases():
+    """Every connected base with at most seven edges, one per isomorphism
+    class."""
+    return [g for level in zoo.connected_bases(7) for g in level.values()]
+
+
+@pytest.mark.parametrize("cat,max_m", [("sd", 7), ("sa", 7), ("sdu", 7),
+                                       ("d", 4)])
+def test_star_keyer_matches_listed_base_automorphisms(cat, max_m,
+                                                      small_bases,
+                                                      monkeypatch):
+    """On every connected base with at most ``max_m`` edges, keying with
+    the base's stars gives the theta, classes, representatives, labelled
+    count and nodes that minimising over the listed action of Aut(base)
+    on the edges gives."""
+    bases = [g for g in small_bases if g.m <= max_m]
+    cases = []
+    for base in bases:
+        lg, _ = line_graph(base)
+        cap = lg.n + lg.m if "s" in cat else lg.n + 1
+        cases.append((base, lg, cap))
+    got = [run(lg, cat, cap, base=base) for base, lg, cap in cases]
+    monkeypatch.setattr(oracle, "_symmetry_keyer",
+                        lambda graph, base, category: ListedKeyer(
+                            automorphisms(base, points=base.edges)))
+    want = [run(lg, cat, cap, base=base) for base, lg, cap in cases]
+    assert len(cases) == sum((1, 1, 3, 5, 12, 30, 79)[:max_m])
+    for (base, _lg, _cap), a, b in zip(cases, got, want):
+        assert a.exhausted and b.exhausted, base.edges
+        assert (a.theta, repr(a.classes), a.labeled_solutions, a.nodes) \
+            == (b.theta, repr(b.classes), b.labeled_solutions, b.nodes), \
+            base.edges
+
+
+@pytest.mark.parametrize("cat,triangle_copies", [("sd", 1), ("d", 2)])
+def test_repeated_stars_are_told_from_groups(cat, triangle_copies):
+    """On K4, X holds the four triangles and a pad on each edge at vertex
+    0; Y holds the triangles and a pad on each edge opposite 0.  No
+    relabelling of K4 carries X onto Y, but the antipodal map of L(K4)
+    swaps the stars with the triangles and carries X plus one copy of
+    each star onto Y plus one copy of each star.  The keyer puts the
+    stars in often enough that no group recurs as often, so X and Y key
+    apart, as the listed action of Aut(K4) says, while a relabelling of
+    X keys as X.  In d, where the triangles may recur, they recur twice
+    here."""
+    k4 = complete_graph(4)
+    lg, _ = line_graph(k4)
+    at = [frozenset(i for i, e in enumerate(k4.edges) if v in e)
+          for v in range(4)]
+    opposite = [frozenset(range(6)) - star for star in at]
+    x = tuple(opposite) * triangle_copies + tuple(
+        frozenset((i,)) for i in sorted(at[0]))
+    y = tuple(opposite) * triangle_copies + tuple(
+        frozenset((i,)) for i in sorted(opposite[0]))
+    swap = automorphisms(k4, points=k4.edges)[-1]
+    moved = tuple(frozenset(swap[i] for i in grp) for grp in x)
+    listed = ListedKeyer(automorphisms(k4, points=k4.edges))
+    keyer = oracle._symmetry_keyer(lg, k4, cat)
+    assert listed.key(x) != listed.key(y)
+    assert keyer.key(x) != keyer.key(y)
+    assert keyer.key(moved) == keyer.key(x) and moved != x
