@@ -89,6 +89,7 @@ the disjoint edges of K4, and no relabelling of K4 swaps just one pair.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import SetrepError
@@ -138,11 +139,11 @@ class OracleResult:
 # ---------------------------------------------------------------------------
 
 class _ClassKeyer:
-    """Keys element groups by the canonical form of the groups together
-    with ``copies`` copies of each star, as a set system on the ``n``
-    vertices, where ``copies`` is 2 in the ``s`` categories (``simple``)
-    and one more than the number of groups otherwise.  Direct input has no
-    stars, so its key allows every vertex permutation.
+    """Keys element groups by the pair (M, form): M is the most times a
+    group of two or more vertices occurs, and form is the canonical form
+    of the groups together with M + 1 copies of each star, as a set
+    system on the ``n`` vertices.  Direct input has no stars, so its key
+    allows every vertex permutation.
 
     *Stars fix Aut(base) exactly.*  Let a permutation of E(G) map stars to
     stars.  An edge between two non-leaf vertices is the intersection of
@@ -153,33 +154,34 @@ class _ClassKeyer:
     relabelling of the base induces) and the complete line graphs with no
     special case.
 
-    *Repetition tells stars from groups.*  In the ``s`` categories a group
-    of two or more vertices is a clique of an edge partition, so it occurs
-    once, and a pad has one vertex: a set of size two or more that occurs
-    twice or more is a star.  In the plain categories a group occurs at
-    most ``len(groups)`` times, fewer than a star's copies.  So a vertex
-    permutation carrying one key's sets onto another's maps the stars onto
-    themselves and the one solution's groups onto the other's."""
+    *Repetition tells stars from groups.*  A vertex permutation carries
+    groups to groups, so M is a class invariant.  In the ``s`` categories
+    a group of two or more vertices is a clique of an edge partition, so M
+    is at most 1 there.  A set of two or more vertices occurs in the key
+    more than M times exactly when it is a star, also when a group
+    coincides with one (the star's copies plus the group's).  So a vertex
+    permutation carrying one key's sets onto another's, at equal M, maps
+    the stars onto themselves and the one solution's groups onto the
+    other's."""
 
-    def __init__(self, n: int, stars: tuple, simple: bool):
+    def __init__(self, n: int, stars: tuple):
         self.universe = tuple(range(n))
         self.stars = stars
-        self.simple = simple
 
     def key(self, groups: tuple[frozenset[int], ...]):
-        copies = 2 if self.simple else len(groups) + 1
-        return canonical_form(SetRepresentation(
-            universe=self.universe, sets=groups + self.stars * copies))
+        most = max(Counter(grp for grp in groups if len(grp) > 1).values(),
+                   default=0)
+        return most, canonical_form(SetRepresentation(
+            universe=self.universe, sets=groups + self.stars * (most + 1)))
 
 
-def _symmetry_keyer(graph: Graph, base: Graph | None,
-                    category: str) -> _ClassKeyer:
+def _symmetry_keyer(graph: Graph, base: Graph | None) -> _ClassKeyer:
     """The run's keyer: the base's stars are the edges at each base vertex
     of degree two or more; direct input has none."""
     stars = () if base is None else tuple(
         frozenset(i for i, edge in enumerate(base.edges) if v in edge)
         for v in range(base.n) if base.degree(v) >= 2)
-    return _ClassKeyer(graph.n, stars, "s" in category)
+    return _ClassKeyer(graph.n, stars)
 
 
 def _representative(groups, p: int, n: int) -> SetRepresentation:
@@ -490,7 +492,7 @@ def oracle_search(graph: Graph, category: str, budget: SearchBudget,
                "deadline": (None if budget.time_limit is None
                             else start + budget.time_limit),
                "top": budget.max_universe}
-    keyer = _symmetry_keyer(graph, base, category)
+    keyer = _symmetry_keyer(graph, base)
     level = levels(graph, category, counter)
     classes: dict = {}
     labeled = 0

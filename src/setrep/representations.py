@@ -18,6 +18,7 @@ of subsets of its universe.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -103,11 +104,12 @@ def represents(rep: SetRepresentation, graph: Graph) -> bool:
 # Isomorphism: canonical form of the (universe, multiset-of-sets) structure.
 #
 # The structure is a bipartite incidence between universe elements and set
-# occurrences.  Colour refinement alternates between the two sides; when
-# refinement stalls, the first non-singleton element cell is individualised
-# and every choice explored.  The canonical encoding is the minimum, over
-# all discrete element orderings reached, of the sorted tuple of sets
-# rewritten as positions.
+# occurrences.  Colour refinement alternates between the two sides; each
+# distinct set is refined once, and an element counts it once per
+# occurrence.  When refinement stalls, the first non-singleton element cell
+# is individualised and every choice explored.  The canonical encoding is
+# the minimum, over all discrete element orderings reached, of the sorted
+# tuple of sets rewritten as positions.
 #
 # Automorphism pruning (McKay 1981; McKay & Piperno 2014): two leaves with
 # the same encoding differ by an automorphism, the map sending each element
@@ -116,6 +118,17 @@ def represents(rep: SetRepresentation, graph: Graph) -> bool:
 # element x is the image of its child for y under any recorded
 # automorphism that fixes the node's individualised elements and maps y to
 # x; the two subtrees reach the same encodings, and only one is walked.
+#
+# Jumps: a leaf whose encoding equals the first leaf's or the least leaf's
+# returns the walk straight to the node where its path of individualised
+# elements leaves that earlier leaf's path.  Each cell's chosen element is
+# the one whose leaf position starts the cell, so the automorphism carries
+# the earlier path onto this one element by element: it fixes the shared
+# prefix and maps the earlier child of that node, whose subtree is
+# finished, onto the current child.  Every leaf below the current child is
+# the image of one already seen, with the same encoding, so the rest of
+# that subtree cannot lower the minimum.
+#
 # The minimum, and so the form, is that of the exhaustive walk.
 # ---------------------------------------------------------------------------
 
@@ -125,21 +138,24 @@ _Encoding = tuple[int, int, tuple[tuple[int, ...], ...]]
 def _refine(colors: list[int], membership: list[list[int]],
             set_elems: list[list[int]]) -> list[int]:
     """Alternating colour refinement; returns stable element colouring.
-    Elements and sets are indices; colours are dense ranks."""
-    while True:
-        set_color = _relabel([tuple(sorted(colors[e] for e in elems))
+    Elements and distinct sets are indices, and an element's membership
+    lists a set once per occurrence.  Colours are dense ranks."""
+    # a discrete colouring is stable
+    while max(colors, default=-1) < len(colors) - 1:
+        set_color = _relabel([tuple(sorted(map(colors.__getitem__, elems)))
                               for elems in set_elems])
-        new_colors = _relabel([(colors[e],
-                                tuple(sorted(set_color[j] for j in js)))
-                               for e, js in enumerate(membership)])
+        new_colors = _relabel([
+            (colors[e], tuple(sorted(map(set_color.__getitem__, js))))
+            for e, js in enumerate(membership)])
         if new_colors == colors:
-            return colors
+            break
         colors = new_colors
+    return colors
 
 
 def _relabel(sig: list) -> list[int]:
     code = {s: i for i, s in enumerate(sorted(set(sig)))}
-    return [code[s] for s in sig]
+    return list(map(code.__getitem__, sig))
 
 
 def _orbit(seeds: list[int], generators: list[list[int]]) -> set[int]:
@@ -157,52 +173,63 @@ def _orbit(seeds: list[int], generators: list[list[int]]) -> set[int]:
 
 
 def canonical_form(rep: SetRepresentation) -> _Encoding:
-    """A complete isomorphism invariant of the multiset structure."""
+    """A complete isomorphism invariant of the multiset structure: the
+    least leaf encoding of the search tree, walked with automorphism
+    pruning and with a jump back from every leaf that repeats the first
+    or the least encoding (see the comment above ``_refine``)."""
     n = len(rep.universe)
     index = {e: i for i, e in enumerate(rep.universe)}
-    set_elems = [[index[e] for e in s] for s in rep.sets]
+    copies = Counter(rep.sets)
+    set_elems = [list(map(index.__getitem__, s)) for s in copies]
     membership: list[list[int]] = [[] for _ in range(n)]
-    for j, elems in enumerate(set_elems):
+    for j, (elems, m) in enumerate(zip(set_elems, copies.values())):
         for e in elems:
-            membership[e].append(j)
+            membership[e] += [j] * m
 
-    # (encoding, colouring) of the first leaf and of the least leaf so far
+    # (encoding, colouring, path) of the first leaf and of the least leaf
     first = best = None
     automorphisms: list[list[int]] = []
 
     def encode(colors: list[int]) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(tuple(sorted(colors[e] for e in elems))
-                            for elems in set_elems))
+        rows = []
+        for elems, m in zip(set_elems, copies.values()):
+            rows += [tuple(sorted(map(colors.__getitem__, elems)))] * m
+        return tuple(sorted(rows))
 
-    def leaf(colors: list[int]) -> None:
+    def leaf(colors: list[int], fixed: list[int]) -> int:
         nonlocal first, best
         enc = encode(colors)
         if first is None:
-            first = best = (enc, colors)
-            return
-        for ref_enc, ref_colors in (first, best):
+            first = best = (enc, colors, fixed)
+            return len(fixed)
+        for ref_enc, ref_colors, ref_fixed in (first, best):
             if enc == ref_enc:
                 at = [0] * n
                 for e, c in enumerate(ref_colors):
                     at[c] = e
                 automorphisms.append([at[c] for c in colors])
-                break
+                depth = 0
+                while fixed[depth] == ref_fixed[depth]:
+                    depth += 1
+                return depth
         if enc < best[0]:
-            best = (enc, colors)
+            best = (enc, colors, fixed)
+        return len(fixed)
 
-    def walk(colors: list[int], fixed: list[int]) -> None:
+    def walk(colors: list[int], fixed: list[int]) -> int:
+        """Walk the subtree below ``fixed``; return the depth to resume at,
+        less than ``len(fixed)`` when an automorphism jumps over the rest
+        of the subtree."""
         colors = _refine(colors, membership, set_elems)
-        cells: dict[int, list[int]] = {}
-        for e in range(n):
-            cells.setdefault(colors[e], []).append(e)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
-            leaf(colors)
-            return
+        if max(colors, default=-1) == n - 1:
+            return leaf(colors, fixed)
+        # colours are dense ranks: branch on the least one held twice
+        sizes = [0] * n
+        for c in colors:
+            sizes[c] += 1
+        cell = next(c for c, size in enumerate(sizes) if size > 1)
+        target = [e for e, c in enumerate(colors) if c == cell]
+        depth = len(fixed)
         explored: list[int] = []
         orbit: set[int] | None = set()
         for chosen in target:
@@ -214,16 +241,19 @@ def canonical_form(rep: SetRepresentation) -> _Encoding:
             if chosen in orbit:
                 continue
             # Slot the chosen element just below the rest of its cell.
-            branched = [2 * c for c in colors]
+            branched = [c + (c > cell) for c in colors]
             for other in target:
                 if other != chosen:
-                    branched[other] += 1
-            walk(_relabel(branched), fixed + [chosen])
+                    branched[other] = cell + 1
+            resume = walk(branched, fixed + [chosen])
+            if resume < depth:
+                return resume
             explored.append(chosen)
             orbit = None
+        return depth
 
     walk([0] * n, [])
-    return (n, len(set_elems), best[0])
+    return (n, len(rep.sets), best[0])
 
 
 def isomorphic(a: SetRepresentation, b: SetRepresentation) -> bool:

@@ -530,7 +530,7 @@ def test_report_witnesses_are_one_per_class():
     checked = 0
     for base in bases:
         lg, _ = line_graph(base)
-        keyer = oracle._symmetry_keyer(lg, base, "sd")
+        keyer = oracle._symmetry_keyer(lg, base)
         for cat in ("sd", "sa"):
             r = theta_tau_linegraph(base, cat)
             if not r.provenance.endswith("-generic") or r.tau.exact is None:
