@@ -17,7 +17,7 @@ from .errors import (DuplicateEdgeError, GraphFormatError, InvalidCoverError,
 from .geometry import (LinearSpace, fls_to_cover, is_projective_plane,
                        n_pp, near_pencil, plane_order, projective_plane,
                        puncture, validate_linear_space)
-from .graphs import (Graph, LineGraphMap, complete_graph, cycle_graph,
+from .graphs import (Graph, complete_graph, cycle_graph,
                      format_graph, line_graph, parse_graph, path_graph,
                      star_graph)
 from .oracle import OracleResult, SearchBudget, oracle_search, verify_dbe

@@ -130,6 +130,14 @@ def cmd_linegraph(args: argparse.Namespace) -> int:
     return 0
 
 
+def _rep_text(rep, labels) -> list[str]:
+    """A representation as text: its universe size, then each vertex's
+    set on a line of its own."""
+    return [f"universe: {len(rep.universe)} elements"] + [
+        f"  {labels[v]}: {{{', '.join(map(str, sorted(s)))}}}"
+        for v, s in enumerate(rep.sets)]
+
+
 def cmd_witness(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     reps = _witnesses(g, args.category, args.variants)
@@ -141,10 +149,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     for i, rep in enumerate(reps):
         if args.variants:
             human.append(f"variant {i + 1} of {len(reps)}")
-        human.append(f"universe: {len(rep.universe)} elements")
-        for v, s in enumerate(rep.sets):
-            human.append(f"  {lg.labels[v]}: "
-                         f"{{{', '.join(map(str, sorted(s)))}}}")
+        human += _rep_text(rep, lg.labels)
     _emit(payload if args.variants else payload[0], args.json,
           "\n".join(human))
     return 0
@@ -249,12 +254,16 @@ def cmd_egp(args: argparse.Namespace) -> int:
     graph = _read_graph(args.graph) if args.graph else None
     if args.to_set:
         cover = cover_from_json_dict(data, graph)
-        _emit(rep_to_json_dict(egp_set(cover), cover.graph.labels), True)
+        rep, labels = egp_set(cover), cover.graph.labels
+        _emit(rep_to_json_dict(rep, labels), args.json,
+              "\n".join(_rep_text(rep, labels)))
     else:
         if graph is None:
             raise SetrepError("--to-cover needs --graph to interpret the sets")
-        rep = rep_from_json_dict(data, graph.labels)
-        _emit(cover_to_json_dict(egp_cover(rep, graph)), True)
+        cover_json = cover_to_json_dict(egp_cover(
+            rep_from_json_dict(data, graph.labels), graph))
+        _emit(cover_json, args.json,
+              "\n".join(map(" ".join, cover_json["cliques"])))
     return 0
 
 

@@ -15,7 +15,6 @@ tokens.  Vertices are numbered 0..n-1 in order of first appearance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .errors import DuplicateEdgeError, GraphFormatError, SelfLoopError
@@ -160,35 +159,23 @@ def format_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class LineGraphMap:
-    """Correspondence between a graph and its line graph.
+def line_graph(g: Graph) -> tuple[Graph, tuple[frozenset[int], ...]]:
+    """The line graph of ``g`` and the stars of ``g``.
 
-    Line-graph vertex ``i`` is base edge ``i`` (same indexing), so the
-    translation both ways is just an index lookup.
+    Vertex i of the line graph is edge i of ``g``, labelled ``"u-v"`` in
+    the orientation the edge was given.  ``stars[v]`` holds the indices of
+    the edges at base vertex v, and two edges are adjacent exactly when
+    they lie in one star.  The line graph's edges are the pairs (i, j),
+    i < j, in ascending order.
     """
-
-    base: Graph
-    line: Graph
-
-
-def line_graph(g: Graph) -> tuple[Graph, LineGraphMap]:
-    """Build the line graph of ``g``.
-
-    Vertices of the result are the edges of ``g`` (labelled ``"u-v"`` in
-    the orientation the edge was given); two are adjacent exactly when
-    the base edges share an endpoint.
-    """
+    stars: list[list[int]] = [[] for _ in g.labels]
+    for i, (u, v) in enumerate(g.edges):
+        stars[u].append(i)
+        stars[v].append(i)
     labels = tuple(f"{g.labels[u]}-{g.labels[v]}" for u, v in g.edges)
-    edges: list[tuple[int, int]] = []
-    for i in range(g.m):
-        a, b = g.edges[i]
-        for j in range(i + 1, g.m):
-            c, d = g.edges[j]
-            if a == c or a == d or b == c or b == d:
-                edges.append((i, j))
-    lg = Graph(labels, tuple(edges))
-    return lg, LineGraphMap(base=g, line=lg)
+    edges = tuple((i, j) for i, (u, v) in enumerate(g.edges)
+                  for j in sorted(stars[u] + stars[v]) if j > i)
+    return Graph(labels, edges), tuple(map(frozenset, stars))
 
 
 # -- small builders used throughout the test-suite and CLI examples --------
@@ -226,9 +213,9 @@ def automorphisms(g: Graph, points=None) -> list[tuple[int, ...]]:
     others by distance from them.  An image keeps its colour (the degree
     split by sorted neighbour colours) and its adjacency to the placed
     vertices, and each placement of the points' vertices is extended
-    once.  When the points leave vertices out, the colours are refined
-    until stable, a vertex with no placed neighbour also keeps its
-    distances to them, and an extension tries one image per class of
+    once.  The colours are refined until stable, a vertex with no placed
+    neighbour also keeps its distances to the placed ones, and an
+    extension past the points' vertices tries one image per class of
     twins (vertices whose swap is an automorphism).  Do not ask for an
     image as large as Aut(K_n)."""
     n, adj = g.n, g.adj
@@ -240,31 +227,31 @@ def automorphisms(g: Graph, points=None) -> list[tuple[int, ...]]:
     k = len(moved)
     order = sorted(moved)
     color, classes = [len(a) for a in adj], 0
-    for _ in range(n if k < n else 1):
+    for _ in range(n):
         ids: dict[tuple[int, ...], int] = {}
         color = [ids.setdefault((c, *sorted([color[u] for u in a])), len(ids))
                  for c, a in zip(color, adj)]
         if len(ids) == classes:
             break
         classes = len(ids)
-    if k < n:  # extensions are searched: dist and twin serve them
-        @cache
-        def dist(source: int) -> list[int]:
-            """Breadth-first distances from ``source``; n where no path."""
-            row = [n] * n
-            row[source], queue = 0, [source]
-            for u in queue:
-                for w in adj[u]:
-                    if row[w] == n:
-                        row[w] = row[u] + 1
-                        queue.append(w)
-            return row
 
-        order += sorted(set(range(n)) - moved,
-                        key=lambda v: min(dist(u)[v] for u in moved))
-        first: dict[frozenset[int], int] = {}  # open or closed neighbourhoods
-        twin = [first.setdefault(a, first.setdefault(a | {v}, v))
-                for v, a in enumerate(adj)]
+    @cache
+    def dist(source: int) -> list[int]:
+        """Breadth-first distances from ``source``; n where no path."""
+        row = [n] * n
+        row[source], queue = 0, [source]
+        for u in queue:
+            for w in adj[u]:
+                if row[w] == n:
+                    row[w] = row[u] + 1
+                    queue.append(w)
+        return row
+
+    order += sorted(set(range(n)) - moved,
+                    key=lambda v: min(dist(u)[v] for u in moved))
+    first: dict[frozenset[int], int] = {}  # open or closed neighbourhoods
+    twin = [first.setdefault(a, first.setdefault(a | {v}, v))
+            for v, a in enumerate(adj)]
     image, used, found = [0] * n, [False] * n, []
 
     def place(i: int) -> bool:
@@ -274,7 +261,7 @@ def automorphisms(g: Graph, points=None) -> list[tuple[int, ...]]:
             found.append(tuple(image))
             return True
         v, prefix, tried = order[i], order[:i], set()
-        av, dv = adj[v], k < n and adj[v].isdisjoint(prefix) and dist(v)
+        av, dv = adj[v], adj[v].isdisjoint(prefix) and dist(v)
         for w in range(n):
             if used[w] or color[w] != color[v]:
                 continue

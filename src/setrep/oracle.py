@@ -176,12 +176,21 @@ class _ClassKeyer:
 
 
 def _symmetry_keyer(graph: Graph, base: Graph | None) -> _ClassKeyer:
-    """The run's keyer: the base's stars are the edges at each base vertex
-    of degree two or more; direct input has none."""
-    stars = () if base is None else tuple(
-        frozenset(i for i, edge in enumerate(base.edges) if v in edge)
-        for v in range(base.n) if base.degree(v) >= 2)
-    return _ClassKeyer(graph.n, stars)
+    """The run's keyer: the base's stars of two or more edges, as
+    :func:`line_graph` gives them; direct input has none.  Refuses a
+    ``graph`` that is not the line graph of ``base``."""
+    if base is None:
+        return _ClassKeyer(graph.n, ())
+    if base.m != graph.n:
+        raise ValueError(
+            "graph is not the line graph of the declared base "
+            f"({base.m} base edges vs {graph.n} vertices)")
+    expect, stars = line_graph(base)
+    if expect.adj != graph.adj:
+        raise ValueError(
+            "graph is not the line graph of the declared base "
+            "(adjacency mismatch)")
+    return _ClassKeyer(graph.n, tuple(s for s in stars if len(s) >= 2))
 
 
 def _representative(groups, p: int, n: int) -> SetRepresentation:
@@ -457,7 +466,9 @@ def oracle_search(graph: Graph, category: str, budget: SearchBudget,
 
     ``base`` declares that ``graph`` is the line graph of ``base`` with
     vertex i = edge i; optimal solutions are then counted up to
-    relabellings of the base graph rather than of ``graph`` itself.
+    relabellings of the base graph rather than of ``graph`` itself, and a
+    ``graph`` whose adjacency is not that of ``line_graph(base)`` is
+    refused.
     """
     if category not in VALID_CATEGORIES:
         raise ValueError(
@@ -468,16 +479,8 @@ def oracle_search(graph: Graph, category: str, budget: SearchBudget,
     _check_limits(budget.node_limit, budget.time_limit)
     if not graph.n:
         raise ValueError("the graph has no vertices")
-    if base is not None:
-        if base.m != graph.n:
-            raise ValueError(
-                "graph is not the line graph of the declared base "
-                f"({base.m} base edges vs {graph.n} vertices)")
-        expect, _ = line_graph(base)
-        if set(expect.edges) != set(graph.edges):
-            raise ValueError(
-                "graph is not the line graph of the declared base "
-                "(adjacency mismatch)")
+    start = time.monotonic()
+    keyer = _symmetry_keyer(graph, base)
     if "s" in category:
         levels, kernel = _partition_levels, "partition"
     elif graph.n > _ASSIGN_MAX_N or budget.max_universe > _ASSIGN_MAX_P:
@@ -487,12 +490,10 @@ def oracle_search(graph: Graph, category: str, budget: SearchBudget,
             f"{_ASSIGN_MAX_P}")
     else:
         levels, kernel = _assignment_levels, "assignment"
-    start = time.monotonic()
     counter = {"nodes": 0, "limit": budget.node_limit, "stop": None,
                "deadline": (None if budget.time_limit is None
                             else start + budget.time_limit),
                "top": budget.max_universe}
-    keyer = _symmetry_keyer(graph, base)
     level = levels(graph, category, counter)
     classes: dict = {}
     labeled = 0

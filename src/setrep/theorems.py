@@ -37,7 +37,7 @@ them via the ``provenance`` string.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import combinations, product
+from itertools import product
 from math import prod
 from typing import Callable, NamedTuple
 
@@ -259,15 +259,13 @@ class _Case(NamedTuple):
     tau: int | Callable[[Classification], int | None]  # None: generic after all
     suffix: str  # of the provenance "linegraph-{category}-{suffix}"
     notes: tuple[str, ...] = ()
-    witnesses: Callable[[Graph, Graph], tuple] | None = None
+    witnesses: Callable[[Graph, tuple], tuple] | None = None
 
 
-def _k4_stars_and_triangles(base: Graph, lg: Graph) -> tuple[SetRepresentation, ...]:
-    """The two sd classes of L(K4): the four stars, or the four triangles."""
-    eidx = {frozenset(e): i for i, e in enumerate(base.edges)}
-    stars = tuple(_star_clique(base, eidx, v) for v in range(4))
-    tris = tuple(frozenset(eidx[frozenset(p)] for p in combinations(t, 2))
-                 for t in combinations(range(4), 3))
+def _k4_stars_and_triangles(lg: Graph, stars: tuple) -> tuple[SetRepresentation, ...]:
+    """The two sd classes of L(K4): the four stars, or the four triangles,
+    each the six edges less one star (the one opposite vertex 3 first)."""
+    tris = tuple(frozenset(range(6)) - star for star in reversed(stars))
     return egp_set(CliqueCover(lg, stars)), egp_set(CliqueCover(lg, tris))
 
 
@@ -311,24 +309,20 @@ _EXCEPTIONAL: dict[str, dict[str, _Case]] = {
 # --------------------------------------------------------------------------
 # Line graphs: the generic construction.
 
-def _star_clique(base: Graph, eidx: dict, v: int) -> frozenset[int]:
-    return frozenset(eidx[frozenset((v, u))] for u in base.adj[v])
+def _pendant_edges(stars: tuple, v: int) -> list[int]:
+    """The edges at ``v`` that are the one edge of their other end, in
+    index order."""
+    return sorted(e for e in stars[v] if frozenset({e}) in stars)
 
 
-def _pendant_edges(base: Graph, eidx: dict, v: int) -> list[int]:
-    return sorted(eidx[frozenset((v, u))] for u in base.adj[v]
-                  if base.degree(u) == 1)
-
-
-def _base_cliques(base: Graph, cls: Classification, eidx: dict,
+def _base_cliques(stars: tuple, cls: Classification,
                   shared: int) -> list[frozenset[int]]:
     """Saturated stars on every internal vertex, then a private element for
     each pendant edge of each critical vertex but the last ``shared``."""
-    cliques = [_star_clique(base, eidx, v)
-               for v in range(base.n) if base.degree(v) >= 2]
+    cliques = [s for s in stars if len(s) >= 2]
     for v, m in cls.critical:
         cliques += [frozenset({e})
-                    for e in _pendant_edges(base, eidx, v)[:m - shared]]
+                    for e in _pendant_edges(stars, v)[:m - shared]]
     return cliques
 
 
@@ -417,25 +411,18 @@ def _site_classes(base: Graph, lg: Graph, cliques: list[frozenset[int]],
     return tau, tuple(notes), (egp_set(CliqueCover(lg, tuple(cliques))),)
 
 
-def _sd_wing_choices(base: Graph, cls: Classification,
-                     eidx: dict) -> list[list[list[frozenset[int]]]]:
+def _sd_wing_choices(stars: tuple,
+                     cls: Classification) -> list[list[list[frozenset[int]]]]:
     """The two clique bundles of each 3-wing (s, x, y), in stalk order.
 
-    The stalk s has one more neighbour w.  Index 0 is the stars of s, x
-    and y; index 1 the wing triangle with the bridging pairs {sx, sw} and
-    {sy, sw}.
+    The stalk s has one more neighbour w, and x and y have degree two.
+    Index 0 is the stars of s, x and y; index 1 the wing triangle (the
+    edges at x or y) with the bridging pairs {sx, sw} and {sy, sw} (the
+    edges at s but not at y, and not at x).
     """
-    out = []
-    for s, x, y in cls.wings:
-        if s not in cls.three_wing_stalks:
-            continue
-        (w,) = base.adj[s] - {x, y}
-        sx, sy, xy, sw = (eidx[frozenset(p)]
-                          for p in ((s, x), (s, y), (x, y), (s, w)))
-        out.append([[_star_clique(base, eidx, v) for v in (s, x, y)],
-                    [frozenset({sx, sy, xy}), frozenset({sx, sw}),
-                     frozenset({sy, sw})]])
-    return out
+    return [[[stars[s], stars[x], stars[y]],
+             [stars[x] | stars[y], stars[s] - stars[y], stars[s] - stars[x]]]
+            for s, x, y in cls.wings if s in cls.three_wing_stalks]
 
 
 def _sa_sites(base: Graph, cls: Classification) -> list[tuple[int, int]]:
@@ -449,7 +436,7 @@ def _sa_sites(base: Graph, cls: Classification) -> list[tuple[int, int]]:
             if m >= 2 and base.degree(v) == m + 1]
 
 
-def _sa_site_choices(base: Graph, eidx: dict, v: int, m: int) -> list[list[frozenset[int]]]:
+def _sa_site_choices(stars: tuple, v: int, m: int) -> list[list[frozenset[int]]]:
     """Clique bundles that can cover the edges at site ``v``, in a fixed order.
 
     Index 0 is the saturated star with private pendant elements; index 1 the
@@ -457,10 +444,9 @@ def _sa_site_choices(base: Graph, eidx: dict, v: int, m: int) -> list[list[froze
     index 2 moves the hub to the first pendant edge, and any further indices
     are projective planes on the edge set.
     """
-    pend = _pendant_edges(base, eidx, v)
-    (stem,) = sorted(eidx[frozenset((v, u))] for u in base.adj[v]
-                     if base.degree(u) >= 2)
-    k_conf = [_star_clique(base, eidx, v)] + [frozenset({e}) for e in pend]
+    pend = _pendant_edges(stars, v)
+    (stem,) = stars[v] - set(pend)
+    k_conf = [stars[v]] + [frozenset({e}) for e in pend]
     hub_stem = [frozenset(pend)] + [frozenset({e, stem}) for e in pend]
     if m == 2:  # the hub at a pendant edge gives the same triangle
         return [k_conf, hub_stem]
@@ -482,27 +468,29 @@ def _sa_site_choices(base: Graph, eidx: dict, v: int, m: int) -> list[list[froze
     return choices
 
 
-def _construction(base: Graph, cls: Classification, category: str):
-    """The generic minimum solutions of L(base) in sd or sa: (cliques,
-    sites, alphabets, bundles).  ``cliques`` is the star form, of size
-    theta; site ``sites[i]`` offers ``alphabets[i]`` bundles (a symbolic
-    count where its plane census is open), which ``bundles()`` lists as
-    :func:`_site_reps` takes them or, where they cannot all be built,
-    refuses with :class:`TheoremNotApplicable`."""
-    eidx = {frozenset(e): i for i, e in enumerate(base.edges)}
+def _construction(base: Graph, stars: tuple, cls: Classification,
+                  category: str):
+    """The generic minimum solutions of L(base) in sd or sa, from the
+    base's ``stars`` (as :func:`line_graph` gives them) and its
+    classification ``cls``: (cliques, sites, alphabets, bundles).
+    ``cliques`` is the star form, of size theta; site ``sites[i]`` offers
+    ``alphabets[i]`` bundles (a symbolic count where its plane census is
+    open), which ``bundles()`` lists as :func:`_site_reps` takes them or,
+    where they cannot all be built, refuses with
+    :class:`TheoremNotApplicable`."""
     if category == "sd":
         stalks = cls.three_wing_stalks
-        return (_base_cliques(base, cls, eidx, shared=1), stalks,
-                [2] * len(stalks), lambda: _sd_wing_choices(base, cls, eidx))
+        return (_base_cliques(stars, cls, shared=1), stalks,
+                [2] * len(stalks), lambda: _sd_wing_choices(stars, cls))
     sites = _sa_sites(base, cls)
     alphabets: list[int | str] = []
     for _v, m in sites:
         np = n_pp(m + 1)
         alphabets.append(2 if m == 2 else f"(3 + N_PP({m + 1}))"
                          if np is None else 3 + np)
-    return (_base_cliques(base, cls, eidx, shared=0),
+    return (_base_cliques(stars, cls, shared=0),
             tuple(v for v, _m in sites), alphabets,
-            lambda: [_sa_site_choices(base, eidx, v, m) for v, m in sites])
+            lambda: [_sa_site_choices(stars, v, m) for v, m in sites])
 
 
 def _witnesses(base: Graph, category: str, variants: bool):
@@ -514,8 +502,9 @@ def _witnesses(base: Graph, category: str, variants: bool):
             f"the star/pendant construction does not apply to {cls.kind} base graphs; "
             "use the oracle or the dispatch report for those"
         )
-    lg = line_graph(base)[0]
-    cliques, _sites, _alphabets, bundles = _construction(base, cls, category)
+    lg, stars = line_graph(base)
+    cliques, _sites, _alphabets, bundles = _construction(base, stars, cls,
+                                                       category)
     if not variants:
         return egp_set(CliqueCover(lg, tuple(cliques)))
     choices = bundles()
@@ -576,7 +565,7 @@ def theta_tau_linegraph(base: Graph, category: str) -> ThetaTauReport:
     """
     _check_category(category)
     cls = classify(base)
-    lg, _ = line_graph(base)
+    lg, stars = line_graph(base)
     if cls.kind in _COMPLETE_KINDS:
         inner = theta_tau_complete(lg.n, category)
         return replace(inner, graph=lg, provenance=(
@@ -586,12 +575,13 @@ def theta_tau_linegraph(base: Graph, category: str) -> ThetaTauReport:
     if tau is not None:
         return _report(category, None, tau,
                        f"linegraph-{category}-{case.suffix}", lg,
-                       case.witnesses(base, lg) if case.witnesses else (),
+                       case.witnesses(lg, stars) if case.witnesses else (),
                        case.notes)
     provenance = f"linegraph-{category}-generic"
     if category not in _WITNESS_CATEGORIES:
         return _report(category, None, 1, provenance, lg)
-    cliques, sites, alphabets, bundles = _construction(base, cls, category)
+    cliques, sites, alphabets, bundles = _construction(base, stars, cls,
+                                                       category)
     tau, notes, witnesses = _site_classes(base, lg, cliques, sites,
                                           alphabets, bundles)
     return _report(category, len(cliques), tau, provenance, lg, witnesses,

@@ -241,6 +241,26 @@ def test_egp_round_trip(capsys, write):
     assert sorted(map(sorted, data["cliques"])) == [["a", "b", "c"]]
 
 
+def test_egp_human_form(capsys, write, p4):
+    """Without --json, egp prints a representation as witness prints one
+    and a cover as one line of vertex labels per clique."""
+    code, witness, _ = run(capsys, "witness", p4, "--category", "sd")
+    assert code == 0
+    _, out, _ = run(capsys, "witness", p4, "--category", "sd", "--json")
+    rep = write("p4.rep", out)
+    _, out, _ = run(capsys, "linegraph", p4)
+    lg = write("lg.graph", out)
+    code, out, _ = run(capsys, "egp", "--to-cover", rep, "--graph", lg)
+    assert (code, out) == (0, "a-b b-c\nb-c c-d\n")
+    _, out, _ = run(capsys, "egp", "--to-cover", rep, "--graph", lg,
+                    "--json")
+    assert json.loads(out)["cliques"] == [["a-b", "b-c"], ["b-c", "c-d"]]
+    cover = write("lg.cover", out)
+    code, out, _ = run(capsys, "egp", "--to-set", cover)
+    assert (code, out) == (0, witness)
+    assert out.startswith("universe: 2 elements\n  a-b: {0}\n")
+
+
 def test_egp_to_cover_needs_graph(capsys, write):
     rep = write("r.rep", json.dumps({"universe": [1], "sets": {"a": [1]}}))
     code, _, err = run(capsys, "egp", "--to-cover", rep)

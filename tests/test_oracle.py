@@ -1083,6 +1083,24 @@ def test_oracle_refuses(graph, category, cap, base, error, match):
         run(graph, category, cap, base=base)
 
 
+def test_base_check_compares_adjacency():
+    """The declared base is checked against the graph's adjacency, not its
+    edge tuples: L(P4) with every edge written the other way round is
+    searched as L(P4) itself, while one extra edge or a wrong vertex
+    count is refused."""
+    base = path_graph(4)
+    lg, _ = line_graph(base)
+    flipped = Graph(lg.labels, tuple((j, i) for i, j in lg.edges))
+    a, b = run(flipped, "sd", 3, base=base), run(lg, "sd", 3, base=base)
+    assert a.exhausted and a.theta is not None
+    assert (a.theta, repr(a.classes), a.labeled_solutions, a.nodes) \
+        == (b.theta, repr(b.classes), b.labeled_solutions, b.nodes)
+    with pytest.raises(ValueError, match="adjacency mismatch"):
+        run(Graph(lg.labels, lg.edges + ((0, 2),)), "sd", 3, base=base)
+    with pytest.raises(ValueError, match="3 base edges vs 4 vertices"):
+        run(path_graph(4), "sd", 3, base=base)
+
+
 def test_census_needs_three_vertices():
     with pytest.raises(ValueError, match="n >= 3"):
         verify_dbe(2)

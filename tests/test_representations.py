@@ -187,6 +187,7 @@ def set_system_pairs():
               {0, 3}, {1, 4}, {2, 5})
     k33 = R(*({a, b} for a in (0, 1, 2) for b in (3, 4, 5)))
     yield prism, k33
+    yield cycle_union(6, 3), cycle_union(5, 4)
 
 
 def test_canonical_form_decides_isomorphism():
@@ -212,24 +213,6 @@ GEOMETRIES = [near_pencil(n) for n in range(5, 10)] + \
     [projective_plane(2), projective_plane(3)]
 
 
-@pytest.mark.parametrize("ls", GEOMETRIES,
-                         ids=[f"near_pencil({n})" for n in range(5, 10)]
-                         + ["plane(2)", "plane(3)"])
-def test_canonical_form_invariant_on_geometries(ls):
-    """Highly symmetric inputs, where automorphism pruning does most of
-    its work: the form survives 20 random relabellings."""
-    rng = random.Random(ls.points)
-    for rep in _incidence_views(ls):
-        want = canonical_form(rep)
-        for _ in range(20):
-            labels = rng.sample(range(1000), len(rep.universe))
-            move = dict(zip(rep.universe, labels))
-            sets = [frozenset(move[e] for e in s) for s in rep.sets]
-            rng.shuffle(sets)
-            moved = SetRepresentation(tuple(sorted(labels)), tuple(sets))
-            assert canonical_form(moved) == want
-
-
 def cycle_union(*lengths):
     """Edges of disjoint cycles as one set system: every element looks
     alike to colour refinement, yet the cycles are not alike."""
@@ -238,6 +221,34 @@ def cycle_union(*lengths):
         sets += [frozenset({start + i, start + (i + 1) % k}) for i in range(k)]
         start += k
     return SetRepresentation(tuple(range(start)), tuple(sets))
+
+
+# the cycle unions' cells mix elements of unlike cycles, so their leaves
+# are not all automorphic
+RELABELLED = [pytest.param(ls.points, _incidence_views(ls), id=name)
+              for ls, name in zip(GEOMETRIES,
+                                  [f"near_pencil({n})" for n in range(5, 10)]
+                                  + ["plane(2)", "plane(3)"])] + \
+    [pytest.param(sum(ks), (cycle_union(*ks),), id=f"cycle_union{ks}")
+     for ks in ((4, 3, 3), (5, 4, 3), (6, 3))]
+
+
+@pytest.mark.parametrize("seed,reps", RELABELLED)
+def test_canonical_form_invariant_on_geometries(seed, reps):
+    """Highly symmetric inputs, where automorphism pruning does most of
+    its work, and unions of cycles, where the walk also meets leaves
+    that are not automorphic: the form survives 20 random
+    relabellings."""
+    rng = random.Random(seed)
+    for rep in reps:
+        want = canonical_form(rep)
+        for _ in range(20):
+            labels = rng.sample(range(1000), len(rep.universe))
+            move = dict(zip(rep.universe, labels))
+            sets = [frozenset(move[e] for e in s) for s in rep.sets]
+            rng.shuffle(sets)
+            moved = SetRepresentation(tuple(sorted(labels)), tuple(sets))
+            assert canonical_form(moved) == want
 
 
 def exhaustive_form(rep):
