@@ -15,8 +15,6 @@ tokens.  Vertices are numbered 0..n-1 in order of first appearance.
 
 from __future__ import annotations
 
-from functools import cache
-
 from .errors import DuplicateEdgeError, GraphFormatError, SelfLoopError
 
 
@@ -235,9 +233,44 @@ def automorphisms(g: Graph, points=None) -> list[tuple[int, ...]]:
             break
         classes = len(ids)
 
-    @cache
-    def dist(source: int) -> list[int]:
-        """Breadth-first distances from ``source``; n where no path."""
+    dists: list[list[int] | None] = [None] * n
+    order += sorted(set(range(n)) - moved,
+                    key=lambda v: min(_dist(adj, dists, u)[v] for u in moved))
+    first: dict[frozenset[int], int] = {}  # open or closed neighbourhoods
+    twin = [first.setdefault(a, first.setdefault(a | {v}, v))
+            for v, a in enumerate(adj)]
+    s = _Placing(adj, color, order, k, twin, dists)
+    _place(s, 0)
+    index = {pair: i for i, p in enumerate(points)
+             for pair in ((p[0], p[-1]), (p[-1], p[0]))}
+    perms = {tuple(index.get((sigma[p[0]], sigma[p[-1]])) for p in points)
+             for sigma in s.found}
+    return sorted(perm for perm in perms if None not in perm)
+
+
+class _Placing:
+    """The state of one :func:`automorphisms` call: the graph's adjacency
+    and stable colours, the placing order, the number ``k`` of the points'
+    vertices, each vertex's twin class, the distance rows computed so far,
+    the partial image and the automorphisms found."""
+
+    __slots__ = ("n", "adj", "color", "order", "k", "twin", "dists", "image",
+                 "used", "found")
+
+    def __init__(self, adj, color, order, k, twin, dists):
+        self.n = len(adj)
+        self.adj, self.color, self.order, self.k = adj, color, order, k
+        self.twin, self.dists = twin, dists
+        self.image, self.used = [0] * self.n, [False] * self.n
+        self.found: list[tuple[int, ...]] = []
+
+
+def _dist(adj, dists: list, source: int) -> list[int]:
+    """Breadth-first distances from ``source``, n where no path; kept in
+    ``dists[source]``."""
+    row = dists[source]
+    if row is None:
+        n = len(adj)
         row = [n] * n
         row[source], queue = 0, [source]
         for u in queue:
@@ -245,47 +278,38 @@ def automorphisms(g: Graph, points=None) -> list[tuple[int, ...]]:
                 if row[w] == n:
                     row[w] = row[u] + 1
                     queue.append(w)
-        return row
+        dists[source] = row
+    return row
 
-    order += sorted(set(range(n)) - moved,
-                    key=lambda v: min(dist(u)[v] for u in moved))
-    first: dict[frozenset[int], int] = {}  # open or closed neighbourhoods
-    twin = [first.setdefault(a, first.setdefault(a | {v}, v))
-            for v, a in enumerate(adj)]
-    image, used, found = [0] * n, [False] * n, []
 
-    def place(i: int) -> bool:
-        """Place ``order[i]`` in every way that fits; past the points'
-        vertices, stop at the first automorphism.  True if one was found."""
-        if i == n:
-            found.append(tuple(image))
-            return True
-        v, prefix, tried = order[i], order[:i], set()
-        av, dv = adj[v], adj[v].isdisjoint(prefix) and dist(v)
-        for w in range(n):
-            if used[w] or color[w] != color[v]:
+def _place(s: _Placing, i: int) -> bool:
+    """Place ``s.order[i]`` in every way that fits; past the points'
+    vertices, stop at the first automorphism.  True if one was found."""
+    n, adj, color, twin = s.n, s.adj, s.color, s.twin
+    image, used = s.image, s.used
+    if i == n:
+        s.found.append(tuple(image))
+        return True
+    v, prefix, tried = s.order[i], s.order[:i], set()
+    av, dv = adj[v], adj[v].isdisjoint(prefix) and _dist(adj, s.dists, v)
+    for w in range(n):
+        if used[w] or color[w] != color[v]:
+            continue
+        if i >= s.k:  # w's twins fit and extend where w does
+            if twin[w] in tried:
                 continue
-            if i >= k:  # w's twins fit and extend where w does
-                if twin[w] in tried:
-                    continue
-                tried.add(twin[w])
-            if dv and any(dv[u] != dist(w)[image[u]] for u in prefix):
-                continue
-            aw = adj[w]
-            for u in prefix:
-                if (u in av) != (image[u] in aw):
-                    break
-            else:
-                image[v], used[w] = w, True
-                done = place(i + 1) and i >= k
-                used[w] = False
-                if done:
-                    return True
-        return False
-
-    place(0)
-    index = {pair: i for i, p in enumerate(points)
-             for pair in ((p[0], p[-1]), (p[-1], p[0]))}
-    perms = {tuple(index.get((sigma[p[0]], sigma[p[-1]])) for p in points)
-             for sigma in found}
-    return sorted(perm for perm in perms if None not in perm)
+            tried.add(twin[w])
+        if dv and any(dv[u] != _dist(adj, s.dists, w)[image[u]]
+                      for u in prefix):
+            continue
+        aw = adj[w]
+        for u in prefix:
+            if (u in av) != (image[u] in aw):
+                break
+        else:
+            image[v], used[w] = w, True
+            done = _place(s, i + 1) and i >= s.k
+            used[w] = False
+            if done:
+                return True
+    return False

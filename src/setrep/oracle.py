@@ -232,6 +232,11 @@ def _checkpoint(counter: dict, nodes: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Partition-based levels (all categories containing "s")
+#
+# The padding (_place) and the assignment search (_assign) recurse in
+# module-level generators that take their state as arguments: a nested
+# function that calls itself is a reference cycle, which would keep each
+# level's data alive until the cyclic garbage collector runs.
 # ---------------------------------------------------------------------------
 
 def _masks(g: Graph) -> list[int]:
@@ -284,7 +289,7 @@ def _placements(member: list[int], facts, t: int, category: str):
     ends in a solution: outside u there is a placement iff
     ``t >= need[0]``."""
     n = len(member)
-    must, twin, need = facts
+    must = facts[0]
     if "u" in category:
         # n * size = t + sum |member|: every pad count is fixed
         size, rest = divmod(t + sum(m.bit_count() for m in member), n)
@@ -296,34 +301,39 @@ def _placements(member: list[int], facts, t: int, category: str):
             return
         yield tuple(v for v in range(n) for _ in range(pads[v]))
         return
-    bare_sets: set[int] = set()  # member sets left bare with twins ahead
-    chosen: list[int] = []
+    yield from _place(member, facts, [], set(), 0, t, 0)
 
-    def place(v: int, left: int, owed: int):
-        # owed: the sets in bare_sets whose last twin is still ahead; that
-        # twin needs a pad, which need[] does not count
-        m = member[v]
-        held = m in bare_sets
-        if v == n - 1:
-            if left:
-                chosen.extend([v] * left)
-                yield tuple(chosen)
-                del chosen[-left:]
-            elif not (must[v] or held):
-                yield tuple(chosen)
-            return
-        owed_padded = owed - (held and not twin[v])
-        for c in range(left - need[v + 1] - owed_padded, 0, -1):
-            chosen.extend([v] * c)
-            yield from place(v + 1, left - c, owed_padded)
-            del chosen[-c:]
-        if not (must[v] or held) and left >= need[v + 1] + owed + twin[v]:
-            if twin[v]:
-                bare_sets.add(m)
-            yield from place(v + 1, left, owed + twin[v])
-            bare_sets.discard(m)
 
-    yield from place(0, t, 0)
+def _place(member: list[int], facts, chosen: list[int], bare_sets: set[int],
+           v: int, left: int, owed: int):
+    """The placements of :func:`_placements` that extend ``chosen``, the
+    pads of the vertices before ``v``, with ``left`` pads.  ``bare_sets``:
+    the member sets left bare with twins ahead; ``owed``: those of them
+    whose last twin is still ahead, which needs a pad that ``need`` does not
+    count."""
+    must, twin, need = facts
+    m = member[v]
+    held = m in bare_sets
+    if v == len(member) - 1:
+        if left:
+            chosen.extend([v] * left)
+            yield tuple(chosen)
+            del chosen[-left:]
+        elif not (must[v] or held):
+            yield tuple(chosen)
+        return
+    owed_padded = owed - (held and not twin[v])
+    for c in range(left - need[v + 1] - owed_padded, 0, -1):
+        chosen.extend([v] * c)
+        yield from _place(member, facts, chosen, bare_sets, v + 1, left - c,
+                          owed_padded)
+        del chosen[-c:]
+    if not (must[v] or held) and left >= need[v + 1] + owed + twin[v]:
+        if twin[v]:
+            bare_sets.add(m)
+        yield from _place(member, facts, chosen, bare_sets, v + 1, left,
+                          owed + twin[v])
+        bare_sets.discard(m)
 
 
 def _shape(n: int, part: tuple[int, ...], category: str):
@@ -403,51 +413,66 @@ _ASSIGN_MAX_N = 7
 _ASSIGN_MAX_P = 6
 
 
+class _Assignment:
+    """The state of one assignment level, which :func:`_assign` takes."""
+
+    __slots__ = ("n", "p", "adj", "want_d", "want_a", "want_u", "counter",
+                 "chosen", "nodes", "check_at")
+
+    def __init__(self, g: Graph, category: str, p: int, counter: dict,
+                 adj: list[int]):
+        self.n, self.p, self.adj, self.counter = g.n, p, adj, counter
+        self.want_d = "d" in category and "a" not in category
+        self.want_a = "a" in category
+        self.want_u = "u" in category
+        self.chosen: list[int] = []
+        self.nodes = counter["nodes"]
+        self.check_at = self.nodes + 1
+
+
 def _assignment_level(g: Graph, category: str, p: int, counter: dict,
                       adj: list[int]):
     """All labelled category solutions with universe size exactly ``p``,
     as (groups, 1) pairs, by giving each vertex in turn a nonempty subset
     of the universe.  Each vertex placed spends one node of the run's
     budget in ``counter``."""
-    want_d = "d" in category and "a" not in category
-    want_a = "a" in category
-    want_u = "u" in category
-    n = g.n
-    chosen: list[int] = []
-    nodes = counter["nodes"]
-    check_at = nodes + 1
+    state = _Assignment(g, category, p, counter, adj)
+    yield from _assign(state, 0)
+    counter["nodes"] = state.nodes
 
-    def place(v: int):
-        nonlocal nodes, check_at
-        nodes += 1
-        if nodes >= check_at:
-            check_at = _checkpoint(counter, nodes)
+
+def _assign(s: _Assignment, v: int):
+    """The solutions that extend the sets ``s.chosen`` of the vertices
+    before ``v``."""
+    s.nodes += 1
+    counter = s.counter
+    if s.nodes >= s.check_at:
+        s.check_at = _checkpoint(counter, s.nodes)
+        if counter["stop"]:
+            return
+    n, chosen = s.n, s.chosen
+    if v == n:
+        counter["nodes"] = s.nodes
+        yield tuple(frozenset(u for u in range(n) if chosen[u] >> e & 1)
+                    for e in range(s.p)), 1
+        return
+    adj, want_d, want_a, want_u = s.adj, s.want_d, s.want_a, s.want_u
+    for cand in range(1, 1 << s.p):
+        if want_u and chosen and \
+                cand.bit_count() != chosen[0].bit_count():
+            continue
+        for u in range(v):
+            inter = chosen[u] & cand
+            if bool(inter) != bool(adj[v] >> u & 1) \
+                    or want_a and (inter == cand or inter == chosen[u]) \
+                    or want_d and chosen[u] == cand:
+                break
+        else:
+            chosen.append(cand)
+            yield from _assign(s, v + 1)
+            chosen.pop()
             if counter["stop"]:
                 return
-        if v == n:
-            counter["nodes"] = nodes
-            yield tuple(frozenset(u for u in range(n) if chosen[u] >> e & 1)
-                        for e in range(p)), 1
-            return
-        for cand in range(1, 1 << p):
-            if want_u and chosen and \
-                    cand.bit_count() != chosen[0].bit_count():
-                continue
-            for u in range(v):
-                inter = chosen[u] & cand
-                if bool(inter) != bool(adj[v] >> u & 1) \
-                        or want_a and (inter == cand or inter == chosen[u]) \
-                        or want_d and chosen[u] == cand:
-                    break
-            else:
-                chosen.append(cand)
-                yield from place(v + 1)
-                chosen.pop()
-                if counter["stop"]:
-                    return
-
-    yield from place(0)
-    counter["nodes"] = nodes
 
 
 def _assignment_levels(g: Graph, category: str, counter: dict):

@@ -49,6 +49,11 @@ resumed, so each call returns only the partitions new at its budget.  A
 node is counted when it is first visited and not again when resumed, so
 the nodes of a run up to budget q are at most those of one call at q.  A
 node that no budget up to the frontier's cap lets go on is not kept.
+
+The search keeps its state in one :class:`_Search` object, which
+module-level functions take: a nested function that calls itself is a
+reference cycle, and the cycle would keep each call's partitions, frontier
+entries and masks alive until the cyclic garbage collector runs.
 """
 
 from __future__ import annotations
@@ -84,6 +89,27 @@ class Frontier:
         self.entries: list[tuple] | None = None
 
 
+class _Search:
+    """The state of one :func:`enumerate_edge_partitions` call, which the
+    module-level search functions take as their first argument."""
+
+    __slots__ = ("n", "max_cliques", "node_limit", "deadline", "cap", "unc",
+                 "cliques", "partitions", "kept", "nodes", "aborted")
+
+    def __init__(self, n, adj, max_cliques, node_limit, deadline, cap):
+        self.n = n
+        self.max_cliques = max_cliques
+        self.node_limit = node_limit
+        self.deadline = deadline
+        self.cap = cap
+        self.unc = [adj[v] for v in range(n)]
+        self.cliques: list[int] = []
+        self.partitions: list[tuple[tuple[int, ...], int]] = []
+        self.kept: list[tuple] = []
+        self.nodes = 0
+        self.aborted = False
+
+
 def enumerate_edge_partitions(n, adj, max_cliques, node_limit=None,
                               deadline=None, frontier=None):
     """Enumerate partitions up to twin swaps; returns (pairs, nodes,
@@ -97,136 +123,8 @@ def enumerate_edge_partitions(n, adj, max_cliques, node_limit=None,
     returns only the partitions new at its budget and counts only the
     nodes it visits for the first time.
     """
-    unc = [adj[v] for v in range(n)]
-    cliques: list[int] = []
-    partitions: list[tuple[tuple[int, ...], int]] = []
-    kept: list[tuple] = []
-    cap = -1 if frontier is None else frontier.cap
-    nodes = 0
-    aborted = False
-
-    def descend(cells: list[int], weight: int, active: int,
-                total: int) -> None:
-        nonlocal nodes, aborted
-        nodes += 1
-        if node_limit is not None and nodes > node_limit:
-            aborted = True
-            return
-        if deadline is not None and nodes % 1024 == 0 \
-                and time.monotonic() > deadline:
-            aborted = True
-            return
-        expand(cells, weight, active, total, 0)
-
-    # cells: the node's cells of two or more vertices; weight: the number
-    # of labelled nodes the node stands for; active: the vertices with an
-    # uncovered edge; total: twice the number of uncovered edges; skip: the
-    # last clique of the partition this node returned at a smaller budget
-    def expand(cells: list[int], weight: int, active: int, total: int,
-               skip: int) -> None:
-        if not active:
-            partitions.append((tuple(sorted(cliques)), weight))
-            return
-        remaining = max_cliques - len(cliques)
-        if remaining <= 1:
-            # the last clique must be the whole uncovered graph
-            k = active.bit_count()
-            whole = total == k * (k - 1)
-            if whole and remaining == 1:
-                partitions.append((tuple(sorted(cliques + [active])), weight))
-            # one more clique closes a whole uncovered graph left open;
-            # anything else needs two more to branch
-            least = len(cliques) + (1 if whole and remaining < 1 else 2)
-            if least <= cap:
-                kept.append((least, tuple(cliques), tuple(unc), cells,
-                             weight, active, total,
-                             active if whole and remaining == 1 else 0))
-            return
-
-        # fail-first edge: fewest common uncovered neighbours
-        best = n
-        rest = active
-        while rest and best:
-            abit = rest & -rest
-            rest ^= abit
-            a = abit.bit_length() - 1
-            ua = unc[a]
-            later = ua & ~((abit << 1) - 1)
-            while later:
-                bbit = later & -later
-                later ^= bbit
-                b = bbit.bit_length() - 1
-                c = (ua & unc[b]).bit_count()
-                if c < best:
-                    best, u, v = c, a, b
-                    if not c:
-                        break
-        base = (1 << u) | (1 << v)
-        common = unc[u] & unc[v]
-
-        # the vertices of one cell in common are interchangeable: lower[w]
-        # holds those below w, which a candidate takes before it takes w
-        lower = None
-        if cells:
-            groups = []
-            lower = {}
-            for cell in cells:
-                grp = cell & common
-                if grp & (grp - 1):
-                    groups.append(grp)
-                    below = 0
-                    while grp:
-                        wbit = grp & -grp
-                        grp ^= wbit
-                        lower[wbit] = below
-                        below |= wbit
-
-        candidates: list[int] = []
-
-        def extend(cur: int, cand: int) -> None:
-            candidates.append(cur)
-            while cand:
-                wbit = cand & -cand
-                cand ^= wbit
-                if lower and lower.get(wbit, 0) & ~cur:
-                    continue
-                extend(cur | wbit, cand & unc[wbit.bit_length() - 1])
-
-        extend(base, common)
-
-        for cl in candidates:
-            if cl == skip:
-                continue
-            saved = []
-            left = active
-            rest = cl
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                a = bit.bit_length() - 1
-                saved.append((a, unc[a]))
-                unc[a] &= ~cl
-                if not unc[a]:
-                    left ^= bit
-            k = cl.bit_count()
-            left_total = total - k * (k - 1)
-            cliques.append(cl)
-            if cells:
-                orbit = weight
-                for grp in groups:
-                    orbit *= comb(grp.bit_count(), (cl & grp).bit_count())
-                split = [part for cell in cells
-                         for part in (cell & cl, cell & ~cl)
-                         if part & (part - 1)]
-                descend(split, orbit, left, left_total)
-            else:
-                descend(cells, weight, left, left_total)
-            cliques.pop()
-            for a, old in saved:
-                unc[a] = old
-            if aborted:
-                return
-
+    s = _Search(n, adj, max_cliques, node_limit, deadline,
+                -1 if frontier is None else frontier.cap)
     if frontier is None or frontier.entries is None:
         active = 0
         total = 0
@@ -234,23 +132,154 @@ def enumerate_edge_partitions(n, adj, max_cliques, node_limit=None,
             if adj[x]:
                 active |= 1 << x
                 total += adj[x].bit_count()
-        descend(_twin_classes(n, adj), 1, active, total)
+        _descend(s, _twin_classes(n, adj), 1, active, total)
     else:
         for entry in frontier.entries:
             least, chosen, node_unc, cells, weight, active, total, skip = entry
             if least > max_cliques:
-                kept.append(entry)
+                s.kept.append(entry)
                 continue
             # a resumed node was counted when it was first visited
-            cliques[:] = chosen
-            unc[:] = node_unc
-            expand(cells, weight, active, total, skip)
-            if aborted:
+            s.cliques[:] = chosen
+            s.unc[:] = node_unc
+            _expand(s, cells, weight, active, total, skip)
+            if s.aborted:
                 break
     if frontier is not None:
-        frontier.entries = kept
-    partitions.sort()
-    return partitions, nodes, not aborted
+        frontier.entries = s.kept
+    s.partitions.sort()
+    return s.partitions, s.nodes, not s.aborted
+
+
+def _descend(s: _Search, cells: list[int], weight: int, active: int,
+             total: int) -> None:
+    """Count a new node, stop at a limit, and expand it."""
+    s.nodes += 1
+    if s.node_limit is not None and s.nodes > s.node_limit:
+        s.aborted = True
+        return
+    if s.deadline is not None and s.nodes % 1024 == 0 \
+            and time.monotonic() > s.deadline:
+        s.aborted = True
+        return
+    _expand(s, cells, weight, active, total, 0)
+
+
+# cells: the node's cells of two or more vertices; weight: the number of
+# labelled nodes the node stands for; active: the vertices with an
+# uncovered edge; total: twice the number of uncovered edges; skip: the
+# last clique of the partition this node returned at a smaller budget
+def _expand(s: _Search, cells: list[int], weight: int, active: int,
+            total: int, skip: int) -> None:
+    cliques = s.cliques
+    if not active:
+        s.partitions.append((tuple(sorted(cliques)), weight))
+        return
+    unc = s.unc
+    remaining = s.max_cliques - len(cliques)
+    if remaining <= 1:
+        # the last clique must be the whole uncovered graph
+        k = active.bit_count()
+        whole = total == k * (k - 1)
+        if whole and remaining == 1:
+            s.partitions.append((tuple(sorted(cliques + [active])), weight))
+        # one more clique closes a whole uncovered graph left open;
+        # anything else needs two more to branch
+        least = len(cliques) + (1 if whole and remaining < 1 else 2)
+        if least <= s.cap:
+            s.kept.append((least, tuple(cliques), tuple(unc), cells,
+                           weight, active, total,
+                           active if whole and remaining == 1 else 0))
+        return
+
+    # fail-first edge: fewest common uncovered neighbours
+    best = s.n
+    rest = active
+    while rest and best:
+        abit = rest & -rest
+        rest ^= abit
+        a = abit.bit_length() - 1
+        ua = unc[a]
+        later = ua & ~((abit << 1) - 1)
+        while later:
+            bbit = later & -later
+            later ^= bbit
+            b = bbit.bit_length() - 1
+            c = (ua & unc[b]).bit_count()
+            if c < best:
+                best, u, v = c, a, b
+                if not c:
+                    break
+    base = (1 << u) | (1 << v)
+    common = unc[u] & unc[v]
+
+    # the vertices of one cell in common are interchangeable: lower[w]
+    # holds those below w, which a candidate takes before it takes w
+    lower = None
+    if cells:
+        groups = []
+        lower = {}
+        for cell in cells:
+            grp = cell & common
+            if grp & (grp - 1):
+                groups.append(grp)
+                below = 0
+                while grp:
+                    wbit = grp & -grp
+                    grp ^= wbit
+                    lower[wbit] = below
+                    below |= wbit
+
+    candidates: list[int] = []
+    _extend(candidates, unc, lower, base, common)
+
+    for cl in candidates:
+        if cl == skip:
+            continue
+        saved = []
+        left = active
+        rest = cl
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            a = bit.bit_length() - 1
+            saved.append((a, unc[a]))
+            unc[a] &= ~cl
+            if not unc[a]:
+                left ^= bit
+        k = cl.bit_count()
+        left_total = total - k * (k - 1)
+        cliques.append(cl)
+        if cells:
+            orbit = weight
+            for grp in groups:
+                orbit *= comb(grp.bit_count(), (cl & grp).bit_count())
+            split = [part for cell in cells
+                     for part in (cell & cl, cell & ~cl)
+                     if part & (part - 1)]
+            _descend(s, split, orbit, left, left_total)
+        else:
+            _descend(s, cells, weight, left, left_total)
+        cliques.pop()
+        for a, old in saved:
+            unc[a] = old
+        if s.aborted:
+            return
+
+
+def _extend(candidates: list[int], unc: list[int], lower: dict | None,
+            cur: int, cand: int) -> None:
+    """Append ``cur`` and every clique that grows it from ``cand``, the
+    vertices adjacent to all of it, taking a cell's vertices lowest
+    first."""
+    candidates.append(cur)
+    while cand:
+        wbit = cand & -cand
+        cand ^= wbit
+        if lower and lower.get(wbit, 0) & ~cur:
+            continue
+        _extend(candidates, unc, lower, cur | wbit,
+                cand & unc[wbit.bit_length() - 1])
 
 
 def kernel_name() -> str:

@@ -130,6 +130,11 @@ def represents(rep: SetRepresentation, graph: Graph) -> bool:
 # that subtree cannot lower the minimum.
 #
 # The minimum, and so the form, is that of the exhaustive walk.
+#
+# The walk keeps its state in a _Walk object and runs in module-level
+# functions: a nested function that calls itself is a reference cycle,
+# which would keep each call's colourings and automorphisms alive until the
+# cyclic garbage collector runs.
 # ---------------------------------------------------------------------------
 
 _Encoding = tuple[int, int, tuple[tuple[int, ...], ...]]
@@ -172,88 +177,101 @@ def _orbit(seeds: list[int], generators: list[list[int]]) -> set[int]:
     return orbit
 
 
+class _Walk:
+    """The state of one :func:`canonical_form` call: the structure, and the
+    first leaf, the least leaf (each as encoding, colouring, path) and the
+    automorphisms recorded so far."""
+
+    __slots__ = ("n", "set_elems", "mults", "membership", "first", "best",
+                 "automorphisms")
+
+    def __init__(self, rep: SetRepresentation):
+        n = self.n = len(rep.universe)
+        index = {e: i for i, e in enumerate(rep.universe)}
+        copies = Counter(rep.sets)
+        self.set_elems = [list(map(index.__getitem__, s)) for s in copies]
+        self.mults = list(copies.values())
+        self.membership: list[list[int]] = [[] for _ in range(n)]
+        for j, (elems, m) in enumerate(zip(self.set_elems, self.mults)):
+            for e in elems:
+                self.membership[e] += [j] * m
+        self.first = self.best = None
+        self.automorphisms: list[list[int]] = []
+
+
 def canonical_form(rep: SetRepresentation) -> _Encoding:
     """A complete isomorphism invariant of the multiset structure: the
     least leaf encoding of the search tree, walked with automorphism
     pruning and with a jump back from every leaf that repeats the first
     or the least encoding (see the comment above ``_refine``)."""
-    n = len(rep.universe)
-    index = {e: i for i, e in enumerate(rep.universe)}
-    copies = Counter(rep.sets)
-    set_elems = [list(map(index.__getitem__, s)) for s in copies]
-    membership: list[list[int]] = [[] for _ in range(n)]
-    for j, (elems, m) in enumerate(zip(set_elems, copies.values())):
-        for e in elems:
-            membership[e] += [j] * m
+    w = _Walk(rep)
+    _walk(w, [0] * w.n, [])
+    return (w.n, len(rep.sets), w.best[0])
 
-    # (encoding, colouring, path) of the first leaf and of the least leaf
-    first = best = None
-    automorphisms: list[list[int]] = []
 
-    def encode(colors: list[int]) -> tuple[tuple[int, ...], ...]:
-        rows = []
-        for elems, m in zip(set_elems, copies.values()):
-            rows += [tuple(sorted(map(colors.__getitem__, elems)))] * m
-        return tuple(sorted(rows))
+def _encode(w: _Walk, colors: list[int]) -> tuple[tuple[int, ...], ...]:
+    rows = []
+    for elems, m in zip(w.set_elems, w.mults):
+        rows += [tuple(sorted(map(colors.__getitem__, elems)))] * m
+    return tuple(sorted(rows))
 
-    def leaf(colors: list[int], fixed: list[int]) -> int:
-        nonlocal first, best
-        enc = encode(colors)
-        if first is None:
-            first = best = (enc, colors, fixed)
-            return len(fixed)
-        for ref_enc, ref_colors, ref_fixed in (first, best):
-            if enc == ref_enc:
-                at = [0] * n
-                for e, c in enumerate(ref_colors):
-                    at[c] = e
-                automorphisms.append([at[c] for c in colors])
-                depth = 0
-                while fixed[depth] == ref_fixed[depth]:
-                    depth += 1
-                return depth
-        if enc < best[0]:
-            best = (enc, colors, fixed)
+
+def _leaf(w: _Walk, colors: list[int], fixed: list[int]) -> int:
+    enc = _encode(w, colors)
+    if w.first is None:
+        w.first = w.best = (enc, colors, fixed)
         return len(fixed)
+    for ref_enc, ref_colors, ref_fixed in (w.first, w.best):
+        if enc == ref_enc:
+            at = [0] * w.n
+            for e, c in enumerate(ref_colors):
+                at[c] = e
+            w.automorphisms.append([at[c] for c in colors])
+            depth = 0
+            while fixed[depth] == ref_fixed[depth]:
+                depth += 1
+            return depth
+    if enc < w.best[0]:
+        w.best = (enc, colors, fixed)
+    return len(fixed)
 
-    def walk(colors: list[int], fixed: list[int]) -> int:
-        """Walk the subtree below ``fixed``; return the depth to resume at,
-        less than ``len(fixed)`` when an automorphism jumps over the rest
-        of the subtree."""
-        colors = _refine(colors, membership, set_elems)
-        if max(colors, default=-1) == n - 1:
-            return leaf(colors, fixed)
-        # colours are dense ranks: branch on the least one held twice
-        sizes = [0] * n
-        for c in colors:
-            sizes[c] += 1
-        cell = next(c for c, size in enumerate(sizes) if size > 1)
-        target = [e for e, c in enumerate(colors) if c == cell]
-        depth = len(fixed)
-        explored: list[int] = []
-        orbit: set[int] | None = set()
-        for chosen in target:
-            if orbit is None:
-                # only a walk records automorphisms, so the orbit holds
-                # until the next child is walked
-                orbit = _orbit(explored, [g for g in automorphisms
-                                          if all(g[x] == x for x in fixed)])
-            if chosen in orbit:
-                continue
-            # Slot the chosen element just below the rest of its cell.
-            branched = [c + (c > cell) for c in colors]
-            for other in target:
-                if other != chosen:
-                    branched[other] = cell + 1
-            resume = walk(branched, fixed + [chosen])
-            if resume < depth:
-                return resume
-            explored.append(chosen)
-            orbit = None
-        return depth
 
-    walk([0] * n, [])
-    return (n, len(rep.sets), best[0])
+def _walk(w: _Walk, colors: list[int], fixed: list[int]) -> int:
+    """Walk the subtree below ``fixed``; return the depth to resume at,
+    less than ``len(fixed)`` when an automorphism jumps over the rest of
+    the subtree."""
+    n = w.n
+    colors = _refine(colors, w.membership, w.set_elems)
+    if max(colors, default=-1) == n - 1:
+        return _leaf(w, colors, fixed)
+    # colours are dense ranks: branch on the least one held twice
+    sizes = [0] * n
+    for c in colors:
+        sizes[c] += 1
+    cell = next(c for c, size in enumerate(sizes) if size > 1)
+    target = [e for e, c in enumerate(colors) if c == cell]
+    depth = len(fixed)
+    explored: list[int] = []
+    orbit: set[int] | None = set()
+    for chosen in target:
+        if orbit is None:
+            # only a walk records automorphisms, so the orbit holds until
+            # the next child is walked
+            orbit = _orbit(explored, [g for g in w.automorphisms
+                                      if all(g[x] == x for x in fixed)])
+        if chosen in orbit:
+            continue
+        # Slot the chosen element just below the rest of its cell.
+        branched = [c + (c > cell) for c in colors]
+        for other in target:
+            if other != chosen:
+                branched[other] = cell + 1
+        resume = _walk(w, branched, fixed + [chosen])
+        if resume < depth:
+            return resume
+        explored.append(chosen)
+        orbit = None
+    return depth
 
 
 def isomorphic(a: SetRepresentation, b: SetRepresentation) -> bool:

@@ -1,6 +1,7 @@
 """Exhaustive-search oracle: frozen results, the kernel, budgets."""
 
 import collections
+import gc
 import itertools
 import random
 import time
@@ -16,11 +17,15 @@ from setrep import (
     category_flags,
     complete_graph,
     cycle_graph,
+    canonical_form,
     line_graph,
+    near_pencil,
     oracle_search,
     path_graph,
     represents,
     star_graph,
+    theta_tau_linegraph,
+    witness_sd_variants,
 )
 from setrep.errors import SetrepError
 from setrep.graphs import automorphisms
@@ -1173,9 +1178,7 @@ def test_repeated_stars_are_told_from_groups(triangle_copies):
     X keys as X.  In d, where the triangles may recur, they recur twice
     here."""
     k4 = complete_graph(4)
-    lg, _ = line_graph(k4)
-    at = [frozenset(i for i, e in enumerate(k4.edges) if v in e)
-          for v in range(4)]
+    lg, at = line_graph(k4)
     opposite = [frozenset(range(6)) - star for star in at]
     x = tuple(opposite) * triangle_copies + tuple(
         frozenset((i,)) for i in sorted(at[0]))
@@ -1188,3 +1191,54 @@ def test_repeated_stars_are_told_from_groups(triangle_copies):
     assert listed.key(x) != listed.key(y)
     assert keyer.key(x) != keyer.key(y)
     assert keyer.key(moved) == keyer.key(x) and moved != x
+
+
+# -- memory: the search leaves nothing for the cyclic collector ---------------
+
+def test_public_calls_leave_no_reference_cycles():
+    """A nested function that calls itself is a reference cycle, which
+    keeps the call's data alive until the cyclic collector runs.  With the
+    collector off, each call leaves no unreachable object behind: the
+    kernel resumed across levels, the padding, the assignment search, both
+    limits' stops, the census, the canonical walk and the listing of the
+    site permutations."""
+    paw = zoo.plumed_triangle(1)
+    wings = zoo.from_edges([e for i in range(2) for e in (
+        ("hub", f"s{i}"), (f"s{i}", f"x{i}"), (f"s{i}", f"y{i}"),
+        (f"x{i}", f"y{i}"))])
+    np7 = near_pencil(7)
+    pencil = SetRepresentation(tuple(range(np7.points)),
+                               tuple(frozenset(line) for line in np7.lines))
+    g, level = matching(5), 10
+    kernel = sum(nodes for _q, _pairs, nodes
+                 in resumed_levels(g, range(1, level + 1)))
+
+    def in_kernel():
+        r = oracle_search(complete_graph(7), "sd",
+                          SearchBudget(max_universe=7, node_limit=50))
+        assert r.stop_reason == "node_limit" and not r.labeled_solutions
+
+    def in_padding():
+        r = oracle_search(g, "sd", SearchBudget(max_universe=level,
+                                                node_limit=kernel + 3))
+        assert r.stop_reason == "node_limit" and r.labeled_solutions == 3
+
+    calls = {
+        "K5 sd": lambda: run(complete_graph(5), "sd", 5),
+        "L(paw) sa": lambda: run(line_graph(paw)[0], "sa", 5, base=paw),
+        "P4 a": lambda: run(path_graph(4), "a", 4),
+        "node limit in the kernel": in_kernel,
+        "node limit in the padding": in_padding,
+        "census K7": lambda: verify_dbe(7),
+        "canonical form of near_pencil(7)": lambda: canonical_form(pencil),
+        "site permutations": lambda: theta_tau_linegraph(wings, "sd"),
+        "witness variants": lambda: witness_sd_variants(wings),
+    }
+    for name, call in calls.items():
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0, name
+        finally:
+            gc.enable()

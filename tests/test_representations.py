@@ -1,4 +1,3 @@
-import itertools
 import json
 import random
 from collections import Counter
@@ -138,15 +137,40 @@ def test_canonical_form_separates():
 
 
 def brute_isomorphic(a, b):
-    """Some universe bijection carries a's multiset of sets onto b's?"""
-    if len(a.universe) != len(b.universe):
+    """Some universe bijection carries a's multiset of sets onto b's?
+
+    Every bijection is tried, element by element: a partial map is dropped
+    as soon as a set of a whose elements are all mapped has no unused
+    equal image among b's sets, counting multiplicity."""
+    if len(a.universe) != len(b.universe) or len(a.sets) != len(b.sets):
         return False
-    want = Counter(b.sets)
-    for image in itertools.permutations(b.universe):
-        move = dict(zip(a.universe, image))
-        if Counter(frozenset(move[e] for e in s) for s in a.sets) == want:
+    at = {e: i for i, e in enumerate(a.universe)}
+    closed_by = [[] for _ in a.universe]  # the sets whose last element is i
+    for s in a.sets:
+        closed_by[max(map(at.__getitem__, s))].append(s)
+    free = Counter(b.sets)
+    move = {}
+
+    def place(i):
+        if i == len(a.universe):
             return True
-    return False
+        for y in set(b.universe) - set(move.values()):
+            move[a.universe[i]] = y
+            taken = []
+            for s in closed_by[i]:
+                image = frozenset(map(move.__getitem__, s))
+                if not free[image]:
+                    break
+                free[image] -= 1
+                taken.append(image)
+            else:
+                if place(i + 1):
+                    return True
+            free.update(taken)
+        move.pop(a.universe[i], None)
+        return False
+
+    return place(0)
 
 
 def edge_system(g):
