@@ -3,10 +3,17 @@
 The generator is gated on the counts of OEIS A002905.  On the whole corpus
 the classification must name exactly the families that their definitions
 build, and on the bases with at most eight edges the closed forms must
-agree with the oracle in ``sd``, ``sa`` and ``sdu``.
+agree with the oracle in ``sd``, ``sa`` and ``sdu``.  Every closed-form
+report on the corpus must match its frozen digest in
+``closed_form_digests.json``; after a change that alters an answer on
+purpose, regenerate that file with ``PYTHONPATH=src python
+tests/test_bases.py``.
 """
 
+import hashlib
+import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -102,3 +109,40 @@ def test_closed_forms_agree_with_the_oracle_up_to_eight_edges(bases,
                 assert category_flags(rep).satisfies(category), base.edges
             runs += 1
     assert runs == sum(A002905[:ORACLE_MAX_M])
+
+
+DIGESTS = Path(__file__).with_name("closed_form_digests.json")
+DIGEST_CATEGORIES = ("sd", "sa", "sdu")
+
+
+def closed_form_digests(bases):
+    """A digest of ``theta_tau_linegraph(base, category).to_json_dict()``
+    (theta, tau, provenance, notes and witnesses), serialised with sorted
+    keys, for every base and category; keyed by the category and the
+    base's edges."""
+    out = {}
+    for level in bases:
+        for base in level.values():
+            edges = " ".join(f"{u}-{v}" for u, v in base.edges)
+            for category in DIGEST_CATEGORIES:
+                report = theta_tau_linegraph(base, category).to_json_dict()
+                text = json.dumps(report, sort_keys=True).encode()
+                out[f"{category} {edges}"] = hashlib.sha256(text).hexdigest()[:16]
+    return out
+
+
+def test_closed_forms_match_the_frozen_corpus(bases):
+    """theta, tau, provenance, notes and witnesses of every closed form
+    on every connected base with at most nine edges, in ``sd``, ``sa``
+    and ``sdu``, are the frozen ones."""
+    frozen = json.loads(DIGESTS.read_text())
+    got = closed_form_digests(bases)
+    assert len(got) == 3 * sum(A002905)
+    wrong = [key for key in got if frozen.get(key) != got[key]]
+    assert not wrong, f"{len(wrong)} reports differ, first: {wrong[:5]}"
+    assert got.keys() == frozen.keys()
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps(
+        closed_form_digests(zoo.connected_bases(MAX_M)), indent=0) + "\n")
