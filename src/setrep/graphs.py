@@ -198,118 +198,3 @@ def star_graph(leaves: int) -> Graph:
     """The star with one hub and ``leaves`` pendant vertices."""
     labels = ("hub",) + tuple(f"u{i + 1}" for i in range(leaves))
     return Graph(labels, tuple((0, i + 1) for i in range(leaves)))
-
-
-def automorphisms(g: Graph, points=None) -> list[tuple[int, ...]]:
-    """The distinct permutations that Aut(g) induces on ``points``, sorted,
-    as index tuples: entry i is the index of the image of ``points[i]``.
-    A point is a vertex as a 1-tuple or an edge as a pair; the default,
-    each vertex alone, gives Aut(g).  Automorphisms that carry a point off
-    the list are left out.
-
-    Backtracking, the points' vertices first in ascending order, then the
-    others by distance from them.  An image keeps its colour (the degree
-    split by sorted neighbour colours) and its adjacency to the placed
-    vertices, and each placement of the points' vertices is extended
-    once.  The colours are refined until stable, a vertex with no placed
-    neighbour also keeps its distances to the placed ones, and an
-    extension past the points' vertices tries one image per class of
-    twins (vertices whose swap is an automorphism).  Do not ask for an
-    image as large as Aut(K_n)."""
-    n, adj = g.n, g.adj
-    if points is None:
-        points = [(v,) for v in range(n)]
-    if not points:
-        return [()]
-    moved = set().union(*points)
-    k = len(moved)
-    order = sorted(moved)
-    color, classes = [len(a) for a in adj], 0
-    for _ in range(n):
-        ids: dict[tuple[int, ...], int] = {}
-        color = [ids.setdefault((c, *sorted([color[u] for u in a])), len(ids))
-                 for c, a in zip(color, adj)]
-        if len(ids) == classes:
-            break
-        classes = len(ids)
-
-    dists: list[list[int] | None] = [None] * n
-    order += sorted(set(range(n)) - moved,
-                    key=lambda v: min(_dist(adj, dists, u)[v] for u in moved))
-    first: dict[frozenset[int], int] = {}  # open or closed neighbourhoods
-    twin = [first.setdefault(a, first.setdefault(a | {v}, v))
-            for v, a in enumerate(adj)]
-    s = _Placing(adj, color, order, k, twin, dists)
-    _place(s, 0)
-    index = {pair: i for i, p in enumerate(points)
-             for pair in ((p[0], p[-1]), (p[-1], p[0]))}
-    perms = {tuple(index.get((sigma[p[0]], sigma[p[-1]])) for p in points)
-             for sigma in s.found}
-    return sorted(perm for perm in perms if None not in perm)
-
-
-class _Placing:
-    """The state of one :func:`automorphisms` call: the graph's adjacency
-    and stable colours, the placing order, the number ``k`` of the points'
-    vertices, each vertex's twin class, the distance rows computed so far,
-    the partial image and the automorphisms found."""
-
-    __slots__ = ("n", "adj", "color", "order", "k", "twin", "dists", "image",
-                 "used", "found")
-
-    def __init__(self, adj, color, order, k, twin, dists):
-        self.n = len(adj)
-        self.adj, self.color, self.order, self.k = adj, color, order, k
-        self.twin, self.dists = twin, dists
-        self.image, self.used = [0] * self.n, [False] * self.n
-        self.found: list[tuple[int, ...]] = []
-
-
-def _dist(adj, dists: list, source: int) -> list[int]:
-    """Breadth-first distances from ``source``, n where no path; kept in
-    ``dists[source]``."""
-    row = dists[source]
-    if row is None:
-        n = len(adj)
-        row = [n] * n
-        row[source], queue = 0, [source]
-        for u in queue:
-            for w in adj[u]:
-                if row[w] == n:
-                    row[w] = row[u] + 1
-                    queue.append(w)
-        dists[source] = row
-    return row
-
-
-def _place(s: _Placing, i: int) -> bool:
-    """Place ``s.order[i]`` in every way that fits; past the points'
-    vertices, stop at the first automorphism.  True if one was found."""
-    n, adj, color, twin = s.n, s.adj, s.color, s.twin
-    image, used = s.image, s.used
-    if i == n:
-        s.found.append(tuple(image))
-        return True
-    v, prefix, tried = s.order[i], s.order[:i], set()
-    av, dv = adj[v], adj[v].isdisjoint(prefix) and _dist(adj, s.dists, v)
-    for w in range(n):
-        if used[w] or color[w] != color[v]:
-            continue
-        if i >= s.k:  # w's twins fit and extend where w does
-            if twin[w] in tried:
-                continue
-            tried.add(twin[w])
-        if dv and any(dv[u] != _dist(adj, s.dists, w)[image[u]]
-                      for u in prefix):
-            continue
-        aw = adj[w]
-        for u in prefix:
-            if (u in av) != (image[u] in aw):
-                break
-        else:
-            image[v], used[w] = w, True
-            done = _place(s, i + 1) and i >= s.k
-            used[w] = False
-            if done:
-                return True
-    return False

@@ -94,8 +94,7 @@ from dataclasses import dataclass
 
 from .errors import SetrepError
 from .geometry import LinearSpace, is_projective_plane
-# automorphisms is not called here: the layer tracer and the tests hook it
-from .graphs import Graph, automorphisms, complete_graph, line_graph
+from .graphs import Graph, complete_graph, line_graph
 from .partitions import Frontier, enumerate_edge_partitions
 from .representations import (SetRepresentation, canonical_form,
                               VALID_CATEGORIES)

@@ -209,6 +209,16 @@ def canonical_form(rep: SetRepresentation) -> _Encoding:
     return (w.n, len(rep.sets), w.best[0])
 
 
+def _automorphism_generators(rep: SetRepresentation) -> list[list[int]]:
+    """Generators of the automorphism group of the multiset structure, as
+    maps from universe indices to universe indices: the automorphisms that
+    the walk of :func:`canonical_form` records, which generate the whole
+    group (McKay 1981)."""
+    w = _Walk(rep)
+    _walk(w, [0] * w.n, [])
+    return w.automorphisms
+
+
 def _encode(w: _Walk, colors: list[int]) -> tuple[tuple[int, ...], ...]:
     rows = []
     for elems, m in zip(w.set_elems, w.mults):

@@ -28,10 +28,13 @@ edge.  For ``sa`` they are the vertices with at least two pendant edges and
 a single other edge: the saturated star with private pendant elements, a
 near-pencil on the site's edges, or a projective plane on them.  tau is the
 number of orbits of bundle assignments under the base graph's
-automorphisms, which ``graphs.automorphisms`` lists as they act on the
-sites, not in full.  ``sdu`` has no construction: outside its table tau is
-1 and the minimum size is the oracle's.  Reports say which case produced
-them via the ``provenance`` string.
+automorphisms.  Their generators come from the canonical walk of
+``representations`` run on the base; up to ``_WITNESS_ENUM_CAP`` labelled
+solutions the orbits are closed under them, and past it the generators
+are closed into the group on the sites for a Burnside count.  ``sdu`` has
+no construction: outside its table tau is 1 and the minimum size is the
+oracle's.  Reports say which case produced them via the ``provenance``
+string.
 """
 
 from __future__ import annotations
@@ -46,8 +49,9 @@ from .cliquecover import CliqueCover, egp_set, silly_partition
 from .errors import TheoremNotApplicable
 from .geometry import (fls_to_cover, n_pp, near_pencil, order_for_points,
                        projective_plane, puncture)
-from .graphs import Graph, automorphisms, complete_graph, line_graph
-from .representations import SetRepresentation, rep_to_json_dict
+from .graphs import Graph, complete_graph, line_graph
+from .representations import (SetRepresentation, _automorphism_generators,
+                              rep_to_json_dict)
 
 __all__ = [
     "TauValue",
@@ -326,7 +330,7 @@ def _base_cliques(stars: tuple, cls: Classification,
     return cliques
 
 
-def _orbit_count(perms: list[tuple[int, ...]], alphabets: list[int]) -> int:
+def _orbit_count(perms: set[tuple[int, ...]], alphabets: list[int]) -> int:
     """Burnside count of site assignments up to the induced permutations:
     an assignment that ``pi`` fixes picks one bundle per cycle of ``pi``."""
     total = 0
@@ -344,18 +348,22 @@ def _orbit_count(perms: list[tuple[int, ...]], alphabets: list[int]) -> int:
     return count
 
 
-def _orbit_representatives(perms: list[tuple[int, ...]],
-                           alphabets: list[int]) -> list[tuple[int, ...]]:
-    """Lexicographically least assignment from each orbit.  ``perms`` is
-    a whole group, so it holds every inverse, and the orbit of ``a`` is
-    its images under ``perms`` in one pass."""
-    reps = []
-    seen: set[tuple[int, ...]] = set()
-    for a in product(*(range(k) for k in alphabets)):
-        if a not in seen:
-            reps.append(a)
-            seen.update(tuple(a[i] for i in pi) for pi in perms)
-    return reps
+def _closure(start: tuple[int, ...],
+             perms: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """Every tuple reached from ``start`` by steps ``x -> x[pi]`` (entry i
+    becomes ``x[pi[i]]``) for ``pi`` in ``perms``: from an assignment of
+    bundles to the sites, its orbit; from the identity, the group that
+    ``perms`` generate."""
+    out = {start}
+    todo = [start]
+    while todo:
+        x = todo.pop()
+        for pi in perms:
+            y = tuple(x[i] for i in pi)
+            if y not in out:
+                out.add(y)
+                todo.append(y)
+    return out
 
 
 def _site_reps(lg: Graph, cliques: list[frozenset[int]], site_choices,
@@ -381,11 +389,18 @@ def _site_classes(base: Graph, lg: Graph, cliques: list[frozenset[int]],
     :func:`_construction` gives them.
 
     tau counts the orbits of bundle assignments under the permutations
-    that Aut(base) induces on the sites, and the witnesses are the least
-    assignment of each orbit.  Past ``_WITNESS_ENUM_CAP`` labelled
-    solutions, or when a site's planes cannot be built, the one witness is
-    ``cliques`` itself.  A symbolic alphabet makes tau the labelled count,
-    with no witness.
+    that Aut(base) induces on the sites.  Their generators are the
+    automorphisms that the canonical walk records on the base as a set
+    system (its vertices the elements, each edge a 2-set), restricted to
+    the sites, which every automorphism maps onto themselves.  Up to
+    ``_WITNESS_ENUM_CAP`` labelled solutions, the assignments are walked
+    in product order: each one not yet seen is the least of its orbit and
+    a witness, and its orbit, closed under the generators, is marked
+    seen.  Past the cap, tau is
+    the Burnside count over the group that the generators close into on
+    the sites, and the one witness is ``cliques`` itself, as it is when a
+    site's planes cannot be built.  A symbolic alphabet makes tau the
+    labelled count, with no witness.
     """
     open_sites = [a for a in alphabets if isinstance(a, str)]
     if open_sites:
@@ -393,21 +408,36 @@ def _site_classes(base: Graph, lg: Graph, cliques: list[frozenset[int]],
         return (" * ".join(([str(known)] if known != 1 else []) + open_sites),
                 ("labelled count; automorphisms may identify some choices",),
                 ())
-    perms = automorphisms(base, points=[(v,) for v in sites])
-    tau = _orbit_count(perms, alphabets)
+    gens: list[tuple[int, ...]] = []
+    if sites:
+        at = {v: i for i, v in enumerate(sites)}
+        system = SetRepresentation(tuple(range(base.n)),
+                                   tuple(map(frozenset, base.edges)))
+        gens = [tuple(at[g[v]] for v in sites)
+                for g in _automorphism_generators(system)]
     labelled = prod(alphabets)
+    least: list[tuple[int, ...]] = []
+    if labelled <= _WITNESS_ENUM_CAP:
+        seen: set[tuple[int, ...]] = set()
+        for a in product(*(range(k) for k in alphabets)):
+            if a not in seen:
+                least.append(a)
+                seen |= _closure(a, gens)
+        tau = len(least)
+    else:
+        tau = _orbit_count(_closure(tuple(range(len(sites))), gens),
+                           alphabets)
     notes = [] if tau == labelled else [
         f"{labelled} labelled minimum solutions fall into {tau} classes "
         "because base-graph automorphisms permute the choice sites"]
-    if labelled <= _WITNESS_ENUM_CAP:
+    if least:
         try:
             site_choices = bundles()
         except TheoremNotApplicable as exc:
             notes.append(str(exc))
         else:
             return tau, tuple(notes), tuple(_site_reps(
-                lg, cliques, site_choices,
-                _orbit_representatives(perms, alphabets)))
+                lg, cliques, site_choices, least))
     return tau, tuple(notes), (egp_set(CliqueCover(lg, tuple(cliques))),)
 
 

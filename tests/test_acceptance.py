@@ -41,7 +41,7 @@ from setrep import (
     witness_sd,
     witness_sd_variants,
 )
-from setrep.graphs import automorphisms
+from zoo import automorphisms
 
 
 def family(*sets):

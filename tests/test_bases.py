@@ -2,12 +2,13 @@
 
 The generator is gated on the counts of OEIS A002905.  On the whole corpus
 the classification must name exactly the families that their definitions
-build, and on the bases with at most eight edges the closed forms must
-agree with the oracle in ``sd``, ``sa`` and ``sdu``.  Every closed-form
-report on the corpus must match its frozen digest in
-``closed_form_digests.json``; after a change that alters an answer on
-purpose, regenerate that file with ``PYTHONPATH=src python
-tests/test_bases.py``.
+build.  On the bases with at most eight edges the closed forms must agree
+with the oracle in ``sd``, ``sa`` and ``sdu``, and the automorphisms that
+the canonical walk records must generate the group that
+``zoo.automorphisms`` lists.  Every closed-form report on the corpus must
+match its frozen digest in ``closed_form_digests.json``; after a change
+that alters an answer on purpose, regenerate that file with
+``PYTHONPATH=src python tests/test_bases.py``.
 """
 
 import hashlib
@@ -20,6 +21,7 @@ import pytest
 import zoo
 from setrep import (
     SearchBudget,
+    SetRepresentation,
     category_flags,
     classify,
     complete_graph,
@@ -29,6 +31,7 @@ from setrep import (
     star_graph,
     theta_tau_linegraph,
 )
+from setrep.representations import _automorphism_generators
 
 A002905 = [1, 1, 3, 5, 12, 30, 79, 227, 710]  # connected graphs by edges
 MAX_M = len(A002905)
@@ -109,6 +112,35 @@ def test_closed_forms_agree_with_the_oracle_up_to_eight_edges(bases,
                 assert category_flags(rep).satisfies(category), base.edges
             runs += 1
     assert runs == sum(A002905[:ORACLE_MAX_M])
+
+
+def group_of(generators, n):
+    """The permutations of range(n) that ``generators`` generate."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        p = todo.pop()
+        for g in generators:
+            q = tuple(g[x] for x in p)
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return group
+
+
+def test_recorded_generators_generate_the_listed_group(bases):
+    """On every base with at most eight edges, as a set system of 2-sets
+    over its vertices, the automorphisms that the canonical walk records
+    generate exactly the automorphisms that the reference lists."""
+    checked = 0
+    for level in bases[:ORACLE_MAX_M]:
+        for g in level.values():
+            system = SetRepresentation(tuple(range(g.n)),
+                                       tuple(frozenset(e) for e in g.edges))
+            assert group_of(_automorphism_generators(system), g.n) \
+                == set(zoo.automorphisms(g)), g.edges
+            checked += 1
+    assert checked == sum(A002905[:ORACLE_MAX_M])
 
 
 DIGESTS = Path(__file__).with_name("closed_form_digests.json")

@@ -17,7 +17,7 @@ from setrep import (
     path_graph,
     star_graph,
 )
-from setrep.graphs import automorphisms
+from zoo import automorphisms
 
 
 def test_parse_basic():

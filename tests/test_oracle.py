@@ -2,7 +2,9 @@
 
 import collections
 import gc
+import importlib
 import itertools
+import pkgutil
 import random
 import time
 import types
@@ -28,8 +30,9 @@ from setrep import (
     witness_sd_variants,
 )
 from setrep.errors import SetrepError
-from setrep.graphs import automorphisms
+from zoo import automorphisms
 from setrep.partitions import enumerate_edge_partitions
+import setrep
 from setrep import oracle, partitions
 from setrep.oracle import _ClassKeyer, _masks, verify_dbe
 
@@ -1011,12 +1014,19 @@ def test_direct_keyer_matches_listed_automorphisms(g, cat, monkeypatch):
                              want.labeled_solutions, want.classes)
 
 
-def test_direct_input_lists_no_automorphisms(monkeypatch):
-    """star_graph(9) has 9! automorphisms; direct input never lists them."""
-    def refuse(graph):
-        raise AssertionError("automorphisms listed for direct input")
+def assert_no_module_lists_automorphisms():
+    """No module of the package has an attribute named ``automorphisms``,
+    so no run can list them."""
+    names = ["setrep"] + [f"setrep.{m.name}"
+                          for m in pkgutil.iter_modules(setrep.__path__)]
+    for name in names:
+        assert not hasattr(importlib.import_module(name), "automorphisms"), \
+            name
 
-    monkeypatch.setattr(oracle, "automorphisms", refuse)
+
+def test_direct_input_lists_no_automorphisms():
+    """star_graph(9) has 9! automorphisms; direct input never lists them."""
+    assert_no_module_lists_automorphisms()
     r = run(star_graph(9), "sd", 9)
     assert r.exhausted and r.theta == 9 and len(r.classes) == 1
 
@@ -1044,11 +1054,7 @@ def test_complete_line_graph_lists_no_automorphisms(base, cat, monkeypatch):
                             automorphisms(base, points=base.edges)))
     want = run(lg, cat, lg.n + 2, base=base)
     monkeypatch.undo()
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("automorphisms listed for a complete line graph")
-
-    monkeypatch.setattr(oracle, "automorphisms", refuse)
+    assert_no_module_lists_automorphisms()
     got = run(lg, cat, lg.n + 2, base=base)
     assert (got.theta, got.classes, got.labeled_solutions, got.exhausted) \
         == (want.theta, want.classes, want.labeled_solutions, want.exhausted)

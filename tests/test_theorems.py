@@ -32,7 +32,7 @@ from setrep import (
     witness_sd_variants,
 )
 from setrep import oracle
-from setrep.graphs import automorphisms
+from zoo import automorphisms
 from setrep.theorems import _sa_sites
 
 # -- complete graphs -----------------------------------------------------------
@@ -412,20 +412,22 @@ def winged_star(k):
         (f"x{i}", f"y{i}"))])
 
 
-@pytest.mark.parametrize("k", [4, 5, 6, 7])
-def test_winged_star_lists_site_permutations_not_the_group(k):
+@pytest.mark.parametrize("k", [4, 5, 6, 7, 8, 9])
+def test_winged_star_closes_wing_choices_under_generators(k):
     """The winged star has k!·2^k automorphisms, which permute its k
     stalks in k! ways.  The sd closed form counts the 2^k wing choices up
     to those: theta 3k + 1, and tau k + 1 classes (by the number of
-    flipped wings), one witness each.  Listing the whole group only to
-    project it took tens of seconds at k = 7."""
+    flipped wings), one witness each.  It closes each choice's orbit
+    under a few generators, so k = 9 takes well under a second."""
     base = winged_star(k)
     stalks = classify(base).three_wing_stalks
     assert len(stalks) == k
-    assert len(automorphisms(base, points=[(v,) for v in stalks])) == factorial(k)
+    if k <= 7:
+        assert len(automorphisms(base, points=[(v,) for v in stalks])) \
+            == factorial(k)
     start = time.monotonic()
     r = theta_tau_linegraph(base, "sd")
-    assert time.monotonic() - start < 5.0
+    assert time.monotonic() - start < 1.0
     assert (r.theta.exact, r.tau.exact) == (3 * k + 1, k + 1)
     assert r.provenance == "linegraph-sd-generic"
     lg, _ = line_graph(base)
