@@ -34,6 +34,7 @@ Terminology used throughout:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -106,8 +107,15 @@ def _named(degrees: list[int]) -> tuple[str, int | None] | None:
     return None
 
 
+@functools.lru_cache(maxsize=1)
 def classify(g: Graph) -> Classification:
-    """Classify a connected graph with at least one edge."""
+    """Classify a connected graph with at least one edge.
+
+    A repeated call on the same object returns the same result object:
+    the last graph's classification is kept, keyed by identity, so the
+    closed forms and the witness builders share one per base.  A refusal
+    is not kept; it is raised again on every call.
+    """
     if g.m == 0:
         raise ValueError("classification needs at least one edge")
     if not g.is_connected():

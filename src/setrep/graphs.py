@@ -15,6 +15,8 @@ tokens.  Vertices are numbered 0..n-1 in order of first appearance.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import DuplicateEdgeError, GraphFormatError, SelfLoopError
 
 
@@ -25,6 +27,10 @@ class Graph:
     display name of vertex ``i``.  Edges keep the orientation they were
     given in (useful for stable line-graph labels) but are unordered for
     all structural purposes.
+
+    Instances must not be modified after construction: :func:`line_graph`
+    and :func:`setrep.classify.classify` memoise their last argument by
+    identity, so a changed graph would be answered from its old form.
     """
 
     __slots__ = ("labels", "edges", "adj", "_index")
@@ -157,6 +163,7 @@ def format_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.lru_cache(maxsize=1)
 def line_graph(g: Graph) -> tuple[Graph, tuple[frozenset[int], ...]]:
     """The line graph of ``g`` and the stars of ``g``.
 
@@ -165,6 +172,10 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[frozenset[int], ...]]:
     the edges at base vertex v, and two edges are adjacent exactly when
     they lie in one star.  The line graph's edges are the pairs (i, j),
     i < j, in ascending order.
+
+    A repeated call on the same object returns the same result object:
+    the last base's line graph and stars are kept, so the closed forms,
+    the witness builders and the oracle's base check share one build.
     """
     stars: list[list[int]] = [[] for _ in g.labels]
     for i, (u, v) in enumerate(g.edges):

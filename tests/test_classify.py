@@ -1,17 +1,26 @@
 """Base-graph classification: kinds, counts, wings."""
 
+from dataclasses import fields
+
 import pytest
 
 import zoo
 from setrep import (
+    Classification,
     Graph,
+    SearchBudget,
     classify,
     complete_graph,
     cycle_graph,
     find_semiwings,
     find_wings,
+    line_graph,
+    oracle_search,
     path_graph,
     star_graph,
+    theta_tau_linegraph,
+    witness_sa,
+    witness_sd,
 )
 
 
@@ -130,7 +139,51 @@ def test_semiwings():
 
 
 def test_classify_rejects_edgeless_and_disconnected():
-    with pytest.raises(ValueError, match="edge"):
-        classify(Graph(("a",), ()))
-    with pytest.raises(ValueError, match="connected"):
-        classify(Graph(("a", "b", "c"), ((0, 1),)))
+    """Every call refuses, not only the first: a refusal is not kept."""
+    for g, match in ((Graph(("a",), ()), "edge"),
+                     (Graph(("a", "b", "c"), ((0, 1),)), "connected")):
+        for call in (classify, lambda b: theta_tau_linegraph(b, "sd"),
+                     witness_sd) * 2:
+            misses = classify.cache_info().misses
+            with pytest.raises(ValueError, match=match):
+                call(g)
+            assert classify.cache_info().misses == misses + 1
+
+
+def test_a_run_of_public_calls_derives_the_base_once():
+    """classify, both closed forms, both witnesses and the oracle's base
+    check share one classification and one line graph of the base."""
+    base = zoo.spider()
+    before = line_graph.cache_info(), classify.cache_info()
+    cls = classify(base)
+    for category in ("sd", "sa"):
+        theta_tau_linegraph(base, category)
+    witness_sd(base)
+    witness_sa(base)
+    oracle_search(line_graph(base)[0], "sd",
+                  SearchBudget(max_universe=cls.gamma), base=base)
+    after = line_graph.cache_info(), classify.cache_info()
+    assert [a.misses - b.misses for a, b in zip(after, before)] == [1, 1]
+    assert classify(base) is cls
+
+
+def test_classify_keeps_only_the_last_base():
+    """A second base replaces the entry; the first base's classification
+    is derived again, unchanged."""
+    first, second = zoo.spider(), zoo.wing_path()
+    cls = classify(first)
+    classify(second)
+    info = classify.cache_info()
+    assert info.currsize == 1
+    again = classify(first)
+    assert classify.cache_info().misses == info.misses + 1
+    assert again is not cls and again == cls
+
+
+def test_memoised_classify_equals_a_fresh_classification():
+    for level in zoo.connected_bases(6):
+        for g in level.values():
+            cls, fresh = classify(g), classify.__wrapped__(g)
+            for field in fields(Classification):
+                assert (getattr(cls, field.name)
+                        == getattr(fresh, field.name)), field.name

@@ -127,6 +127,32 @@ def test_line_graph_labels_are_base_edges():
     assert lg.labels == ("a-b", "b-c")
 
 
+def test_line_graph_keeps_only_the_last_base():
+    """A repeat on the same object returns the same result; a second base
+    replaces the entry, and the first is built again, unchanged."""
+    first, second = zoo.spider(), zoo.dumbbell()
+    kept = line_graph(first)
+    assert line_graph(first) is kept
+    lg, stars = kept
+    line_graph(second)
+    info = line_graph.cache_info()
+    assert info.currsize == 1
+    again, again_stars = line_graph(first)
+    assert line_graph.cache_info().misses == info.misses + 1
+    assert again is not lg
+    assert (again.labels, again.edges, again.adj, again_stars) == (
+        lg.labels, lg.edges, lg.adj, stars)
+
+
+def test_memoised_line_graph_equals_a_fresh_build():
+    for level in zoo.connected_bases(6):
+        for g in level.values():
+            lg, stars = line_graph(g)
+            fresh, fresh_stars = line_graph.__wrapped__(g)
+            assert (lg.labels, lg.edges, lg.adj, stars) == (
+                fresh.labels, fresh.edges, fresh.adj, fresh_stars)
+
+
 def brute_automorphisms(g):
     edges = {frozenset(e) for e in g.edges}
     return [p for p in itertools.permutations(range(g.n))

@@ -17,6 +17,7 @@ from setrep import (
     SearchBudget,
     SetRepresentation,
     category_flags,
+    classify,
     complete_graph,
     cycle_graph,
     canonical_form,
@@ -1207,7 +1208,8 @@ def test_public_calls_leave_no_reference_cycles():
     collector off, each call leaves no unreachable object behind: the
     kernel resumed across levels, the padding, the assignment search, both
     limits' stops, the census, the canonical walk and the listing of the
-    site permutations."""
+    site permutations.  Replacing the entry that ``line_graph`` and
+    ``classify`` keep for their last base leaves none either."""
     paw = zoo.plumed_triangle(1)
     wings = zoo.from_edges([e for i in range(2) for e in (
         ("hub", f"s{i}"), (f"s{i}", f"x{i}"), (f"s{i}", f"y{i}"),
@@ -1229,6 +1231,11 @@ def test_public_calls_leave_no_reference_cycles():
                                                 node_limit=kernel + 3))
         assert r.stop_reason == "node_limit" and r.labeled_solutions == 3
 
+    def evict_memos():
+        for base in (zoo.spider(), zoo.asym_wing()):
+            classify(base)
+            theta_tau_linegraph(base, "sd")
+
     calls = {
         "K5 sd": lambda: run(complete_graph(5), "sd", 5),
         "L(paw) sa": lambda: run(line_graph(paw)[0], "sa", 5, base=paw),
@@ -1239,6 +1246,7 @@ def test_public_calls_leave_no_reference_cycles():
         "canonical form of near_pencil(7)": lambda: canonical_form(pencil),
         "site permutations": lambda: theta_tau_linegraph(wings, "sd"),
         "witness variants": lambda: witness_sd_variants(wings),
+        "memo entries evicted by a second base": evict_memos,
     }
     for name, call in calls.items():
         gc.collect()
