@@ -37,32 +37,37 @@ def validate_cover(cover: CliqueCover) -> None:
     """Raise :class:`InvalidCoverError` unless every listed set is a clique
     and every vertex and edge of the graph is covered."""
     g = cover.graph
-    seen_vertices: set[int] = set()
-    covered: set[tuple[int, int]] = set()
+    adj = g.adj
+    # reach[v]: the bitmask of the vertices that share a listed clique with
+    # v, v included
+    reach = [0] * g.n
     for idx, q in enumerate(cover.cliques):
         if not q:
             raise InvalidCoverError(f"clique #{idx} is empty")
+        mask = 0
         for v in q:
             if not 0 <= v < g.n:
                 raise InvalidCoverError(
                     f"clique #{idx} names vertex {v}, out of range")
-        members = sorted(q)
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                u, v = members[a], members[b]
-                if not g.has_edge(u, v):
+            mask |= 1 << v
+        if len(q) > 1:
+            for u in sorted(q):
+                apart = q - adj[u]  # u and its non-neighbours in q
+                if len(apart) > 1:
+                    # the first pair in sorted order: a non-neighbour
+                    # below u would have been found at that vertex
+                    v = min(w for w in apart if w != u)
                     raise InvalidCoverError(
                         f"clique #{idx} contains the non-edge "
                         f"{g.labels[u]!r}-{g.labels[v]!r}")
-                covered.add((u, v))
-        seen_vertices.update(members)
-    if seen_vertices != set(range(g.n)):
-        missing = sorted(set(range(g.n)) - seen_vertices)
+        for v in q:
+            reach[v] |= mask
+    missing = [v for v in range(g.n) if not reach[v]]
+    if missing:
         names = ", ".join(g.labels[v] for v in missing)
         raise InvalidCoverError(f"vertices not covered: {names}")
     for u, v in g.edges:
-        key = (u, v) if u < v else (v, u)
-        if key not in covered:
+        if not reach[u] >> v & 1:
             raise InvalidCoverError(
                 f"edge {g.labels[u]!r}-{g.labels[v]!r} not covered")
 
@@ -85,10 +90,12 @@ def egp_set(cover: CliqueCover) -> SetRepresentation:
     """Representation whose universe is the clique list: vertex ``v``
     receives the indices of the cliques containing ``v``."""
     validate_cover(cover)
-    sets = tuple(
-        frozenset(j for j, q in enumerate(cover.cliques) if v in q)
-        for v in range(cover.graph.n))
-    return SetRepresentation(universe=tuple(range(cover.size)), sets=sets)
+    sets: list[list[int]] = [[] for _ in range(cover.graph.n)]
+    for j, q in enumerate(cover.cliques):
+        for v in q:
+            sets[v].append(j)
+    return SetRepresentation(universe=tuple(range(cover.size)),
+                             sets=tuple(map(frozenset, sets)))
 
 
 def egp_cover(rep: SetRepresentation, graph: Graph) -> CliqueCover:

@@ -28,9 +28,10 @@ class Graph:
     given in (useful for stable line-graph labels) but are unordered for
     all structural purposes.
 
-    Instances must not be modified after construction: :func:`line_graph`
-    and :func:`setrep.classify.classify` memoise their last argument by
-    identity, so a changed graph would be answered from its old form.
+    Instances must not be modified after construction: :func:`line_graph`,
+    :func:`setrep.classify.classify` and the oracle's partition record
+    memoise their last argument by identity, so a changed graph would be
+    answered from its old form.
     """
 
     __slots__ = ("labels", "edges", "adj", "_index")

@@ -24,26 +24,34 @@ are generated:
   and of each group of equal member sets at most one vertex stays bare.
 
 These facts, and the least number of pads they ask for, are computed once
-per partition and run; a level that leaves a partition fewer pads skips
-it.
+per partition and category; a level that leaves a partition fewer pads
+skips it.
 
 Categories without "s" fall back to a direct assignment search over all
 nonempty subsets per vertex, which is only viable for very small inputs.
 
 Both strategies run in one loop over universe sizes p: a level generator
 yields the labelled solutions of size p and the loop keys them.  The
-partition levels share one kernel frontier: level p resumes the nodes that
-the budget of p - 1 cliques pruned, merges the partitions new at p into
-the sorted list of those found before, and pads them all.  The
-kernel, the padding and the assignment search spend one node budget,
-stop at the first node past ``node_limit`` and check the deadline at
-least every 4,096 nodes.  A key can be slow (a canonical form), so a run
-with a ``time_limit`` also checks it before each key but the first and at
-the end of each level that found none: it returns within one key of the
-deadline.  A level cut short after it found solutions still settles
-theta = p (every smaller size was searched in full), with
-``exhausted=False``, the classes found so far, and the limit that stopped
-it in ``stop_reason``.
+edge clique partitions do not depend on the category, so the partition
+levels read one record per graph, kept for the last graph searched and
+keyed by its identity and by the thread that searched it.  It holds one kernel frontier, the nodes of each
+clique budget searched so far and the sorted partitions found, each with
+its membership masks and cliques; the padding facts are added per
+category on first use.  Level p replays budget p if the record holds it:
+it charges the recorded nodes and pads the recorded partitions of at most
+p cliques.  Otherwise it resumes the frontier at p, so the kernel visits
+only the nodes that the budget of p - 1 cliques pruned, and merges the
+partitions new at p into the record.  Every result is the one a fresh
+record would give, whatever ran on the graph before; a kernel call cut
+short by a limit drops the record.  The kernel, the padding and the
+assignment search spend one node budget, stop at the first node past
+``node_limit`` and check the deadline at least every 4,096 nodes.  A key
+can be slow (a canonical form), so a run with a ``time_limit`` also
+checks it before each key but the first and at the end of each level
+that found none: it returns within one key of the deadline.  A level cut
+short after it found solutions still settles theta = p (every smaller
+size was searched in full), with ``exhausted=False``, the classes found
+so far, and the limit that stopped it in ``stop_reason``.
 
 Two optimal solutions count as the same class when a permutation of the
 universe together with a symmetry of the *input* carries one onto the
@@ -88,9 +96,12 @@ the disjoint edges of K4, and no relabelling of K4 swaps just one pair.
 
 from __future__ import annotations
 
+import functools
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import SetrepError
 from .geometry import LinearSpace, is_projective_plane
@@ -202,8 +213,7 @@ def _representative(groups, p: int, n: int) -> SetRepresentation:
 
 # ---------------------------------------------------------------------------
 # The run's budget: a dict of the nodes spent ("nodes"), the node limit
-# ("limit"), the deadline ("deadline"), the largest universe size ("top")
-# and the limit that stopped ("stop")
+# ("limit"), the deadline ("deadline") and the limit that stopped ("stop")
 # ---------------------------------------------------------------------------
 
 def _check_limits(node_limit, time_limit=None) -> None:
@@ -260,17 +270,41 @@ def _pad_facts(member: list[int], category: str):
     recurs at a later vertex; of the vertices with one member set at most
     one stays bare, so each with a later twin counts one pad.
     ``need[v]``: the least number of pads the vertices from v on take;
-    ``need[0]`` is the partition's least pad count in every category."""
+    ``need[0]`` is the partition's least pad count in every category.
+
+    Each rule takes one pass over the memberships, not one per pair of
+    vertices.  Under a, v's member set is contained in another vertex's
+    iff some vertex besides v lies in all of v's cliques.  On an edge
+    partition this reads off membership counts: two cliques share at most
+    one vertex and each has two or more, so v is padded iff it lies in at
+    most one clique, and only vertices in exactly one clique can have
+    equal member sets."""
     n = len(member)
     want_a = "a" in category
     want_d = "d" in category and not want_a
-    must = [not m or want_a and any(u != v and m & member[u] == m
-                                     for u in range(n))
-            for v, m in enumerate(member)]
-    twin = [want_d and m != 0 and m in member[v + 1:]
-            for v, m in enumerate(member)]
+    must = [not m for m in member]
+    if want_a:
+        holders: dict[int, int] = {}  # clique bit -> the vertices in it
+        for v, m in enumerate(member):
+            while m:
+                b = m & -m
+                m ^= b
+                holders[b] = holders.get(b, 0) | 1 << v
+        for v, m in enumerate(member):
+            common = -1 if m else 0
+            while m:
+                b = m & -m
+                m ^= b
+                common &= holders[b]
+            must[v] = common != 1 << v
+    twin = [False] * n
     need = [0] * (n + 1)
+    later: set[int] = set()  # the nonempty member sets from v + 1 on
     for v in range(n - 1, -1, -1):
+        m = member[v]
+        if want_d and m:
+            twin[v] = m in later
+            later.add(m)
         need[v] = need[v + 1] + (must[v] or twin[v])
     return must, twin, need
 
@@ -335,16 +369,15 @@ def _place(member: list[int], facts, chosen: list[int], bare_sets: set[int],
         bare_sets.discard(m)
 
 
-def _shape(n: int, part: tuple[int, ...], category: str):
-    """The parts of a partition's solutions that no padding changes: the
-    clique-membership bitmask of each vertex, the cliques as element
-    groups and the padding facts."""
+def _shape(n: int, part: tuple[int, ...]):
+    """The parts of a partition's solutions that neither the category nor
+    the padding changes: the clique-membership bitmask of each vertex and
+    the cliques as element groups."""
     member = [0] * n
     for j, cl in enumerate(part):
         for v in _bits(cl):
             member[v] |= 1 << j
-    return (member, tuple(frozenset(_bits(cl)) for cl in part),
-            _pad_facts(member, category))
+    return member, tuple(frozenset(_bits(cl)) for cl in part)
 
 
 def _solutions_at_level(category: str, partitions, p: int, counter: dict):
@@ -372,34 +405,75 @@ def _solutions_at_level(category: str, partitions, p: int, counter: dict):
             yield cliques + tuple(frozenset((v,)) for v in placement), weight
 
 
+class _Record:
+    """The edge clique partitions of one graph that the oracle runs on it
+    have searched so far.  ``spent[q - 1]``: the kernel nodes of budget q,
+    for the budgets 1, 2, ... searched in turn.  ``found``: the partitions
+    they returned, sorted, as ``(partition, weight, member, cliques,
+    shapes)``; ``shapes`` maps a category to the partition's shape with
+    that category's padding facts, built on first use."""
+
+    __slots__ = ("masks", "frontier", "spent", "found")
+
+    def __init__(self, g: Graph):
+        self.masks = _masks(g)
+        self.frontier = Frontier()
+        self.spent: list[int] = []
+        self.found: list[tuple] = []
+
+
+@functools.lru_cache(maxsize=1)
+def _partition_record(g: Graph, thread: int) -> _Record:
+    """The record of the last graph searched by partitions.  ``Graph``
+    defines no ``__eq__``, so the entry is keyed by the graph's identity,
+    like those of :func:`line_graph` and :func:`classify`.  Runs change
+    the record, so it is keyed by the thread too: runs in two threads
+    never share one."""
+    return _Record(g)
+
+
 def _partition_levels(g: Graph, category: str, counter: dict):
-    """The levels of one partition run: ``level(p)`` pads the kernel's
-    partitions into at most ``p`` cliques to universe size ``p``.  The
-    kernel gets the nodes the budget has left and resumes the run's
-    frontier, so it returns only the partitions new at ``p``; they are
-    merged into the sorted list of the levels before, and each one's shape
-    is built once."""
-    masks = _masks(g)
-    frontier = Frontier(counter["top"])
-    found: list[tuple] = []  # (partition, weight, shape), sorted
+    """The levels of one partition run: ``level(p)`` pads the partitions
+    into at most ``p`` cliques to universe size ``p``, for p = 1, 2, ...
+    in turn.  A budget that the graph's record holds is replayed: its
+    recorded nodes are charged to the run's budget, as the kernel call
+    would have spent them.  A new budget resumes the record's frontier
+    with the nodes the budget has left, and the partitions new there are
+    merged into the record's sorted list.  A kernel call cut short by a
+    limit leaves the frontier part-resumed, so it drops the record."""
+    rec = _partition_record(g, threading.get_ident())
 
     def level(p: int):
         limit = counter["limit"]
-        pairs, nodes, complete = enumerate_edge_partitions(
-            g.n, masks, p,
-            node_limit=None if limit is None else limit - counter["nodes"],
-            deadline=counter["deadline"], frontier=frontier)
-        if not complete:
-            # the kernel stopped at a limit; the checkpoint names it
-            _checkpoint(counter, counter["nodes"] + nodes)
-            return
+        if p <= len(rec.spent):
+            nodes = rec.spent[p - 1]
+            if limit is not None and counter["nodes"] + nodes > limit:
+                _checkpoint(counter, limit + 1)
+                return
+        else:
+            pairs, nodes, complete = enumerate_edge_partitions(
+                g.n, rec.masks, p,
+                node_limit=None if limit is None else limit - counter["nodes"],
+                deadline=counter["deadline"], frontier=rec.frontier)
+            if not complete:
+                _partition_record.cache_clear()
+                # the kernel stopped at a limit; the checkpoint names it
+                _checkpoint(counter, counter["nodes"] + nodes)
+                return
+            rec.spent.append(nodes)
+            rec.found.extend((part, weight, *_shape(g.n, part), {})
+                             for part, weight in pairs)
+            rec.found.sort(key=itemgetter(0))
         counter["nodes"] += nodes
-        found.extend((part, weight, _shape(g.n, part, category))
-                     for part, weight in pairs)
-        found.sort()
-        yield from _solutions_at_level(
-            category, [(shape, weight) for _part, weight, shape in found], p,
-            counter)
+        batch = []
+        for _part, weight, member, cliques, shapes in rec.found:
+            if len(cliques) <= p:
+                shape = shapes.get(category)
+                if shape is None:
+                    shape = shapes[category] = (
+                        member, cliques, _pad_facts(member, category))
+                batch.append((shape, weight))
+        yield from _solutions_at_level(category, batch, p, counter)
 
     return level
 
@@ -516,8 +590,7 @@ def oracle_search(graph: Graph, category: str, budget: SearchBudget,
         levels, kernel = _assignment_levels, "assignment"
     counter = {"nodes": 0, "limit": budget.node_limit, "stop": None,
                "deadline": (None if budget.time_limit is None
-                            else start + budget.time_limit),
-               "top": budget.max_universe}
+                            else start + budget.time_limit)}
     level = levels(graph, category, counter)
     classes: dict = {}
     labeled = 0

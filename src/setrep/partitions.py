@@ -47,8 +47,9 @@ entries its budget admits and keeps the rest.  A node that closed its
 partition with the whole uncovered clique skips that candidate when it is
 resumed, so each call returns only the partitions new at its budget.  A
 node is counted when it is first visited and not again when resumed, so
-the nodes of a run up to budget q are at most those of one call at q.  A
-node that no budget up to the frontier's cap lets go on is not kept.
+the nodes of a run up to budget q are at most those of one call at q.
+Every pruned node is kept, whatever budget it needs, so a frontier can be
+resumed at any larger budget later.
 
 The search keeps its state in one :class:`_Search` object, which
 module-level functions take: a nested function that calls itself is a
@@ -77,15 +78,13 @@ class Frontier:
     """The nodes of one run that its clique budgets pruned, kept so that a
     larger budget resumes them instead of searching from the root again.
 
-    ``cap`` is the largest budget the run will ask for: a node that no
-    budget up to ``cap`` lets go on is not kept.  ``entries`` is None until
-    the first call has searched the root.  A call that stops at a limit
-    leaves the frontier part-resumed; the run must end there."""
+    ``entries`` is None until the first call has searched the root.  A
+    call that stops at a limit leaves the frontier part-resumed: it must
+    not be resumed again."""
 
-    __slots__ = ("cap", "entries")
+    __slots__ = ("entries",)
 
-    def __init__(self, cap: int):
-        self.cap = cap
+    def __init__(self):
         self.entries: list[tuple] | None = None
 
 
@@ -93,15 +92,15 @@ class _Search:
     """The state of one :func:`enumerate_edge_partitions` call, which the
     module-level search functions take as their first argument."""
 
-    __slots__ = ("n", "max_cliques", "node_limit", "deadline", "cap", "unc",
+    __slots__ = ("n", "max_cliques", "node_limit", "deadline", "keep", "unc",
                  "cliques", "partitions", "kept", "nodes", "aborted")
 
-    def __init__(self, n, adj, max_cliques, node_limit, deadline, cap):
+    def __init__(self, n, adj, max_cliques, node_limit, deadline, keep):
         self.n = n
         self.max_cliques = max_cliques
         self.node_limit = node_limit
         self.deadline = deadline
-        self.cap = cap
+        self.keep = keep  # whether pruned nodes go to a frontier
         self.unc = [adj[v] for v in range(n)]
         self.cliques: list[int] = []
         self.partitions: list[tuple[tuple[int, ...], int]] = []
@@ -124,7 +123,7 @@ def enumerate_edge_partitions(n, adj, max_cliques, node_limit=None,
     nodes it visits for the first time.
     """
     s = _Search(n, adj, max_cliques, node_limit, deadline,
-                -1 if frontier is None else frontier.cap)
+                frontier is not None)
     if frontier is None or frontier.entries is None:
         active = 0
         total = 0
@@ -186,7 +185,7 @@ def _expand(s: _Search, cells: list[int], weight: int, active: int,
         # one more clique closes a whole uncovered graph left open;
         # anything else needs two more to branch
         least = len(cliques) + (1 if whole and remaining < 1 else 2)
-        if least <= s.cap:
+        if s.keep:
             s.kept.append((least, tuple(cliques), tuple(unc), cells,
                            weight, active, total,
                            active if whole and remaining == 1 else 0))

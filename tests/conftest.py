@@ -1,9 +1,24 @@
-"""Pytest hooks: prints a one-line verdict per acceptance criterion.
+"""Pytest hooks: clears the memos before each test and prints a one-line
+verdict per acceptance criterion.
 
 The criteria live in test_acceptance.py as test_c1 .. test_c9.  After the
 run we emit a compact PASS/FAIL table so the criteria outcomes are visible
 without digging through the full test listing.
 """
+
+import pytest
+
+from setrep import classify, line_graph, oracle
+
+
+@pytest.fixture(autouse=True)
+def clear_memos():
+    """Each test starts with empty one-entry memos, so no test leans on
+    the base or the partition record that another test left behind."""
+    line_graph.cache_clear()
+    classify.cache_clear()
+    oracle._partition_record.cache_clear()
+
 
 _CRITERIA = {
     "test_c1": "tables reproduction (near-pencil / plane / silly partition)",

@@ -108,6 +108,8 @@ def test_simple_iff_partition():
         ((frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3}), frozenset({17})), "out of range"),
         ((frozenset({0, 1}), frozenset({2, 3})), "not covered"),
         ((frozenset({0, 1}), frozenset({1, 2})), "vertices not covered: v4"),
+        ((frozenset({0, 1}), frozenset({1, 2}), frozenset({1, 3})),
+         "clique #2 contains the non-edge 'v2'-'v4'"),
     ],
 )
 def test_validate_cover_rejects(cliques, message):

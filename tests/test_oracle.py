@@ -1,11 +1,13 @@
 """Exhaustive-search oracle: frozen results, the kernel, budgets."""
 
 import collections
+import dataclasses
 import gc
 import importlib
 import itertools
 import pkgutil
 import random
+import threading
 import time
 import types
 
@@ -354,7 +356,7 @@ def resumed_levels(g, budgets):
     """One run of the kernel over ``budgets`` that resumes its frontier:
     ``(q, pairs, nodes)`` per call."""
     masks = _masks(g)
-    frontier = partitions.Frontier(max(budgets))
+    frontier = partitions.Frontier()
     for q in budgets:
         pairs, nodes, complete = enumerate_edge_partitions(
             g.n, masks, q, frontier=frontier)
@@ -425,6 +427,171 @@ def test_levels_pad_the_partitions_of_one_call(monkeypatch):
         for p, pairs in padded:
             assert pairs == enumerate_edge_partitions(g.n, _masks(g), p)[0], \
                 (g.edges, cat, p)
+
+
+# -- the partition record: runs on one graph share its partitions ------------
+
+def generic_pad_facts(member, category):
+    """The padding facts by their definition, one pair of vertices at a
+    time: the reference for ``oracle._pad_facts``."""
+    n = len(member)
+    want_a = "a" in category
+    want_d = "d" in category and not want_a
+    must = [not m or want_a and any(u != v and m & member[u] == m
+                                     for u in range(n))
+            for v, m in enumerate(member)]
+    twin = [want_d and m != 0 and m in member[v + 1:]
+            for v, m in enumerate(member)]
+    need = [0] * (n + 1)
+    for v in range(n - 1, -1, -1):
+        need[v] = need[v + 1] + (must[v] or twin[v])
+    return must, twin, need
+
+
+def test_pad_facts_read_membership_counts():
+    """On every partition the kernel returns for K2-K7 and for seeded
+    random graphs and their line graphs with at most 24 edges, the padding
+    facts equal their definition in s, sd, sa, su and sdu.  They read off
+    membership counts: under a a vertex is padded iff it lies in at most
+    one clique, and under d only vertices in exactly one clique have a
+    twin."""
+    rng = random.Random(2023)
+    graphs = [complete_graph(n) for n in range(2, 8)]
+    for _ in range(40):
+        g = random_base(rng)
+        graphs += [g, line_graph(g)[0]]
+    checked = 0
+    for g in (g for g in graphs if g.m <= 24):
+        pairs, _, complete = enumerate_edge_partitions(g.n, _masks(g), g.m)
+        assert complete and pairs
+        for part, _weight in pairs:
+            member, _cliques = oracle._shape(g.n, part)
+            for cat in ("s", "sd", "sa", "su", "sdu"):
+                facts = oracle._pad_facts(member, cat)
+                assert facts == generic_pad_facts(member, cat), (g.edges, part)
+                must, twin, _need = facts
+                if "a" in cat:
+                    assert must == [m.bit_count() <= 1 for m in member]
+                assert all(member[v].bit_count() == 1
+                           for v in range(g.n) if twin[v])
+                checked += 1
+    assert checked > 10_000
+
+
+def answer(r):
+    """Every field of an oracle result but ``elapsed``."""
+    return {f.name: getattr(r, f.name) for f in dataclasses.fields(r)
+            if f.name != "elapsed"}
+
+
+def test_answers_do_not_depend_on_what_ran_before(monkeypatch):
+    """Seeded random sequences of twelve (category, max_universe,
+    node_limit) on one graph object, given directly or as a line graph
+    with its base (960 runs): each result equals that of a run on a fresh
+    equal graph in every field but ``elapsed``, whether the runs before it
+    left budgets to replay, a frontier to resume or no record at all."""
+    rng = random.Random(2024)
+    calls = kernel_calls(monkeypatch)
+    cases = []
+    for _ in range(40):
+        cases.append((random_base(rng), None))
+        base = connected_base(rng)
+        cases.append((line_graph(base)[0], base))
+    in_turn, fresh_calls = [], 0
+    for g, base in cases:
+        runs = []
+        del calls[:]
+        for _ in range(12):
+            cat = rng.choice(("s", "sd", "sa", "su", "sdu"))
+            budget = SearchBudget(
+                max_universe=rng.randint(g.n // 2, g.n + 2),
+                node_limit=rng.choice((None, rng.randint(0, 30),
+                                       rng.randint(0, 150))))
+            runs.append((cat, budget, oracle_search(g, cat, budget,
+                                                    base=base)))
+        in_turn += calls
+        del calls[:]
+        for cat, budget, r in runs:
+            fresh = oracle_search(Graph(g.labels, g.edges), cat, budget,
+                                  base=base)
+            assert answer(r) == answer(fresh), (g.edges, cat, budget)
+        fresh_calls += len(calls)
+    # the runs in turn replayed most budgets and cut kernel calls short
+    assert len(in_turn) < fresh_calls / 2
+    assert [q for q, _resumed, complete in in_turn if not complete]
+
+
+def zoo_caps():
+    """Each zoo base, its line graph and its frozen theta in sd and sa."""
+    thetas = collections.defaultdict(dict)
+    for (name, cat), (theta, _classes) in zoo.LINEGRAPH_EXPECTED.items():
+        thetas[name][cat] = theta
+    for name, theta in sorted(thetas.items()):
+        if {"sd", "sa"} <= theta.keys():
+            base = zoo.build(name)
+            yield base, line_graph(base)[0], theta["sd"], theta["sa"]
+
+
+def test_second_category_searches_only_past_the_first(monkeypatch):
+    """On each zoo base the sa run after the sd run on the same line graph
+    calls the kernel only for the budgets past those the sd run searched,
+    each resuming the shared frontier, and answers as a fresh run does."""
+    calls = kernel_calls(monkeypatch)
+    resumed = replayed = 0
+    for base, lg, sd_cap, sa_cap in zoo_caps():
+        del calls[:]
+        run(lg, "sd", sd_cap, base=base)
+        first = [q for q, _resumed, _complete in calls]
+        assert first == list(range(1, len(first) + 1))
+        del calls[:]
+        r = run(lg, "sa", sa_cap, base=base)
+        assert calls == [[q, True, True] for q in
+                         range(len(first) + 1, len(first) + 1 + len(calls))]
+        resumed += bool(calls)
+        replayed += not calls
+        fresh = run(Graph(lg.labels, lg.edges), "sa", sa_cap, base=base)
+        assert answer(r) == answer(fresh), base.edges
+    assert resumed and replayed
+
+
+def test_a_run_cut_in_the_kernel_leaves_no_record(monkeypatch):
+    """A node limit inside a recorded budget stops the run at the first
+    node past it without a kernel call, and keeps the record; one inside a
+    new budget cuts the kernel call short and drops the record, so the
+    next run searches from the root.  Every answer is a fresh run's."""
+    low = run(complete_graph(7), "sd", 6).nodes
+    budgets = [SearchBudget(max_universe=7, node_limit=limit)
+               for limit in (low // 2, low + 3)] + [SearchBudget(7)]
+    fresh = [oracle_search(complete_graph(7), "sd", b) for b in budgets]
+    g, info = complete_graph(7), oracle._partition_record.cache_info
+    calls = kernel_calls(monkeypatch)
+    run(g, "sd", 6)
+    assert info().currsize == 1 and len(calls) == 6
+    for budget, kernel, kept, expect in zip(
+            budgets, ([], [[7, True, False]], [[1, False, True]]),
+            (1, 0, 1), fresh):
+        del calls[:]
+        r = oracle_search(g, "sd", budget)
+        assert calls[:1] == kernel and info().currsize == kept
+        assert answer(r) == answer(expect)
+    assert [r.stop_reason for r in fresh] == ["node_limit"] * 2 + [None]
+    assert [r.nodes for r in fresh[:2]] == [low // 2 + 1, low + 4]
+
+
+def test_threads_do_not_share_a_record(monkeypatch):
+    """A run in another thread on the same graph object neither reads nor
+    changes this thread's record: each thread's first run searches from
+    the root, and the answers are equal."""
+    g = complete_graph(6)
+    calls = kernel_calls(monkeypatch)
+    mine = run(g, "sd", 6)
+    theirs = []
+    worker = threading.Thread(target=lambda: theirs.append(run(g, "sd", 6)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert [c[:2] for c in calls] == [[q, q > 1] for q in range(1, 7)] * 2
+    assert answer(theirs[0]) == answer(mine)
 
 
 def test_census_node_ceiling():
@@ -743,6 +910,7 @@ def test_node_limit_inside_a_resumed_level(graph, base, category, level,
     assert new > 2
     for extra in (0, 1, new // 2, new - 1):
         limit = below.nodes + extra
+        oracle._partition_record.cache_clear()  # else the level is replayed
         r = oracle_search(graph, category, SearchBudget(
             max_universe=level, node_limit=limit), base=base)
         assert r.stop_reason == "node_limit" and not r.exhausted
@@ -1209,7 +1377,8 @@ def test_public_calls_leave_no_reference_cycles():
     kernel resumed across levels, the padding, the assignment search, both
     limits' stops, the census, the canonical walk and the listing of the
     site permutations.  Replacing the entry that ``line_graph`` and
-    ``classify`` keep for their last base leaves none either."""
+    ``classify`` keep for their last base, or the partition record the
+    oracle keeps for its last graph, leaves none either."""
     paw = zoo.plumed_triangle(1)
     wings = zoo.from_edges([e for i in range(2) for e in (
         ("hub", f"s{i}"), (f"s{i}", f"x{i}"), (f"s{i}", f"y{i}"),
@@ -1236,6 +1405,11 @@ def test_public_calls_leave_no_reference_cycles():
             classify(base)
             theta_tau_linegraph(base, "sd")
 
+    def replace_record():
+        for graph in (complete_graph(6), friendship(3)):
+            for category in ("sd", "sa"):
+                run(graph, category, graph.n)
+
     calls = {
         "K5 sd": lambda: run(complete_graph(5), "sd", 5),
         "L(paw) sa": lambda: run(line_graph(paw)[0], "sa", 5, base=paw),
@@ -1247,6 +1421,7 @@ def test_public_calls_leave_no_reference_cycles():
         "site permutations": lambda: theta_tau_linegraph(wings, "sd"),
         "witness variants": lambda: witness_sd_variants(wings),
         "memo entries evicted by a second base": evict_memos,
+        "oracle record replaced by a second graph": replace_record,
     }
     for name, call in calls.items():
         gc.collect()
