@@ -6,9 +6,10 @@ build.  On the bases with at most eight edges the closed forms must agree
 with the oracle in ``sd``, ``sa`` and ``sdu``, and the automorphisms that
 the canonical walk records must generate the group that
 ``zoo.automorphisms`` lists.  Every closed-form report on the corpus must
-match its frozen digest in ``closed_form_digests.json``; after a change
-that alters an answer on purpose, regenerate that file with
-``PYTHONPATH=src python tests/test_bases.py``.
+match its frozen digest in ``closed_form_digests.json``, and every oracle
+answer on the bases with at most eight edges and on K3-K7 its digest in
+``oracle_digests.json``; after a change that alters an answer on purpose,
+regenerate both files with ``PYTHONPATH=src python tests/test_bases.py``.
 """
 
 import hashlib
@@ -86,6 +87,14 @@ def test_kinds_match_their_definitions(bases):
                      "generic": 1027}
 
 
+def oracle_cap(base, category):
+    """The closed θ of ``base`` in ``category`` where it is exact, and
+    else gamma (sd), gamma' (sa) or 3m (sdu)."""
+    c = classify(base)
+    bound = {"sd": c.gamma, "sa": c.gamma_prime, "sdu": 3 * base.m}
+    return theta_tau_linegraph(base, category).theta.exact or bound[category]
+
+
 @pytest.mark.parametrize("category", ["sd", "sa", "sdu"])
 def test_closed_forms_agree_with_the_oracle_up_to_eight_edges(bases,
                                                               category):
@@ -95,13 +104,11 @@ def test_closed_forms_agree_with_the_oracle_up_to_eight_edges(bases,
     runs = 0
     for level in bases[:ORACLE_MAX_M]:
         for base in level.values():
-            c = classify(base)
             lg, _ = line_graph(base)
             report = theta_tau_linegraph(base, category)
-            bound = {"sd": c.gamma, "sa": c.gamma_prime, "sdu": 3 * base.m}
-            cap = report.theta.exact or bound[category]
-            r = oracle_search(lg, category, SearchBudget(max_universe=cap),
-                              base=base)
+            r = oracle_search(lg, category,
+                              SearchBudget(max_universe=oracle_cap(
+                                  base, category)), base=base)
             assert r.exhausted and r.theta is not None, base.edges
             if report.theta.exact is not None:
                 assert r.theta == report.theta.exact, base.edges
@@ -175,6 +182,57 @@ def test_closed_forms_match_the_frozen_corpus(bases):
     assert got.keys() == frozen.keys()
 
 
+ORACLE_DIGESTS = Path(__file__).with_name("oracle_digests.json")
+
+
+def oracle_digest(r):
+    """A digest of θ, ``repr(classes)``, the labelled count, ``exhausted``,
+    ``searched_to`` and ``stop_reason`` of one oracle result: everything
+    but the nodes, which pruning may lower, and the seconds."""
+    text = repr((r.theta, r.classes, r.labeled_solutions, r.exhausted,
+                 r.searched_to, r.stop_reason)).encode()
+    return hashlib.sha256(text).hexdigest()[:16]
+
+
+def oracle_digests(bases):
+    """The digest of every oracle run that
+    ``test_closed_forms_agree_with_the_oracle_up_to_eight_edges`` makes,
+    of each of those bases in ``s`` capped at m + 2, and of K3-K7 without
+    a base in ``sd``, ``sa``, ``sdu`` and ``s`` capped at n; keyed by the
+    category and the base's edges, or by the category and K<n>."""
+    out = {}
+    for level in bases[:ORACLE_MAX_M]:
+        for base in level.values():
+            edges = " ".join(f"{u}-{v}" for u, v in base.edges)
+            lg, _ = line_graph(base)
+            for category in ("sd", "sa", "sdu", "s"):
+                cap = base.m + 2 if category == "s" \
+                    else oracle_cap(base, category)
+                r = oracle_search(lg, category, SearchBudget(max_universe=cap),
+                                  base=base)
+                out[f"{category} {edges}"] = oracle_digest(r)
+    for n in range(3, 8):
+        for category in ("sd", "sa", "sdu", "s"):
+            r = oracle_search(complete_graph(n), category,
+                              SearchBudget(max_universe=n))
+            out[f"{category} K{n}"] = oracle_digest(r)
+    return out
+
+
+def test_oracle_answers_match_the_frozen_corpus(bases):
+    """θ, the class representatives, the labelled count and the stop of
+    1,452 oracle runs are the frozen ones: no pruning changes an answer."""
+    frozen = json.loads(ORACLE_DIGESTS.read_text())
+    got = oracle_digests(bases)
+    assert len(got) == 4 * sum(A002905[:ORACLE_MAX_M]) + 20
+    wrong = [key for key in got if frozen.get(key) != got[key]]
+    assert not wrong, f"{len(wrong)} answers differ, first: {wrong[:5]}"
+    assert got.keys() == frozen.keys()
+
+
 if __name__ == "__main__":
+    corpus = zoo.connected_bases(MAX_M)
     DIGESTS.write_text(json.dumps(
-        closed_form_digests(zoo.connected_bases(MAX_M)), indent=0) + "\n")
+        closed_form_digests(corpus), indent=0) + "\n")
+    ORACLE_DIGESTS.write_text(json.dumps(
+        oracle_digests(corpus), indent=0) + "\n")
