@@ -17,7 +17,19 @@ candidate is the edge itself.
 The clique budget prunes: a node with no clique left and edges still
 uncovered is a dead end, and a node with one clique left does not branch:
 it closes the partition with the clique on its active vertices if the
-uncovered edges form exactly that clique, and is pruned otherwise.
+uncovered edges form exactly that clique, and is pruned otherwise.  A
+node with two cliques left branches only if its uncovered edges are the
+edges of at most two cliques, which a test on the lowest active vertex a
+decides exactly (N[a] and N(a) are taken in the uncovered graph).  In a
+partition of the uncovered edges into two cliques, an edge from a
+neighbour of a in one clique at a to a neighbour in the other would lie in
+neither.  So if N[a] is a clique, a lies in one clique, and it is N[a];
+the edges outside N[a] must then be all the pairs of the vertices they
+touch.  If N[a] is not a clique, a lies in both cliques, and its lowest
+neighbour x shares a clique with exactly the neighbours of a that it is
+adjacent to: one clique is a, x and x's neighbours in N(a), the other is a
+and the rest of N(a).  Both must be cliques, and their edges must be all
+the uncovered edges.
 
 Twin orbits prune too.  Two vertices are true twins when their closed
 neighbourhoods N[u] and N[v] are equal, and swapping them is an
@@ -42,7 +54,8 @@ budgets (the oracle's universe sizes) passes one :class:`Frontier`.  Each
 node that the budget prunes is kept there with its chosen cliques, its
 uncovered masks, its cells, weight, active vertices and edge total, and
 the least budget that lets it go on: one more clique when the uncovered
-edges form one clique, two more otherwise.  A later call resumes the
+edges form one clique, two more when they do not and one clique was left,
+three more when two were left.  A later call resumes the
 entries its budget admits and keeps the rest.  A node that closed its
 partition with the whole uncovered clique skips that candidate when it is
 resumed, so each call returns only the partitions new at its budget.  A
@@ -190,6 +203,12 @@ def _expand(s: _Search, cells: list[int], weight: int, active: int,
                            weight, active, total,
                            active if whole and remaining == 1 else 0))
         return
+    if remaining == 2 and not _two_cliques(unc, active, total):
+        # the uncovered edges need three more cliques at least
+        if s.keep:
+            s.kept.append((len(cliques) + 3, tuple(cliques), tuple(unc),
+                           cells, weight, active, total, skip))
+        return
 
     # fail-first edge: fewest common uncovered neighbours
     best = s.n
@@ -264,6 +283,46 @@ def _expand(s: _Search, cells: list[int], weight: int, active: int,
             unc[a] = old
         if s.aborted:
             return
+
+
+def _two_cliques(unc: list[int], active: int, total: int) -> bool:
+    """Whether the uncovered edges, ``total`` of them counted twice on the
+    ``active`` vertices, are the edges of at most two cliques."""
+    abit = active & -active
+    na = unc[abit.bit_length() - 1]
+    closed = na | abit
+    rest = na
+    while rest:
+        vbit = rest & -rest
+        rest ^= vbit
+        if (unc[vbit.bit_length() - 1] | vbit) & closed != closed:
+            break
+    else:
+        # N[a] is a's only clique; the edges outside it must be one clique
+        k = closed.bit_count()
+        k2 = (active & ~closed).bit_count()
+        rest = na
+        while rest:
+            vbit = rest & -rest
+            rest ^= vbit
+            if unc[vbit.bit_length() - 1] & ~closed:
+                k2 += 1
+        return total - k * (k - 1) == k2 * (k2 - 1)
+    # a lies in both cliques: the lowest neighbour x and its neighbours
+    # in N(a) are one, the rest of N(a) the other
+    xbit = na & -na
+    one = unc[xbit.bit_length() - 1] & na | xbit | abit
+    two = na & ~one | abit
+    rest = na
+    while rest:
+        vbit = rest & -rest
+        rest ^= vbit
+        clique = one if vbit & one else two
+        if (unc[vbit.bit_length() - 1] | vbit) & clique != clique:
+            return False
+    k1 = one.bit_count()
+    k2 = two.bit_count()
+    return total == k1 * (k1 - 1) + k2 * (k2 - 1)
 
 
 def _extend(candidates: list[int], unc: list[int], lower: dict | None,

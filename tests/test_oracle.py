@@ -299,6 +299,71 @@ def test_pure_kernel_agrees():
         assert weights == size, (g.edges, q)
 
 
+def at_most_two_cliques(n, masks):
+    """Brute force: some clique C of the graph, possibly empty, leaves
+    outside its edges the edges of one clique or none."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if masks[u] >> v & 1]
+    for c in range(1 << n):
+        inside = [(u, v) for u, v in pairs if c >> u & c >> v & 1]
+        k = c.bit_count()
+        if k > 1 and len(inside) != k * (k - 1) // 2:
+            continue
+        outside = [e for e in pairs if e not in inside]
+        k2 = len({v for e in outside for v in e})
+        if len(outside) == k2 * (k2 - 1) // 2:
+            return True
+    return False
+
+
+def edge_masks(n, edges):
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
+def two_clique_inputs():
+    """Every labelled graph with an edge on at most 5 vertices, and 300
+    seeded graphs on 6 to 8 vertices: the edges of two random vertex sets
+    with up to two pairs toggled.  Each as (n, adjacency masks)."""
+    for n in range(2, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for chosen in range(1, 1 << len(pairs)):
+            yield n, edge_masks(n, [e for i, e in enumerate(pairs)
+                                    if chosen >> i & 1])
+    rng = random.Random(1948)
+    for _ in range(300):
+        n = rng.randint(6, 8)
+        edges = set()
+        for _clique in range(2):
+            verts = rng.sample(range(n), rng.randint(2, n))
+            edges |= set(itertools.combinations(sorted(verts), 2))
+        for _toggle in range(rng.randint(0, 2)):
+            edges ^= {tuple(sorted(rng.sample(range(n), 2)))}
+        if edges:
+            yield n, edge_masks(n, edges)
+
+
+def test_two_clique_rule_is_exact():
+    """The kernel's two-clique test says that the uncovered edges are the
+    edges of at most two cliques exactly when a brute force over vertex
+    sets finds such cliques, and both answers occur on 4 to 8 vertices (on
+    fewer, every graph is two cliques).  The test stays well under 1 s."""
+    outcomes = collections.defaultdict(set)
+    start = time.monotonic()
+    for n, masks in two_clique_inputs():
+        active = sum(1 << v for v in range(n) if masks[v])
+        total = sum(mask.bit_count() for mask in masks)
+        got = partitions._two_cliques(masks, active, total)
+        assert got == at_most_two_cliques(n, masks), masks
+        outcomes[n].add(got)
+    assert time.monotonic() - start < 1.0
+    assert all(outcomes[n] == {True, False} for n in range(4, 9)), outcomes
+    assert outcomes[2] == outcomes[3] == {True}
+
+
 def budget_inputs():
     """K4-K7 up to q = n, and the line graph of each zoo base up to one
     more than its largest frozen theta."""
@@ -385,7 +450,7 @@ def test_resumed_levels_match_one_call():
 def test_resumed_levels_spend_no_more_nodes():
     """A resumed node is counted once per run: the nodes of the budgets
     1..q together are at most those of one call at q.  The K7 oracle under
-    sd spends 331 nodes (320 in the kernel; 662 when every level searched
+    sd spends 181 nodes (170 in the kernel; 353 when every level searched
     the kernel from its root)."""
     for g, top in resume_inputs():
         masks = _masks(g)
@@ -394,7 +459,7 @@ def test_resumed_levels_spend_no_more_nodes():
             spent += nodes
             assert spent <= enumerate_edge_partitions(g.n, masks, q)[1], \
                 (g.edges, q)
-    assert run(complete_graph(7), "sd", 7).nodes == 331
+    assert run(complete_graph(7), "sd", 7).nodes == 181
 
 
 def test_levels_pad_the_partitions_of_one_call(monkeypatch):
@@ -595,17 +660,17 @@ def test_threads_do_not_share_a_record(monkeypatch):
 
 
 def test_census_node_ceiling():
-    """Twin-orbit pruning keeps the K8 census small: 1,452 nodes (24,420
+    """Twin-orbit pruning keeps the K8 census small: 664 nodes (12,235
     when every labelled partition was searched)."""
     report = verify_dbe(8)
     assert report.complete and report.bound_holds
-    assert report.nodes <= 2_000
+    assert report.nodes <= 1_000
 
 
-@pytest.mark.parametrize("n,ceiling", [(9, 30_000), (10, 60_000)])
+@pytest.mark.parametrize("n,ceiling", [(9, 5_000), (10, 25_000)])
 def test_census_of_larger_complete_graphs(n, ceiling):
-    """The K9 and K10 censuses finish within their node ceilings (7,957 and
-    51,063 nodes; 358,260 and 7,033,736 without twin-orbit pruning), with
+    """The K9 and K10 censuses finish within their node ceilings (3,273 and
+    19,601 nodes; 167,166 and 3,053,611 without twin-orbit pruning), with
     the labelled counts the bound predicts: the whole clique, n
     near-pencils and no plane."""
     report = verify_dbe(n)
@@ -616,21 +681,21 @@ def test_census_of_larger_complete_graphs(n, ceiling):
 
 @pytest.mark.parametrize("runs", [1, 2])
 def test_pooled_node_budget(runs):
-    """The K7 census takes 321 nodes: complete at that budget, not at
+    """The K7 census takes 171 nodes: complete at that budget, not at
     one node fewer. The budget is per call, so repeating the census in the
     same process gives the same answer."""
     for _ in range(runs):
-        assert verify_dbe(7, node_limit=321).complete
-        assert not verify_dbe(7, node_limit=320).complete
+        assert verify_dbe(7, node_limit=171).complete
+        assert not verify_dbe(7, node_limit=170).complete
 
 
 def test_incomplete_census_claims_no_bound(monkeypatch):
     """A census stopped by its node limit has not seen every partition, so
     it says nothing about the bound unless it already found a partition
     that breaks it."""
-    short = verify_dbe(7, node_limit=320)
+    short = verify_dbe(7, node_limit=170)
     assert not short.complete and short.bound_holds is None
-    full = verify_dbe(7, node_limit=321)
+    full = verify_dbe(7, node_limit=171)
     assert full.complete and full.bound_holds is True
 
     # a stubbed kernel that stops after one partition into two cliques
@@ -919,16 +984,16 @@ def test_node_limit_inside_a_resumed_level(graph, base, category, level,
         assert calls[-1] == [level, True, False]
 
 
-@pytest.mark.parametrize("level,checks", [(8, 1), (9, 3)])
+@pytest.mark.parametrize("level,checks", [(9, 1), (10, 3)])
 def test_deadline_inside_a_resumed_level(level, checks, monkeypatch):
-    """A deadline that passes at any check of a resumed level (K9 under sd:
-    2,033 new nodes at level 8, 4,687 at level 9) stops the run at that
-    check, with every size below the level settled."""
-    before = run(complete_graph(9), "sd", level - 1)
+    """A deadline that passes at any check of a resumed level (K10 under
+    sd: 4,463 new nodes at level 9, 12,988 at level 10) stops the run at
+    that check, with every size below the level settled."""
+    before = run(complete_graph(10), "sd", level - 1)
     calls = kernel_calls(monkeypatch)
     kernel_deadline(monkeypatch, calls, level, checks)
-    r = oracle_search(complete_graph(9), "sd",
-                      SearchBudget(max_universe=9, time_limit=60))
+    r = oracle_search(complete_graph(10), "sd",
+                      SearchBudget(max_universe=10, time_limit=60))
     assert r.stop_reason == "time_limit" and not r.exhausted
     assert r.theta is None and r.searched_to == level - 1
     assert r.nodes == before.nodes + 1024 * checks
