@@ -46,9 +46,10 @@ record would give, whatever ran on the graph before; a kernel call cut
 short by a limit drops the record.  The kernel, the padding and the
 assignment search spend one node budget, stop at the first node past
 ``node_limit`` and check the deadline at least every 4,096 nodes.  A key
-can be slow (a canonical form), so a run with a ``time_limit`` also
-checks it before each key but the first and at the end of each level
-that found none: it returns within one key of the deadline.  A level cut
+can be slow (the walk for the generators, an orbit, a canonical form), so
+a run with a ``time_limit`` also checks it before each key but the first
+and at the end of each level that found none: it returns within one key
+of the deadline.  A level cut
 short after it found solutions still settles theta = p (every smaller
 size was searched in full), with ``exhausted=False``, the classes found
 so far, and the limit that stopped it in ``stop_reason``.
@@ -62,21 +63,56 @@ symmetries its base graph lacks (the octahedron's antipodal map is not
 induced by any relabelling of K4), and the structural families of
 optimal partitions are told apart by base-graph symmetry only.
 
-A solution's element groups (the vertices whose sets hold a given
-element) determine H: u and v are adjacent iff some group holds both.
-So a vertex permutation that carries one solution's groups onto
-another's is an automorphism of H, and for direct input the classes are
-keyed by the canonical form of the groups under all vertex permutations,
-without listing Aut(H).  Line-graph input is keyed the same way, with the
-base's stars added to the groups: the star of a base vertex of degree two
-or more is the set of its edges.  A vertex permutation that carries stars
-to stars is induced by an automorphism of the base, and the stars are
-told from the groups by how often they occur (see :class:`_ClassKeyer`),
-so a key is a canonical form in every run and no run lists a group.  A
-level's first solution is keyed only when a second one arrives: a level
-with one solution is one class.  A solution is carried as its groups
-alone; a class's representative is built from them once, when the class
-is first seen.
+A solution's element groups are, for each element, the vertices whose
+sets hold it.  A permutation of the universe only reorders them, so a
+*labelled solution* is the sorted tuple of its groups as vertex bitmasks,
+and a class is a set of labelled solutions: an orbit of the input's
+symmetry group.  :class:`_ClassKeyer` finds the classes by closing each
+new class's orbit under generators of that group:
+
+- *The generators are input symmetries.*  For direct input they are the
+  automorphisms that the canonical walk of :mod:`setrep.representations`
+  records on H's edge system (its vertices the elements, each edge a
+  2-set): vertex permutations that carry edges onto edges, so
+  automorphisms of H.  For line-graph input they are those recorded on
+  G's edge system, automorphisms of G, each acting on E(G), the vertices
+  of H, by carrying edge uv to the edge between the images of u and v.
+  A symmetry carries a solution's groups onto another solution's.
+- *They generate the whole group* (McKay 1981).  Let x be the child of
+  a node v on the walk's first leaf path that continues the path, and
+  let an automorphism fix v's path and map x to y.  The subtree of y
+  holds the image of the first leaf, with the first leaf's encoding.  If
+  y was walked, the first such leaf met below y recorded an automorphism
+  that fixes v's path and maps x to y (a jump skips only images of
+  leaves already seen); if y was skipped, recorded automorphisms that fix
+  v's path map onto y a walked child, whose subtree holds such a leaf
+  too.  Either way a product of recorded
+  automorphisms agrees with the given one on v's path and x, so the
+  stabiliser of v's path is generated by recorded automorphisms and the
+  stabiliser one node down.  At the first leaf the stabiliser is
+  trivial, as its colouring is discrete.  So a solution's orbit under
+  the generators is its class.
+- *The cap bounds the work.*  A new class's orbit is closed breadth
+  first: each solution in it is mapped by every generator, and each new
+  image is recorded against the class.  Past ``_ORBIT_CAP`` images the
+  closing stops and the class is *open*, so a class costs at most
+  ``_ORBIT_CAP`` times the generators in images, however large the group
+  (K13's 1,108,800 labelled projective planes are one class).
+
+A solution that no class has recorded is new, unless some class is open:
+then it is keyed by the canonical form of its groups, with the base's
+stars added for line-graph input, and compared with the open classes
+only.  A vertex permutation that carries one solution's groups onto
+another's is an automorphism of H, since the groups determine H (u and v
+are adjacent iff some group holds both), and the stars make it one that
+an automorphism of the base induces (see :class:`_ClassKeyer`).  The
+generators are read once per run, at its first key, from
+:func:`setrep.representations._graph_generators`, which keeps the last
+graph's: the closed forms and the oracle walk a base once between them.
+A level's first solution is keyed only when a second one arrives: a
+level with one solution is one class, and a run that keys none walks
+nothing.  A class's representative is built from its groups once, when
+the class is first seen.
 
 The kernel returns one partition per orbit under swaps of true twins
 (vertices with equal closed neighbourhoods), each with its weight: the
@@ -107,8 +143,8 @@ from .errors import SetrepError
 from .geometry import LinearSpace, is_projective_plane
 from .graphs import Graph, complete_graph, line_graph
 from .partitions import Frontier, enumerate_edge_partitions
-from .representations import (SetRepresentation, canonical_form,
-                              VALID_CATEGORIES)
+from .representations import (SetRepresentation, _graph_generators,
+                              canonical_form, VALID_CATEGORIES)
 
 
 @dataclass(frozen=True)
@@ -143,17 +179,43 @@ class OracleResult:
 
 # ---------------------------------------------------------------------------
 # Class keys: a labelled solution is the multiset of its element groups
-# (group of element e = vertices whose set contains e).  Solutions are
-# equivalent iff some admitted vertex symmetry maps group multisets onto
-# each other; universe bijections are absorbed by the multiset view.
+# (group of element e = vertices whose set contains e), as the sorted tuple
+# of their vertex bitmasks.  Solutions are equivalent iff some symmetry of
+# the input maps one's groups onto the other's; universe bijections are
+# absorbed by the multiset view.
 # ---------------------------------------------------------------------------
 
+_ORBIT_CAP = 512  # the most images of a class's orbit that a keyer records
+
+
+def _image(mask: int, bit: list[int]) -> int:
+    """The vertex bitmask ``mask`` under the permutation whose image of
+    vertex v is the bit ``bit[v]``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= bit[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 class _ClassKeyer:
-    """Keys element groups by the pair (M, form): M is the most times a
-    group of two or more vertices occurs, and form is the canonical form
-    of the groups together with M + 1 copies of each star, as a set
-    system on the ``n`` vertices.  Direct input has no stars, so its key
-    allows every vertex permutation.
+    """Keys the solutions of one run by class: the key of a solution is
+    the number of its class, counted from 0 in the order first seen.
+
+    ``seen`` maps each labelled solution recorded so far to its class.  A
+    solution that misses it is new and its orbit is closed under the
+    generators, which ``generators()`` gives at the first key: every image
+    is recorded, up to ``_ORBIT_CAP`` of them.  A class whose orbit does
+    not close by then is open, and ``open`` maps its form to it.  A
+    solution that misses ``seen`` while some class is open is keyed by its
+    form and joins the open class with that form, if any.
+
+    The form is the pair (M, canonical form): M is the most times a group
+    of two or more vertices occurs, and the canonical form is that of the
+    groups together with M + 1 copies of each star, as a set system on the
+    ``n`` vertices.  Direct input has no stars, so its forms allow every
+    vertex permutation.
 
     *Stars fix Aut(base) exactly.*  Let a permutation of E(G) map stars to
     stars.  An edge between two non-leaf vertices is the intersection of
@@ -167,30 +229,80 @@ class _ClassKeyer:
     *Repetition tells stars from groups.*  A vertex permutation carries
     groups to groups, so M is a class invariant.  In the ``s`` categories
     a group of two or more vertices is a clique of an edge partition, so M
-    is at most 1 there.  A set of two or more vertices occurs in the key
+    is at most 1 there.  A set of two or more vertices occurs in the form
     more than M times exactly when it is a star, also when a group
     coincides with one (the star's copies plus the group's).  So a vertex
-    permutation carrying one key's sets onto another's, at equal M, maps
+    permutation carrying one form's sets onto another's, at equal M, maps
     the stars onto themselves and the one solution's groups onto the
     other's."""
 
-    def __init__(self, n: int, stars: tuple):
+    def __init__(self, n: int, stars: tuple, generators):
         self.universe = tuple(range(n))
         self.stars = stars
+        self.generators = generators
+        self.bits: list[list[int]] | None = None  # per generator: v -> bit
+        self.seen: dict[tuple[int, ...], int] = {}
+        self.open: dict[tuple, int] = {}
+        self.classes = 0
 
-    def key(self, groups: tuple[frozenset[int], ...]):
+    def key(self, groups: tuple[frozenset[int], ...]) -> int:
+        if self.bits is None:
+            self.bits = [[1 << v for v in g] for g in self.generators()]
+        solution = tuple(sorted(sum(1 << v for v in grp) for grp in groups))
+        cls = self.seen.get(solution)
+        if cls is None:
+            form = self.form(groups) if self.open else None
+            cls = self.open.get(form)
+            if cls is None:
+                cls = self.classes
+                self.classes += 1
+                if not self._close(solution, cls):
+                    if form is None:
+                        form = self.form(groups)
+                    self.open[form] = cls
+        return cls
+
+    def form(self, groups: tuple[frozenset[int], ...]):
         most = max(Counter(grp for grp in groups if len(grp) > 1).values(),
                    default=0)
         return most, canonical_form(SetRepresentation(
             universe=self.universe, sets=groups + self.stars * (most + 1)))
 
+    def _close(self, solution: tuple[int, ...], cls: int) -> bool:
+        """Record the orbit of ``solution`` as class ``cls``, breadth
+        first; False, for an open class, once it passes ``_ORBIT_CAP``
+        images."""
+        if not _ORBIT_CAP:
+            return False
+        seen = self.seen
+        seen[solution] = cls
+        orbit = [solution]
+        for sol in orbit:  # grows as the images are found
+            for bit in self.bits:
+                image = tuple(sorted([_image(mask, bit) for mask in sol]))
+                if image not in seen:
+                    if len(orbit) == _ORBIT_CAP:
+                        return False
+                    seen[image] = cls
+                    orbit.append(image)
+        return True
+
+
+def _edge_generators(base: Graph) -> list[tuple[int, ...]]:
+    """The generators of Aut(base) as maps of its edge indices."""
+    index = {frozenset(e): i for i, e in enumerate(base.edges)}
+    return [tuple(index[frozenset((g[u], g[v]))] for u, v in base.edges)
+            for g in _graph_generators(base)]
+
 
 def _symmetry_keyer(graph: Graph, base: Graph | None) -> _ClassKeyer:
     """The run's keyer: the base's stars of two or more edges, as
-    :func:`line_graph` gives them; direct input has none.  Refuses a
-    ``graph`` that is not the line graph of ``base``."""
+    :func:`line_graph` gives them, and Aut(base) acting on the edges;
+    direct input has no stars and Aut(graph).  Refuses a ``graph`` that
+    is not the line graph of ``base``."""
     if base is None:
-        return _ClassKeyer(graph.n, ())
+        return _ClassKeyer(graph.n, (),
+                           functools.partial(_graph_generators, graph))
     if base.m != graph.n:
         raise ValueError(
             "graph is not the line graph of the declared base "
@@ -200,7 +312,8 @@ def _symmetry_keyer(graph: Graph, base: Graph | None) -> _ClassKeyer:
         raise ValueError(
             "graph is not the line graph of the declared base "
             "(adjacency mismatch)")
-    return _ClassKeyer(graph.n, tuple(s for s in stars if len(s) >= 2))
+    return _ClassKeyer(graph.n, tuple(s for s in stars if len(s) >= 2),
+                       functools.partial(_edge_generators, base))
 
 
 def _representative(groups, p: int, n: int) -> SetRepresentation:

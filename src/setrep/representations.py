@@ -18,6 +18,7 @@ of subsets of its universe.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -217,6 +218,18 @@ def _automorphism_generators(rep: SetRepresentation) -> list[list[int]]:
     w = _Walk(rep)
     _walk(w, [0] * w.n, [])
     return w.automorphisms
+
+
+@functools.lru_cache(maxsize=1)
+def _graph_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Generators of Aut(g), as maps of its vertex indices: the
+    automorphisms that the walk records on g's edge system (its vertices
+    the elements, each edge a 2-set).  The last graph's generators are
+    kept, keyed by the graph's identity like :func:`line_graph`'s result,
+    so the closed forms and the oracle walk a base once between them."""
+    system = SetRepresentation(tuple(range(g.n)),
+                               tuple(map(frozenset, g.edges)))
+    return tuple(map(tuple, _automorphism_generators(system)))
 
 
 def _encode(w: _Walk, colors: list[int]) -> tuple[tuple[int, ...], ...]:

@@ -50,7 +50,7 @@ from .errors import TheoremNotApplicable
 from .geometry import (fls_to_cover, n_pp, near_pencil, order_for_points,
                        projective_plane, puncture)
 from .graphs import Graph, complete_graph, line_graph
-from .representations import (SetRepresentation, _automorphism_generators,
+from .representations import (SetRepresentation, _graph_generators,
                               rep_to_json_dict)
 
 __all__ = [
@@ -391,8 +391,9 @@ def _site_classes(base: Graph, lg: Graph, cliques: list[frozenset[int]],
     tau counts the orbits of bundle assignments under the permutations
     that Aut(base) induces on the sites.  Their generators are the
     automorphisms that the canonical walk records on the base as a set
-    system (its vertices the elements, each edge a 2-set), restricted to
-    the sites, which every automorphism maps onto themselves.  Up to
+    system (its vertices the elements, each edge a 2-set), as
+    :func:`_graph_generators` keeps them for the oracle too, restricted
+    to the sites, which every automorphism maps onto themselves.  Up to
     ``_WITNESS_ENUM_CAP`` labelled solutions, the assignments are walked
     in product order: each one not yet seen is the least of its orbit and
     a witness, and its orbit, closed under the generators, is marked
@@ -411,10 +412,8 @@ def _site_classes(base: Graph, lg: Graph, cliques: list[frozenset[int]],
     gens: list[tuple[int, ...]] = []
     if sites:
         at = {v: i for i, v in enumerate(sites)}
-        system = SetRepresentation(tuple(range(base.n)),
-                                   tuple(map(frozenset, base.edges)))
         gens = [tuple(at[g[v]] for v in sites)
-                for g in _automorphism_generators(system)]
+                for g in _graph_generators(base)]
     labelled = prod(alphabets)
     least: list[tuple[int, ...]] = []
     if labelled <= _WITNESS_ENUM_CAP:

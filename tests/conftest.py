@@ -9,14 +9,17 @@ without digging through the full test listing.
 import pytest
 
 from setrep import classify, line_graph, oracle
+from setrep.representations import _graph_generators
 
 
 @pytest.fixture(autouse=True)
 def clear_memos():
     """Each test starts with empty one-entry memos, so no test leans on
-    the base or the partition record that another test left behind."""
+    the base, the generators or the partition record that another test
+    left behind."""
     line_graph.cache_clear()
     classify.cache_clear()
+    _graph_generators.cache_clear()
     oracle._partition_record.cache_clear()
 
 

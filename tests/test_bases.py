@@ -8,7 +8,8 @@ the canonical walk records must generate the group that
 ``zoo.automorphisms`` lists.  Every closed-form report on the corpus must
 match its frozen digest in ``closed_form_digests.json``, and every oracle
 answer on the bases with at most eight edges and on K3-K7 its digest in
-``oracle_digests.json``; after a change that alters an answer on purpose,
+``oracle_digests.json``, also when the oracle's keyer records no orbit
+past its first image; after a change that alters an answer on purpose,
 regenerate both files with ``PYTHONPATH=src python tests/test_bases.py``.
 """
 
@@ -22,7 +23,6 @@ import pytest
 import zoo
 from setrep import (
     SearchBudget,
-    SetRepresentation,
     category_flags,
     classify,
     complete_graph,
@@ -32,7 +32,8 @@ from setrep import (
     star_graph,
     theta_tau_linegraph,
 )
-from setrep.representations import _automorphism_generators
+from setrep import oracle
+from setrep.representations import _graph_generators
 
 A002905 = [1, 1, 3, 5, 12, 30, 79, 227, 710]  # connected graphs by edges
 MAX_M = len(A002905)
@@ -137,14 +138,13 @@ def group_of(generators, n):
 
 def test_recorded_generators_generate_the_listed_group(bases):
     """On every base with at most eight edges, as a set system of 2-sets
-    over its vertices, the automorphisms that the canonical walk records
-    generate exactly the automorphisms that the reference lists."""
+    over its vertices, the automorphisms that the canonical walk records,
+    which the closed forms and the oracle read, generate exactly the
+    automorphisms that the reference lists."""
     checked = 0
     for level in bases[:ORACLE_MAX_M]:
         for g in level.values():
-            system = SetRepresentation(tuple(range(g.n)),
-                                       tuple(frozenset(e) for e in g.edges))
-            assert group_of(_automorphism_generators(system), g.n) \
+            assert group_of(_graph_generators(g), g.n) \
                 == set(zoo.automorphisms(g)), g.edges
             checked += 1
     assert checked == sum(A002905[:ORACLE_MAX_M])
@@ -183,6 +183,7 @@ def test_closed_forms_match_the_frozen_corpus(bases):
 
 
 ORACLE_DIGESTS = Path(__file__).with_name("oracle_digests.json")
+CLOSED_RUNS = 318  # corpus runs that key, all with every class closed
 
 
 def oracle_digest(r):
@@ -194,13 +195,12 @@ def oracle_digest(r):
     return hashlib.sha256(text).hexdigest()[:16]
 
 
-def oracle_digests(bases):
-    """The digest of every oracle run that
+def oracle_runs(bases):
+    """(name, result) of every oracle run that
     ``test_closed_forms_agree_with_the_oracle_up_to_eight_edges`` makes,
     of each of those bases in ``s`` capped at m + 2, and of K3-K7 without
-    a base in ``sd``, ``sa``, ``sdu`` and ``s`` capped at n; keyed by the
-    category and the base's edges, or by the category and K<n>."""
-    out = {}
+    a base in ``sd``, ``sa``, ``sdu`` and ``s`` capped at n; the name is
+    the category and the base's edges, or the category and K<n>."""
     for level in bases[:ORACLE_MAX_M]:
         for base in level.values():
             edges = " ".join(f"{u}-{v}" for u, v in base.edges)
@@ -208,15 +208,17 @@ def oracle_digests(bases):
             for category in ("sd", "sa", "sdu", "s"):
                 cap = base.m + 2 if category == "s" \
                     else oracle_cap(base, category)
-                r = oracle_search(lg, category, SearchBudget(max_universe=cap),
-                                  base=base)
-                out[f"{category} {edges}"] = oracle_digest(r)
+                yield f"{category} {edges}", oracle_search(
+                    lg, category, SearchBudget(max_universe=cap), base=base)
     for n in range(3, 8):
         for category in ("sd", "sa", "sdu", "s"):
-            r = oracle_search(complete_graph(n), category,
-                              SearchBudget(max_universe=n))
-            out[f"{category} K{n}"] = oracle_digest(r)
-    return out
+            yield f"{category} K{n}", oracle_search(
+                complete_graph(n), category, SearchBudget(max_universe=n))
+
+
+def oracle_digests(bases):
+    """The digest of every run of :func:`oracle_runs`, keyed by its name."""
+    return {name: oracle_digest(r) for name, r in oracle_runs(bases)}
 
 
 def test_oracle_answers_match_the_frozen_corpus(bases):
@@ -228,6 +230,44 @@ def test_oracle_answers_match_the_frozen_corpus(bases):
     wrong = [key for key in got if frozen.get(key) != got[key]]
     assert not wrong, f"{len(wrong)} answers differ, first: {wrong[:5]}"
     assert got.keys() == frozen.keys()
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_open_classes_give_the_frozen_answers(bases, cap, monkeypatch):
+    """With the orbit cap at 0 or 1, nearly every class is open and its
+    solutions are keyed by canonical form: the 1,452 answers are still
+    the frozen ones."""
+    monkeypatch.setattr(oracle, "_ORBIT_CAP", cap)
+    frozen = json.loads(ORACLE_DIGESTS.read_text())
+    got = oracle_digests(bases)
+    wrong = [key for key in got if frozen.get(key) != got[key]]
+    assert not wrong, f"{len(wrong)} answers differ, first: {wrong[:5]}"
+    assert got.keys() == frozen.keys()
+
+
+def test_closed_orbits_hold_every_labelled_solution(bases, monkeypatch):
+    """A class whose orbit closed records every labelled solution in it,
+    so on each corpus run that keys and leaves no class open, the keyer
+    records exactly the labelled count, in as many classes as the run
+    reports."""
+    keyers = []
+    make = oracle._symmetry_keyer
+
+    def kept(graph, base):
+        keyers.append(make(graph, base))
+        return keyers[-1]
+
+    monkeypatch.setattr(oracle, "_symmetry_keyer", kept)
+    checked = 0
+    for name, r in oracle_runs(bases):
+        keyer = keyers[-1]
+        if keyer.classes and not keyer.open:
+            assert r.exhausted, name
+            assert len(keyer.seen) == r.labeled_solutions, name
+            assert keyer.classes == len(r.classes), name
+            checked += 1
+    assert len(keyers) == 4 * sum(A002905[:ORACLE_MAX_M]) + 20
+    assert checked == CLOSED_RUNS
 
 
 if __name__ == "__main__":

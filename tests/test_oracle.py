@@ -27,6 +27,7 @@ from setrep import (
     near_pencil,
     oracle_search,
     path_graph,
+    projective_plane,
     represents,
     star_graph,
     theta_tau_linegraph,
@@ -36,7 +37,7 @@ from setrep.errors import SetrepError
 from zoo import automorphisms
 from setrep.partitions import enumerate_edge_partitions
 import setrep
-from setrep import oracle, partitions
+from setrep import oracle, partitions, representations
 from setrep.oracle import _ClassKeyer, _masks, verify_dbe
 
 
@@ -823,8 +824,9 @@ def test_placements_match_the_filter():
 def test_padding_node_ceiling():
     """Padding generates only the placements that succeed: F4 sdu has no
     solution within 15 elements, so the padding spends no node and the
-    search is exhausted in its 522 kernel nodes (439,830 nodes when every
-    placement was tried and filtered)."""
+    search is exhausted in its 45 kernel nodes.  When every placement was
+    tried and filtered, the run took 439,830 nodes (with an earlier
+    kernel that took 522 of them)."""
     r = run(friendship(4), "sdu", 15)
     assert r.exhausted and r.theta is None
     assert r.nodes <= 1_000
@@ -840,7 +842,7 @@ def matching(k):
 
 def key_labelled(monkeypatch):
     """Key every labelled solution as its own class: budget tests then
-    measure the padding, not the canonical form of thousands of keys."""
+    measure the padding, not the keying of thousands of solutions."""
     keyer = types.SimpleNamespace(key=lambda groups: groups)
     monkeypatch.setattr(oracle, "_symmetry_keyer",
                         lambda graph, base: keyer)
@@ -1017,9 +1019,10 @@ def broom():
     (broom(), 10, 9, 2.0),
 ], ids=["double-star-6+6", "broom"])
 def test_large_base_groups_are_keyed_fast(base, theta, labeled, seconds):
-    """Bases with 1,036,800 and 362,880 edge symmetries are keyed by a
-    canonical form, never by a listing of their group, so each run under
-    sd is exhausted within seconds, with one class."""
+    """Bases with 1,036,800 and 362,880 edge symmetries are keyed by the
+    orbits of their solutions under the group's generators, never by a
+    listing of the group, so each run under sd is exhausted within
+    seconds, with one class."""
     lg, _ = line_graph(base)
     start = time.monotonic()
     r = oracle_search(lg, "sd", SearchBudget(max_universe=lg.n,
@@ -1198,7 +1201,7 @@ def test_automorphism_counts(gname, count):
             assert g.has_edge(p[u], p[v])
 
 
-# -- direct input: keyed by canonical form, not by a listed Aut(H) -----------------
+# -- direct input: keyed by Aut(H)'s generators, not by a listed Aut(H) -----------
 
 class ListedKeyer:
     """The reference keyer: the least image of the groups under a listed
@@ -1234,8 +1237,9 @@ DIRECT = [
 
 @pytest.mark.parametrize("g,cat", DIRECT)
 def test_direct_keyer_matches_listed_automorphisms(g, cat, monkeypatch):
-    """Keying direct input by canonical form gives the classes that
-    minimising over an explicitly listed Aut(H) gives."""
+    """Keying direct input by orbits under Aut(H)'s recorded generators
+    gives the classes that minimising over an explicitly listed Aut(H)
+    gives."""
     cap = g.n + g.m
     got = run(g, cat, cap)
     monkeypatch.setattr(oracle, "_symmetry_keyer",
@@ -1280,8 +1284,9 @@ COMPLETE_LINE_GRAPH_BASES = [complete_graph(3)] + [
 def test_complete_line_graph_lists_no_automorphisms(base, cat, monkeypatch):
     """A complete line graph's base is a star or a triangle, whose
     symmetries induce every permutation of its edges: such a run keys by
-    canonical form, lists nothing, and finds the classes, representatives
-    and counts that minimising over the listed action of Aut(base) finds."""
+    orbits under generators, lists nothing, and finds the classes,
+    representatives and counts that minimising over the listed action of
+    Aut(base) finds."""
     lg = line_graph(base)[0]
     monkeypatch.setattr(oracle, "_symmetry_keyer",
                         lambda graph, base: ListedKeyer(
@@ -1351,7 +1356,7 @@ def test_census_needs_three_vertices():
         verify_dbe(2)
 
 
-# -- line-graph input: the base's stars fix Aut(base) -------------------------------
+# -- line-graph input: keyed by Aut(base), its stars in the forms ------------------
 
 @pytest.mark.parametrize("base", [complete_graph(4), zoo.book(2),
                                   zoo.plumed_triangle(1)],
@@ -1360,7 +1365,7 @@ def test_census_needs_three_vertices():
 def test_whitney_exceptions_split_by_base(base, cat):
     """K4, K4 - e and the paw are the connected bases whose line graphs
     have symmetries that no relabelling of the base induces (Whitney,
-    1932).  Keyed with the base's stars their two optimal classes stay
+    1932).  Keyed by the base's symmetries their two optimal classes stay
     apart; keyed by the line graph alone they merge into one."""
     lg, _ = line_graph(base)
     cap = lg.n + lg.m
@@ -1382,10 +1387,11 @@ def small_bases():
 def test_star_keyer_matches_listed_base_automorphisms(cat, max_m,
                                                       small_bases,
                                                       monkeypatch):
-    """On every connected base with at most ``max_m`` edges, keying with
-    the base's stars gives the theta, classes, representatives, labelled
-    count and nodes that minimising over the listed action of Aut(base)
-    on the edges gives."""
+    """On every connected base with at most ``max_m`` edges, keying by
+    the base's symmetries (their orbits, and the forms with the base's
+    stars past the orbit cap) gives the theta, classes, representatives,
+    labelled count and nodes that minimising over the listed action of
+    Aut(base) on the edges gives."""
     bases = [g for g in small_bases if g.m <= max_m]
     cases = []
     for base in bases:
@@ -1407,16 +1413,16 @@ def test_star_keyer_matches_listed_base_automorphisms(cat, max_m,
 
 @pytest.mark.parametrize("triangle_copies", [pytest.param(1, id="sd-1"),
                                              pytest.param(2, id="d-2")])
-def test_repeated_stars_are_told_from_groups(triangle_copies):
+def test_repeated_stars_are_told_from_groups(triangle_copies, monkeypatch):
     """On K4, X holds the four triangles and a pad on each edge at vertex
     0; Y holds the triangles and a pad on each edge opposite 0.  No
     relabelling of K4 carries X onto Y, but the antipodal map of L(K4)
     swaps the stars with the triangles and carries X plus one copy of
-    each star onto Y plus one copy of each star.  The keyer puts the
-    stars in often enough that no group recurs as often, so X and Y key
-    apart, as the listed action of Aut(K4) says, while a relabelling of
-    X keys as X.  In d, where the triangles may recur, they recur twice
-    here."""
+    each star onto Y plus one copy of each star.  The keyer's orbits keep
+    X and Y apart, as the listed action of Aut(K4) says, while a
+    relabelling of X keys as X.  So do its forms, with the orbit cap at
+    0: they put the stars in often enough that no group recurs as often.
+    In d, where the triangles may recur, they recur twice here."""
     k4 = complete_graph(4)
     lg, at = line_graph(k4)
     opposite = [frozenset(range(6)) - star for star in at]
@@ -1427,10 +1433,63 @@ def test_repeated_stars_are_told_from_groups(triangle_copies):
     swap = automorphisms(k4, points=k4.edges)[-1]
     moved = tuple(frozenset(swap[i] for i in grp) for grp in x)
     listed = ListedKeyer(automorphisms(k4, points=k4.edges))
-    keyer = oracle._symmetry_keyer(lg, k4)
     assert listed.key(x) != listed.key(y)
-    assert keyer.key(x) != keyer.key(y)
-    assert keyer.key(moved) == keyer.key(x) and moved != x
+    for cap in (oracle._ORBIT_CAP, 0):
+        monkeypatch.setattr(oracle, "_ORBIT_CAP", cap)
+        keyer = oracle._symmetry_keyer(lg, k4)
+        assert keyer.key(x) != keyer.key(y)
+        assert keyer.key(moved) == keyer.key(x) and moved != x
+        assert len(keyer.open) == (0 if cap else 2)
+
+
+# -- orbits: a class is the orbit of its first solution, closed up to a cap ----
+
+def test_plane_orbit_stops_at_the_cap():
+    """PG(2, 3)'s lines on K13 have 13!/5,616 = 1,108,800 labelled images.
+    Keying them records no more than the cap and leaves the class open,
+    so a relabelled plane, recorded or not, keys into it by canonical
+    form, and a near-pencil on the same points keys apart."""
+    k13 = complete_graph(13)
+    plane = tuple(frozenset(line) for line in projective_plane(3).lines)
+    keyer = oracle._symmetry_keyer(k13, None)
+    start = time.monotonic()
+    assert keyer.key(plane) == 0
+    assert time.monotonic() - start < 2
+    assert len(keyer.seen) == oracle._ORBIT_CAP and list(keyer.open.values()) \
+        == [0]
+    rng = random.Random(13)
+    for _ in range(3):
+        sigma = rng.sample(range(13), 13)
+        moved = tuple(frozenset(sigma[v] for v in line) for line in plane)
+        assert keyer.key(moved) == 0
+    pencil = tuple(frozenset(line) for line in near_pencil(13).lines)
+    assert keyer.key(pencil) == 1
+    assert len(keyer.seen) <= 2 * oracle._ORBIT_CAP
+
+
+def test_each_graph_is_walked_once(monkeypatch):
+    """The closed forms and the oracle read a base's generators from one
+    memo, so the winged star with two branches is walked once by both
+    closed forms and the oracle run that keys its three classes.  A run
+    that keys nothing walks nothing."""
+    walks = []
+    walk = representations._automorphism_generators
+
+    def counted(rep):
+        walks.append(rep)
+        return walk(rep)
+
+    monkeypatch.setattr(representations, "_automorphism_generators", counted)
+    base = zoo.from_edges([e for i in range(2) for e in (
+        ("hub", f"s{i}"), (f"s{i}", f"x{i}"), (f"s{i}", f"y{i}"),
+        (f"x{i}", f"y{i}"))])
+    lg, _ = line_graph(base)
+    sd, sa = (theta_tau_linegraph(base, cat) for cat in ("sd", "sa"))
+    r = run(lg, "sd", sd.theta.exact, base=base)
+    assert (r.theta, len(r.classes), sd.tau.exact) == (7, 3, 3)
+    assert len(walks) == 1
+    assert run(path_graph(5), "sd", 4).labeled_solutions == 1
+    assert len(walks) == 1
 
 
 # -- memory: the search leaves nothing for the cyclic collector ---------------
