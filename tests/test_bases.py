@@ -27,12 +27,12 @@ from setrep import (
     classify,
     complete_graph,
     line_graph,
+    oracle,
     oracle_search,
     represents,
     star_graph,
     theta_tau_linegraph,
 )
-from setrep import oracle
 from setrep.representations import _graph_generators
 
 A002905 = [1, 1, 3, 5, 12, 30, 79, 227, 710]  # connected graphs by edges
