@@ -15,6 +15,7 @@ regenerate both files with ``PYTHONPATH=src python tests/test_bases.py``.
 
 import hashlib
 import json
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -183,7 +184,12 @@ def test_closed_forms_match_the_frozen_corpus(bases):
 
 
 ORACLE_DIGESTS = Path(__file__).with_name("oracle_digests.json")
-CLOSED_RUNS = 318  # corpus runs that key, all with every class closed
+CLOSED_RUNS = 345  # corpus runs that key, all with every class closed
+PLAIN_CATEGORIES = ("d", "a", "u")  # searched by assignment: small inputs
+PLAIN_MAX_M = 4  # the plain runs' bases have at most this many edges
+PLAIN_MAX_N = 4  # and their complete graphs at most this many vertices
+ORACLE_RUNS = 4 * sum(A002905[:ORACLE_MAX_M]) + 20 + 3 * (
+    sum(A002905[:PLAIN_MAX_M]) + PLAIN_MAX_N - 2)
 
 
 def oracle_digest(r):
@@ -198,9 +204,11 @@ def oracle_digest(r):
 def oracle_runs(bases):
     """(name, result) of every oracle run that
     ``test_closed_forms_agree_with_the_oracle_up_to_eight_edges`` makes,
-    of each of those bases in ``s`` capped at m + 2, and of K3-K7 without
-    a base in ``sd``, ``sa``, ``sdu`` and ``s`` capped at n; the name is
-    the category and the base's edges, or the category and K<n>."""
+    of each of those bases in ``s`` capped at m + 2, of the bases with at
+    most four edges in ``d``, ``a`` and ``u`` capped at min(m + 2, 6), and
+    of K3-K7 without a base in ``sd``, ``sa``, ``sdu`` and ``s`` and of
+    K3-K4 in ``d``, ``a`` and ``u``, capped at n; the name is the category
+    and the base's edges, or the category and K<n>."""
     for level in bases[:ORACLE_MAX_M]:
         for base in level.values():
             edges = " ".join(f"{u}-{v}" for u, v in base.edges)
@@ -210,8 +218,17 @@ def oracle_runs(bases):
                     else oracle_cap(base, category)
                 yield f"{category} {edges}", oracle_search(
                     lg, category, SearchBudget(max_universe=cap), base=base)
+            if base.m <= PLAIN_MAX_M:
+                for category in PLAIN_CATEGORIES:
+                    yield f"{category} {edges}", oracle_search(
+                        lg, category,
+                        SearchBudget(max_universe=min(base.m + 2, 6)),
+                        base=base)
     for n in range(3, 8):
-        for category in ("sd", "sa", "sdu", "s"):
+        categories = ("sd", "sa", "sdu", "s")
+        if n <= PLAIN_MAX_N:
+            categories += PLAIN_CATEGORIES
+        for category in categories:
             yield f"{category} K{n}", oracle_search(
                 complete_graph(n), category, SearchBudget(max_universe=n))
 
@@ -223,10 +240,10 @@ def oracle_digests(bases):
 
 def test_oracle_answers_match_the_frozen_corpus(bases):
     """θ, the class representatives, the labelled count and the stop of
-    1,452 oracle runs are the frozen ones: no pruning changes an answer."""
+    1,488 oracle runs are the frozen ones: no pruning changes an answer."""
     frozen = json.loads(ORACLE_DIGESTS.read_text())
     got = oracle_digests(bases)
-    assert len(got) == 4 * sum(A002905[:ORACLE_MAX_M]) + 20
+    assert len(got) == ORACLE_RUNS
     wrong = [key for key in got if frozen.get(key) != got[key]]
     assert not wrong, f"{len(wrong)} answers differ, first: {wrong[:5]}"
     assert got.keys() == frozen.keys()
@@ -235,7 +252,7 @@ def test_oracle_answers_match_the_frozen_corpus(bases):
 @pytest.mark.parametrize("cap", [0, 1])
 def test_open_classes_give_the_frozen_answers(bases, cap, monkeypatch):
     """With the orbit cap at 0 or 1, nearly every class is open and its
-    solutions are keyed by canonical form: the 1,452 answers are still
+    solutions are keyed by canonical form: the 1,488 answers are still
     the frozen ones."""
     monkeypatch.setattr(oracle, "_ORBIT_CAP", cap)
     frozen = json.loads(ORACLE_DIGESTS.read_text())
@@ -245,11 +262,22 @@ def test_open_classes_give_the_frozen_answers(bases, cap, monkeypatch):
     assert got.keys() == frozen.keys()
 
 
+def orderings(solution):
+    """The orders of a recorded solution's groups: p!/Π c!, c the number
+    of times each group recurs."""
+    count = math.factorial(len(solution))
+    for c in Counter(solution).values():
+        count //= math.factorial(c)
+    return count
+
+
 def test_closed_orbits_hold_every_labelled_solution(bases, monkeypatch):
     """A class whose orbit closed records every labelled solution in it,
     so on each corpus run that keys and leaves no class open, the keyer
     records exactly the labelled count, in as many classes as the run
-    reports."""
+    reports.  The padding yields each multiset of groups once; the
+    assignment search of the plain categories yields each order of the
+    groups, so there each recorded solution counts its orderings."""
     keyers = []
     make = oracle._symmetry_keyer
 
@@ -263,10 +291,12 @@ def test_closed_orbits_hold_every_labelled_solution(bases, monkeypatch):
         keyer = keyers[-1]
         if keyer.classes and not keyer.open:
             assert r.exhausted, name
-            assert len(keyer.seen) == r.labeled_solutions, name
+            plain = name.split()[0] in PLAIN_CATEGORIES
+            assert sum(orderings(sol) if plain else 1 for sol in keyer.seen) \
+                == r.labeled_solutions, name
             assert keyer.classes == len(r.classes), name
             checked += 1
-    assert len(keyers) == 4 * sum(A002905[:ORACLE_MAX_M]) + 20
+    assert len(keyers) == ORACLE_RUNS
     assert checked == CLOSED_RUNS
 
 
