@@ -31,12 +31,17 @@ Categories without "s" fall back to a direct assignment search over all
 nonempty subsets per vertex, which is only viable for very small inputs.
 
 Both strategies run in one loop over universe sizes p: a level generator
-yields the labelled solutions of size p and the loop keys them.  The
-edge clique partitions do not depend on the category, so the partition
-levels read one record per graph, kept for the last graph searched and
-keyed by its identity and by the thread that searched it.  It holds one kernel frontier, the nodes of each
-clique budget searched so far and the sorted partitions found, each with
-its membership masks and cliques; the padding facts are added per
+yields the solutions of size p and the loop keys them.  A solution has
+one encoding from the kernel to its class representative: its *element
+groups*, for each element the vertices whose sets hold it, as a tuple
+of vertex bitmasks.  A partition level yields the partition's cliques,
+the kernel's own masks, and then one bit per pad; the assignment search
+yields one mask per element.  The edge clique partitions do not depend
+on the category, so the partition levels read one record per graph,
+kept for the last graph searched and keyed by its identity and by the
+thread that searched it.  It holds one kernel frontier, the nodes of
+each clique budget searched so far and the sorted partitions found,
+each with its membership masks; the padding facts are added per
 category on first use.  Level p replays budget p if the record holds it:
 it charges the recorded nodes and pads the recorded partitions of at most
 p cliques.  Otherwise it resumes the frontier at p, so the kernel visits
@@ -63,12 +68,11 @@ symmetries its base graph lacks (the octahedron's antipodal map is not
 induced by any relabelling of K4), and the structural families of
 optimal partitions are told apart by base-graph symmetry only.
 
-A solution's element groups are, for each element, the vertices whose
-sets hold it.  A permutation of the universe only reorders them, so a
-*labelled solution* is the sorted tuple of its groups as vertex bitmasks,
-and a class is a set of labelled solutions: an orbit of the input's
-symmetry group.  :class:`_ClassKeyer` finds the classes by closing each
-new class's orbit under generators of that group:
+A permutation of the universe only reorders a solution's groups, so a
+*labelled solution* is the sorted tuple of its groups, and a class is a
+set of labelled solutions: an orbit of the input's symmetry group.
+:class:`_ClassKeyer` finds the classes by closing each new class's orbit
+under generators of that group:
 
 - *The generators are input symmetries.*  For direct input they are the
   automorphisms that the canonical walk of :mod:`setrep.representations`
@@ -178,11 +182,9 @@ class OracleResult:
 
 
 # ---------------------------------------------------------------------------
-# Class keys: a labelled solution is the multiset of its element groups
-# (group of element e = vertices whose set contains e), as the sorted tuple
-# of their vertex bitmasks.  Solutions are equivalent iff some symmetry of
-# the input maps one's groups onto the other's; universe bijections are
-# absorbed by the multiset view.
+# Class keys: solutions are equivalent iff some symmetry of the input maps
+# one's groups onto the other's; sorting the groups absorbs the universe
+# bijections.
 # ---------------------------------------------------------------------------
 
 _ORBIT_CAP = 512  # the most images of a class's orbit that a keyer records
@@ -199,17 +201,27 @@ def _image(mask: int, bit: list[int]) -> int:
     return out
 
 
+def _bits(mask: int):
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        yield b.bit_length() - 1
+
+
 class _ClassKeyer:
     """Keys the solutions of one run by class: the key of a solution is
     the number of its class, counted from 0 in the order first seen.
 
-    ``seen`` maps each labelled solution recorded so far to its class.  A
-    solution that misses it is new and its orbit is closed under the
-    generators, which ``generators()`` gives at the first key: every image
-    is recorded, up to ``_ORBIT_CAP`` of them.  A class whose orbit does
-    not close by then is open, and ``open`` maps its form to it.  A
-    solution that misses ``seen`` while some class is open is keyed by its
-    form and joins the open class with that form, if any.
+    ``key`` takes a solution's groups as the search yields them and sorts
+    them into its labelled solution; only ``form`` decodes the bitmasks
+    into vertex sets, for :func:`canonical_form`.  ``seen`` maps each
+    labelled solution recorded so far to its class.  A solution that
+    misses it is new and its orbit is closed under the generators, which
+    ``generators()`` gives at the first key: every image is recorded, up
+    to ``_ORBIT_CAP`` of them.  A class whose orbit does not close by then
+    is open, and ``open`` maps its form to it.  A solution that misses
+    ``seen`` while some class is open is keyed by its form and joins the
+    open class with that form, if any.
 
     The form is the pair (M, canonical form): M is the most times a group
     of two or more vertices occurs, and the canonical form is that of the
@@ -245,10 +257,10 @@ class _ClassKeyer:
         self.open: dict[tuple, int] = {}
         self.classes = 0
 
-    def key(self, groups: tuple[frozenset[int], ...]) -> int:
+    def key(self, groups: tuple[int, ...]) -> int:
         if self.bits is None:
             self.bits = [[1 << v for v in g] for g in self.generators()]
-        solution = tuple(sorted(sum(1 << v for v in grp) for grp in groups))
+        solution = tuple(sorted(groups))
         cls = self.seen.get(solution)
         if cls is None:
             form = self.form(groups) if self.open else None
@@ -262,11 +274,12 @@ class _ClassKeyer:
                     self.open[form] = cls
         return cls
 
-    def form(self, groups: tuple[frozenset[int], ...]):
-        most = max(Counter(grp for grp in groups if len(grp) > 1).values(),
+    def form(self, groups: tuple[int, ...]):
+        most = max(Counter(grp for grp in groups if grp & grp - 1).values(),
                    default=0)
+        sets = tuple(frozenset(_bits(grp)) for grp in groups)
         return most, canonical_form(SetRepresentation(
-            universe=self.universe, sets=groups + self.stars * (most + 1)))
+            universe=self.universe, sets=sets + self.stars * (most + 1)))
 
     def _close(self, solution: tuple[int, ...], cls: int) -> bool:
         """Record the orbit of ``solution`` as class ``cls``, breadth
@@ -316,12 +329,16 @@ def _symmetry_keyer(graph: Graph, base: Graph | None) -> _ClassKeyer:
                        functools.partial(_edge_generators, base))
 
 
-def _representative(groups, p: int, n: int) -> SetRepresentation:
+def _representative(groups: tuple[int, ...], p: int,
+                    n: int) -> SetRepresentation:
     """The solution with element groups ``groups`` over universe size
     ``p``: vertex v's set holds the elements whose group holds v."""
-    return SetRepresentation(universe=tuple(range(p)), sets=tuple(
-        frozenset(e for e, grp in enumerate(groups) if v in grp)
-        for v in range(n)))
+    sets: list[list[int]] = [[] for _ in range(n)]
+    for e, grp in enumerate(groups):
+        for v in _bits(grp):
+            sets[v].append(e)
+    return SetRepresentation(universe=tuple(range(p)),
+                             sets=tuple(map(frozenset, sets)))
 
 
 # ---------------------------------------------------------------------------
@@ -365,16 +382,11 @@ def _masks(g: Graph) -> list[int]:
     return [sum(1 << u for u in g.adj[v]) for v in range(g.n)]
 
 
-def _bits(mask: int):
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        yield b.bit_length() - 1
-
-
 def _pad_facts(member: list[int], category: str):
     """What padding the vertices with clique memberships ``member`` needs
-    in ``category``: ``(must, twin, need)``.
+    in ``category``: ``(must, twin, need)``.  ``member`` must be the
+    memberships of an edge partition, as :func:`_memberships` gives them:
+    the rule for a reads that structure.
 
     A pad is an element of its vertex alone, so only the bare (unpadded)
     vertices can be empty, collide or nest.  ``must[v]``: v holds a pad,
@@ -387,29 +399,17 @@ def _pad_facts(member: list[int], category: str):
 
     Each rule takes one pass over the memberships, not one per pair of
     vertices.  Under a, v's member set is contained in another vertex's
-    iff some vertex besides v lies in all of v's cliques.  On an edge
-    partition this reads off membership counts: two cliques share at most
-    one vertex and each has two or more, so v is padded iff it lies in at
-    most one clique, and only vertices in exactly one clique can have
-    equal member sets."""
+    iff some vertex besides v lies in all of v's cliques.  In an edge
+    partition two cliques share at most one vertex and each has two or
+    more, so that holds iff v lies in one clique, and ``must[v]`` reads
+    off v's membership count: v is padded iff it lies in at most one
+    clique.  Likewise only vertices in exactly one clique can have equal
+    member sets."""
     n = len(member)
     want_a = "a" in category
     want_d = "d" in category and not want_a
-    must = [not m for m in member]
-    if want_a:
-        holders: dict[int, int] = {}  # clique bit -> the vertices in it
-        for v, m in enumerate(member):
-            while m:
-                b = m & -m
-                m ^= b
-                holders[b] = holders.get(b, 0) | 1 << v
-        for v, m in enumerate(member):
-            common = -1 if m else 0
-            while m:
-                b = m & -m
-                m ^= b
-                common &= holders[b]
-            must[v] = common != 1 << v
+    # under a, v is padded iff it lies in at most one clique
+    must = [not (m & m - 1 if want_a else m) for m in member]
     twin = [False] * n
     need = [0] * (n + 1)
     later: set[int] = set()  # the nonempty member sets from v + 1 on
@@ -482,31 +482,30 @@ def _place(member: list[int], facts, chosen: list[int], bare_sets: set[int],
         bare_sets.discard(m)
 
 
-def _shape(n: int, part: tuple[int, ...]):
-    """The parts of a partition's solutions that neither the category nor
-    the padding changes: the clique-membership bitmask of each vertex and
-    the cliques as element groups."""
+def _memberships(n: int, part: tuple[int, ...]) -> list[int]:
+    """The clique-membership bitmask of each vertex: bit j of vertex v's
+    is set iff v lies in clique ``part[j]``."""
     member = [0] * n
     for j, cl in enumerate(part):
         for v in _bits(cl):
             member[v] |= 1 << j
-    return member, tuple(frozenset(_bits(cl)) for cl in part)
+    return member
 
 
 def _solutions_at_level(category: str, partitions, p: int, counter: dict):
     """All labelled category solutions with universe size exactly ``p``,
-    built from the given ``(shape, weight)`` pairs of edge partitions plus
-    single-vertex padding.
+    built from the given ``((partition, member, facts), weight)`` pairs of
+    edge partitions plus single-vertex padding.
 
-    Yields (groups, weight) pairs: the element groups (the cliques, then
-    one single-vertex group per pad) and the partition's weight, the
-    number of labelled solutions the solution stands for.  Each placement
-    generated spends one node of the run's budget in ``counter``; a spent
-    budget ends the level.
+    Yields (groups, weight) pairs: the partition's cliques followed by one
+    bit per pad, and the partition's weight, the number of labelled
+    solutions the solution stands for.  Each placement generated spends
+    one node of the run's budget in ``counter``; a spent budget ends the
+    level.
     """
     check_at = counter["nodes"] + 1
-    for (member, cliques, facts), weight in partitions:
-        t = p - len(cliques)
+    for (part, member, facts), weight in partitions:
+        t = p - len(part)
         if t < facts[2][0]:  # need[0]: the least pad count
             continue
         for placement in _placements(member, facts, t, category):
@@ -515,15 +514,15 @@ def _solutions_at_level(category: str, partitions, p: int, counter: dict):
                 check_at = _checkpoint(counter, counter["nodes"])
                 if counter["stop"]:
                     return
-            yield cliques + tuple(frozenset((v,)) for v in placement), weight
+            yield part + tuple(1 << v for v in placement), weight
 
 
 class _Record:
     """The edge clique partitions of one graph that the oracle runs on it
     have searched so far.  ``spent[q - 1]``: the kernel nodes of budget q,
     for the budgets 1, 2, ... searched in turn.  ``found``: the partitions
-    they returned, sorted, as ``(partition, weight, member, cliques,
-    shapes)``; ``shapes`` maps a category to the partition's shape with
+    they returned, sorted, as ``(partition, weight, member, shapes)``;
+    ``shapes`` maps a category to ``(partition, member, facts)`` with
     that category's padding facts, built on first use."""
 
     __slots__ = ("masks", "frontier", "spent", "found")
@@ -574,17 +573,17 @@ def _partition_levels(g: Graph, category: str, counter: dict):
                 _checkpoint(counter, counter["nodes"] + nodes)
                 return
             rec.spent.append(nodes)
-            rec.found.extend((part, weight, *_shape(g.n, part), {})
+            rec.found.extend((part, weight, _memberships(g.n, part), {})
                              for part, weight in pairs)
             rec.found.sort(key=itemgetter(0))
         counter["nodes"] += nodes
         batch = []
-        for _part, weight, member, cliques, shapes in rec.found:
-            if len(cliques) <= p:
+        for part, weight, member, shapes in rec.found:
+            if len(part) <= p:
                 shape = shapes.get(category)
                 if shape is None:
                     shape = shapes[category] = (
-                        member, cliques, _pad_facts(member, category))
+                        part, member, _pad_facts(member, category))
                 batch.append((shape, weight))
         yield from _solutions_at_level(category, batch, p, counter)
 
@@ -639,7 +638,7 @@ def _assign(s: _Assignment, v: int):
     n, chosen = s.n, s.chosen
     if v == n:
         counter["nodes"] = s.nodes
-        yield tuple(frozenset(u for u in range(n) if chosen[u] >> e & 1)
+        yield tuple(sum(1 << u for u in range(n) if chosen[u] >> e & 1)
                     for e in range(s.p)), 1
         return
     adj, want_d, want_a, want_u = s.adj, s.want_d, s.want_a, s.want_u

@@ -481,8 +481,8 @@ def test_levels_pad_the_partitions_of_one_call(monkeypatch):
     pad = oracle._solutions_at_level
 
     def record(category, batch, p, counter):
-        padded.append((p, [(tuple(sum(1 << v for v in grp) for grp in shape[1]),
-                            weight) for shape, weight in batch]))
+        padded.append((p, [(part, weight)
+                           for (part, _member, _facts), weight in batch]))
         return pad(category, batch, p, counter)
 
     monkeypatch.setattr(oracle, "_solutions_at_level", record)
@@ -531,7 +531,7 @@ def test_pad_facts_read_membership_counts():
         pairs, _, complete = enumerate_edge_partitions(g.n, _masks(g), g.m)
         assert complete and pairs
         for part, _weight in pairs:
-            member, _cliques = oracle._shape(g.n, part)
+            member = oracle._memberships(g.n, part)
             for cat in ("s", "sd", "sa", "su", "sdu"):
                 facts = oracle._pad_facts(member, cat)
                 assert facts == generic_pad_facts(member, cat), (g.edges, part)
@@ -804,7 +804,9 @@ def filtered_placements(member, t, category):
 def test_placements_match_the_filter():
     """On seeded random member masks of one to six vertices (the oracle
     refuses a graph with none), with twins forced in half of them, the
-    generator yields exactly the filtered placements, in order."""
+    generator yields exactly the filtered placements, in order.  The
+    masks need not come from an edge partition, so the padding facts are
+    the reference's, which hold for any masks."""
     rng = random.Random(2013)
     for _ in range(100):
         n = rng.randint(1, 6)
@@ -815,7 +817,7 @@ def test_placements_match_the_filter():
         for t in range(8):
             for category in ("s", "sd", "sa", "su", "sdu"):
                 assert list(oracle._placements(
-                    member, oracle._pad_facts(member, category), t,
+                    member, generic_pad_facts(member, category), t,
                     category)) == \
                     list(filtered_placements(member, t, category)), \
                     (member, t, category)
@@ -1204,15 +1206,17 @@ def test_automorphism_counts(gname, count):
 # -- direct input: keyed by Aut(H)'s generators, not by a listed Aut(H) -----------
 
 class ListedKeyer:
-    """The reference keyer: the least image of the groups under a listed
-    group of vertex permutations."""
+    """The reference keyer: the least image of the groups, vertex
+    bitmasks, under a listed group of vertex permutations."""
 
     def __init__(self, perms):
         self.perms = perms
 
     def key(self, groups):
+        vertices = [[v for v in range(grp.bit_length()) if grp >> v & 1]
+                    for grp in groups]
         return min(tuple(sorted(tuple(sorted(sigma[v] for v in grp))
-                                for grp in groups))
+                                for grp in vertices))
                    for sigma in self.perms)
 
 
@@ -1432,6 +1436,7 @@ def test_repeated_stars_are_told_from_groups(triangle_copies, monkeypatch):
         frozenset((i,)) for i in sorted(opposite[0]))
     swap = automorphisms(k4, points=k4.edges)[-1]
     moved = tuple(frozenset(swap[i] for i in grp) for grp in x)
+    x, y, moved = map(zoo.group_masks, (x, y, moved))
     listed = ListedKeyer(automorphisms(k4, points=k4.edges))
     assert listed.key(x) != listed.key(y)
     for cap in (oracle._ORBIT_CAP, 0):
@@ -1450,7 +1455,8 @@ def test_plane_orbit_stops_at_the_cap():
     so a relabelled plane, recorded or not, keys into it by canonical
     form, and a near-pencil on the same points keys apart."""
     k13 = complete_graph(13)
-    plane = tuple(frozenset(line) for line in projective_plane(3).lines)
+    lines = projective_plane(3).lines
+    plane = zoo.group_masks(lines)
     keyer = oracle._symmetry_keyer(k13, None)
     start = time.monotonic()
     assert keyer.key(plane) == 0
@@ -1460,9 +1466,9 @@ def test_plane_orbit_stops_at_the_cap():
     rng = random.Random(13)
     for _ in range(3):
         sigma = rng.sample(range(13), 13)
-        moved = tuple(frozenset(sigma[v] for v in line) for line in plane)
+        moved = zoo.group_masks([sigma[v] for v in line] for line in lines)
         assert keyer.key(moved) == 0
-    pencil = tuple(frozenset(line) for line in near_pencil(13).lines)
+    pencil = zoo.group_masks(near_pencil(13).lines)
     assert keyer.key(pencil) == 1
     assert len(keyer.seen) <= 2 * oracle._ORBIT_CAP
 

@@ -537,7 +537,8 @@ def test_report_witnesses_are_one_per_class():
             r = theta_tau_linegraph(base, cat)
             if not r.provenance.endswith("-generic") or r.tau.exact is None:
                 continue
-            keys = {keyer.key(egp_cover(w, lg).cliques) for w in r.witnesses}
+            keys = {keyer.key(zoo.group_masks(egp_cover(w, lg).cliques))
+                    for w in r.witnesses}
             assert len(r.witnesses) == len(keys) == r.tau.exact, \
                 (base.edges, cat)
             checked += 1

@@ -16,6 +16,7 @@ from setrep import (
     path_graph,
     star_graph,
 )
+from setrep.representations import _graph_generators
 
 
 def from_edges(edges):
@@ -193,6 +194,12 @@ def edge_key(g):
         tuple(range(g.n)), tuple(frozenset(e) for e in g.edges)))
 
 
+def group_masks(groups):
+    """Element groups given as vertex sets, as the oracle carries them:
+    one vertex bitmask per group."""
+    return tuple(sum(1 << v for v in grp) for grp in groups)
+
+
 def connected_bases(max_m):
     """The connected graphs with m = 1..max_m edges, one per isomorphism
     class: a dict per m (index m - 1) from ``edge_key`` to graph.
@@ -200,7 +207,11 @@ def connected_bases(max_m):
     Each graph with m - 1 edges grows by one edge, between two of its
     vertices or to a new one, and a growth is kept when its key is new:
     isomorph rejection by canonical form, as in canonical augmentation
-    (McKay, J. Algorithms 26, 1998).
+    (McKay, J. Algorithms 26, 1998).  An automorphism of the graph carries
+    a growth onto an isomorphic one, so only the first growth of each
+    orbit under the graph's automorphisms is keyed; it is the first of its
+    isomorphism class that the graph gives, so each class keeps the graph
+    it would keep if every growth were keyed.
     """
     k2 = Graph(("v0", "v1"), ((0, 1),))
     levels = [{edge_key(k2): k2}]
@@ -209,12 +220,32 @@ def connected_bases(max_m):
         for g in levels[-1].values():
             grow = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
                     if not g.has_edge(u, v)]
-            for u, v in grow + [(u, g.n) for u in range(g.n)]:
+            for u, v in first_of_orbits(grow + [(u, g.n) for u in range(g.n)],
+                                        _graph_generators(g)):
                 h = Graph(tuple(f"v{i}" for i in range(max(g.n, v + 1))),
                           tuple(sorted(g.edges + ((u, v),))))
                 level.setdefault(edge_key(h), h)
         levels.append(level)
     return levels
+
+
+def first_of_orbits(pairs, generators):
+    """The vertex pairs of ``pairs`` that come first in their orbit under
+    the vertex permutations ``generators``, in their order; a vertex past
+    the permutations, a new one, is fixed."""
+    seen = set()
+    for pair in pairs:
+        if pair in seen:
+            continue
+        yield pair
+        seen.add(pair)
+        orbit = [pair]
+        for u, v in orbit:  # grows as the images are found
+            for g in generators:
+                image = tuple(sorted(g[w] if w < len(g) else w for w in (u, v)))
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
 
 
 def random_graph(rng, max_n=8):
