@@ -329,8 +329,7 @@ def _symmetry_keyer(graph: Graph, base: Graph | None) -> _ClassKeyer:
                        functools.partial(_edge_generators, base))
 
 
-def _representative(groups: tuple[int, ...], p: int,
-                    n: int) -> SetRepresentation:
+def _representative(groups, p: int, n: int) -> SetRepresentation:
     """The solution with element groups ``groups`` over universe size
     ``p``: vertex v's set holds the elements whose group holds v."""
     sets: list[list[int]] = [[] for _ in range(n)]
