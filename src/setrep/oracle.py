@@ -10,22 +10,30 @@ clique partitions of H augmented by single-vertex cliques, so the search
 enumerates partitions with the bitmask kernel of
 :mod:`setrep.partitions` and then distributes the remaining universe
 elements as single-vertex padding.  A pad is an element of one vertex
-alone and padding only grows sets, so each partition's clique
-memberships decide which placements of t pads succeed, and only those
-are generated:
+alone and padding only grows sets, so only the bare (unpadded) vertices
+can be empty, collide or nest, and each partition's clique memberships
+decide which placements of t pads succeed:
 
-- ``u``: n * size = t + the total membership, so every vertex's pad count
-  is fixed; there is one placement or none, and d is checked on its
-  unpadded vertices;
 - ``a``: a vertex must be padded iff its member set is empty or contained
   in another vertex's; every placement that pads each such vertex once
   or more succeeds;
 - ``d`` without ``a``: every vertex with an empty member set is padded,
-  and of each group of equal member sets at most one vertex stays bare.
+  and of each group of equal member sets at most one vertex stays bare;
+- ``u``: every set has one size, so a vertex's pad count is that size
+  less its membership count, and d is checked on the bare vertices.
 
-These facts, and the least number of pads they ask for, are computed once
-per partition and category; a level that leaves a partition fewer pads
-skips it.
+So each partition has a least pad count in each category, and more pads
+succeed too: outside ``u`` at every larger count, as a surplus pad can
+go to any vertex, and under ``u`` at every larger size, which pads every
+vertex.  The search asks for the universe sizes p = 1, 2, ... in turn;
+level p holds the partitions of at most p cliques, and the search stops
+at the first level that has a solution or is cut short by a limit.  A
+partition of q cliques with least count t has a solution at level
+q + t, so no level the search asks for holds it with more pads than t.
+Each partition is therefore padded at that one level, and only its
+least placements are generated.  Its least count, and the facts that
+generate those placements, are computed once per partition and
+category.
 
 Categories without "s" fall back to a direct assignment search over all
 nonempty subsets per vertex, which is only viable for very small inputs.
@@ -36,12 +44,13 @@ one encoding from the kernel to its class representative: its *element
 groups*, for each element the vertices whose sets hold it, as a tuple
 of vertex bitmasks.  A partition level yields the partition's cliques,
 the kernel's own masks, and then one bit per pad; the assignment search
-yields one mask per element.  The edge clique partitions do not depend
-on the category, so the partition levels read one record per graph,
-kept for the last graph searched and keyed by its identity and by the
-thread that searched it.  It holds one kernel frontier, the nodes of
-each clique budget searched so far and the sorted partitions found,
-each with its membership masks; the padding facts are added per
+yields one mask per element, the masks in non-increasing order, so that
+it too yields each multiset of groups once.  The edge clique partitions
+do not depend on the category, so the partition levels read one record
+per graph, kept for the last graph searched and keyed by its identity
+and by the thread that searched it.  It holds one kernel frontier, the
+nodes of each clique budget searched so far and the sorted partitions
+found, each with its membership masks; the padding facts are added per
 category on first use.  Level p replays budget p if the record holds it:
 it charges the recorded nodes and pads the recorded partitions of at most
 p cliques.  Otherwise it resumes the frontier at p, so the kernel visits
@@ -382,19 +391,21 @@ def _masks(g: Graph) -> list[int]:
 
 
 def _pad_facts(member: list[int], category: str):
-    """What padding the vertices with clique memberships ``member`` needs
-    in ``category``: ``(must, twin, need)``.  ``member`` must be the
-    memberships of an edge partition, as :func:`_memberships` gives them:
-    the rule for a reads that structure.
+    """The least padding of the vertices with clique memberships
+    ``member`` in ``category``: ``(least, must, twin)``, or ``(least,
+    placement)`` under u, where ``least`` is the fewest pads that give a
+    solution.  ``member`` must be the memberships of an edge partition,
+    as :func:`_memberships` gives them: the rule for a reads that
+    structure.
 
-    A pad is an element of its vertex alone, so only the bare (unpadded)
-    vertices can be empty, collide or nest.  ``must[v]``: v holds a pad,
-    because its member set is empty or, under a, contained in another
-    vertex's.  ``twin[v]``: under d without a, v's nonempty member set
-    recurs at a later vertex; of the vertices with one member set at most
-    one stays bare, so each with a later twin counts one pad.
-    ``need[v]``: the least number of pads the vertices from v on take;
-    ``need[0]`` is the partition's least pad count in every category.
+    ``must[v]``: v holds a pad, because its member set is empty or, under
+    a, contained in another vertex's.  ``twin[v]``: under d without a,
+    v's nonempty member set recurs at a later vertex; of the vertices with
+    one member set exactly one stays bare in a least placement, so each
+    with a later twin counts one pad.  Under u the set size is the
+    largest membership count, or one more if that count is 0 or, under d,
+    two vertices with it have equal member sets; ``placement`` gives each
+    vertex the pads that fill its set to that size.
 
     Each rule takes one pass over the memberships, not one per pair of
     vertices.  Under a, v's member set is contained in another vertex's
@@ -405,79 +416,63 @@ def _pad_facts(member: list[int], category: str):
     clique.  Likewise only vertices in exactly one clique can have equal
     member sets."""
     n = len(member)
+    if "u" in category:
+        counts = [m.bit_count() for m in member]
+        size = max(counts)
+        bare = [m for m, c in zip(member, counts) if c == size]
+        if not size or "d" in category and len(set(bare)) < len(bare):
+            size += 1
+        placement = tuple(v for v in range(n)
+                          for _ in range(size - counts[v]))
+        return len(placement), placement
     want_a = "a" in category
     want_d = "d" in category and not want_a
     # under a, v is padded iff it lies in at most one clique
     must = [not (m & m - 1 if want_a else m) for m in member]
     twin = [False] * n
-    need = [0] * (n + 1)
     later: set[int] = set()  # the nonempty member sets from v + 1 on
     for v in range(n - 1, -1, -1):
         m = member[v]
         if want_d and m:
             twin[v] = m in later
             later.add(m)
-        need[v] = need[v + 1] + (must[v] or twin[v])
-    return must, twin, need
+    return sum(must) + sum(twin), must, twin
 
 
-def _placements(member: list[int], facts, t: int, category: str):
-    """The placements of ``t`` single-vertex pads onto the vertices with
-    clique memberships ``member`` and padding facts ``facts`` (from
+def _placements(member: list[int], facts, category: str):
+    """The least placements of pads onto the vertices with clique
+    memberships ``member`` and padding facts ``facts`` (from
     :func:`_pad_facts`) that give a solution in ``category``, as sorted
     vertex tuples in the order that
-    ``combinations_with_replacement(range(n), t)`` lists them.
-
-    Pad counts are chosen vertex by vertex, each from the most it can take
-    down to the least it needs, which is that order.  Surplus pads can
-    always go to a later vertex, so a branch that keeps ``need`` covered
-    ends in a solution: outside u there is a placement iff
-    ``t >= need[0]``."""
-    n = len(member)
-    must = facts[0]
+    ``combinations_with_replacement(range(n), facts[0])`` lists them.
+    Under u there is one.  Otherwise each ``must`` vertex takes one pad
+    and of each group of equal member sets all but one vertex take one;
+    at a vertex with a later twin, padding it comes first, which is that
+    order."""
     if "u" in category:
-        # n * size = t + sum |member|: every pad count is fixed
-        size, rest = divmod(t + sum(m.bit_count() for m in member), n)
-        pads = [size - m.bit_count() for m in member]
-        bare = [m for m, c in zip(member, pads) if not c]
-        if rest or min(pads) < 0 \
-                or any(f and not c for f, c in zip(must, pads)) \
-                or "d" in category and len(set(bare)) < len(bare):
-            return
-        yield tuple(v for v in range(n) for _ in range(pads[v]))
-        return
-    yield from _place(member, facts, [], set(), 0, t, 0)
+        return (facts[1],)
+    return _place(member, facts, [], set(), 0)
 
 
 def _place(member: list[int], facts, chosen: list[int], bare_sets: set[int],
-           v: int, left: int, owed: int):
+           v: int):
     """The placements of :func:`_placements` that extend ``chosen``, the
-    pads of the vertices before ``v``, with ``left`` pads.  ``bare_sets``:
-    the member sets left bare with twins ahead; ``owed``: those of them
-    whose last twin is still ahead, which needs a pad that ``need`` does not
-    count."""
-    must, twin, need = facts
+    pads of the vertices before ``v``.  ``bare_sets``: the member sets
+    left bare with twins ahead, which pad those twins."""
+    if v == len(member):
+        yield tuple(chosen)
+        return
+    _least, must, twin = facts
     m = member[v]
     held = m in bare_sets
-    if v == len(member) - 1:
-        if left:
-            chosen.extend([v] * left)
-            yield tuple(chosen)
-            del chosen[-left:]
-        elif not (must[v] or held):
-            yield tuple(chosen)
-        return
-    owed_padded = owed - (held and not twin[v])
-    for c in range(left - need[v + 1] - owed_padded, 0, -1):
-        chosen.extend([v] * c)
-        yield from _place(member, facts, chosen, bare_sets, v + 1, left - c,
-                          owed_padded)
-        del chosen[-c:]
-    if not (must[v] or held) and left >= need[v + 1] + owed + twin[v]:
+    if must[v] or held or twin[v]:
+        chosen.append(v)
+        yield from _place(member, facts, chosen, bare_sets, v + 1)
+        chosen.pop()
+    if not (must[v] or held):
         if twin[v]:
             bare_sets.add(m)
-        yield from _place(member, facts, chosen, bare_sets, v + 1, left,
-                          owed + twin[v])
+        yield from _place(member, facts, chosen, bare_sets, v + 1)
         bare_sets.discard(m)
 
 
@@ -492,9 +487,11 @@ def _memberships(n: int, part: tuple[int, ...]) -> list[int]:
 
 
 def _solutions_at_level(category: str, partitions, p: int, counter: dict):
-    """All labelled category solutions with universe size exactly ``p``,
-    built from the given ``((partition, member, facts), weight)`` pairs of
-    edge partitions plus single-vertex padding.
+    """The labelled category solutions with universe size exactly ``p``
+    that the given ``((partition, member, facts), weight)`` pairs of edge
+    partitions give with single-vertex padding, each partition padded at
+    its least pad count only: the only solutions a search reaches (see
+    the module docstring).
 
     Yields (groups, weight) pairs: the partition's cliques followed by one
     bit per pad, and the partition's weight, the number of labelled
@@ -504,10 +501,9 @@ def _solutions_at_level(category: str, partitions, p: int, counter: dict):
     """
     check_at = counter["nodes"] + 1
     for (part, member, facts), weight in partitions:
-        t = p - len(part)
-        if t < facts[2][0]:  # need[0]: the least pad count
+        if p - len(part) != facts[0]:  # padded at its least count only
             continue
-        for placement in _placements(member, facts, t, category):
+        for placement in _placements(member, facts, category):
             counter["nodes"] += 1
             if counter["nodes"] >= check_at:
                 check_at = _checkpoint(counter, counter["nodes"])
@@ -618,16 +614,19 @@ def _assignment_level(g: Graph, category: str, p: int, counter: dict,
                       adj: list[int]):
     """All labelled category solutions with universe size exactly ``p``,
     as (groups, 1) pairs, by giving each vertex in turn a nonempty subset
-    of the universe.  Each vertex placed spends one node of the run's
-    budget in ``counter``."""
+    of the universe.  The groups, read as columns from vertex 0 down, are
+    kept in non-increasing order, so each multiset of groups is yielded
+    once.  Each vertex placed spends one node of the run's budget in
+    ``counter``."""
     state = _Assignment(g, category, p, counter, adj)
-    yield from _assign(state, 0)
+    yield from _assign(state, 0, (1 << p - 1) - 1)
     counter["nodes"] = state.nodes
 
 
-def _assign(s: _Assignment, v: int):
+def _assign(s: _Assignment, v: int, tied: int):
     """The solutions that extend the sets ``s.chosen`` of the vertices
-    before ``v``."""
+    before ``v``.  Bit e of ``tied``: the groups of elements e and e + 1
+    agree on those vertices, so v may not hold e + 1 without e."""
     s.nodes += 1
     counter = s.counter
     if s.nodes >= s.check_at:
@@ -642,7 +641,7 @@ def _assign(s: _Assignment, v: int):
         return
     adj, want_d, want_a, want_u = s.adj, s.want_d, s.want_a, s.want_u
     for cand in range(1, 1 << s.p):
-        if want_u and chosen and \
+        if tied & ~cand & cand >> 1 or want_u and chosen and \
                 cand.bit_count() != chosen[0].bit_count():
             continue
         for u in range(v):
@@ -653,7 +652,7 @@ def _assign(s: _Assignment, v: int):
                 break
         else:
             chosen.append(cand)
-            yield from _assign(s, v + 1)
+            yield from _assign(s, v + 1, tied & ~(cand ^ cand >> 1))
             chosen.pop()
             if counter["stop"]:
                 return

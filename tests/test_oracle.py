@@ -499,8 +499,25 @@ def test_levels_pad_the_partitions_of_one_call(monkeypatch):
 
 def generic_pad_facts(member, category):
     """The padding facts by their definition, one pair of vertices at a
-    time: the reference for ``oracle._pad_facts``."""
+    time: the reference for ``oracle._pad_facts``.  Outside u the least
+    count is one pad for each vertex that must hold one or has a later
+    twin; under u it fills every set to the least size at which the bare
+    vertices are nonempty and, under d, pairwise distinct."""
     n = len(member)
+    if "u" in category:
+        counts = [m.bit_count() for m in member]
+        size = max(counts)
+        while True:
+            bare = [v for v in range(n) if counts[v] == size]
+            if all(member[v] for v in bare) and not (
+                    "d" in category and any(member[u] == member[v]
+                                            for u in bare for v in bare
+                                            if u < v)):
+                break
+            size += 1
+        placement = tuple(v for v in range(n)
+                          for _ in range(size - counts[v]))
+        return len(placement), placement
     want_a = "a" in category
     want_d = "d" in category and not want_a
     must = [not m or want_a and any(u != v and m & member[u] == m
@@ -508,19 +525,17 @@ def generic_pad_facts(member, category):
             for v, m in enumerate(member)]
     twin = [want_d and m != 0 and m in member[v + 1:]
             for v, m in enumerate(member)]
-    need = [0] * (n + 1)
-    for v in range(n - 1, -1, -1):
-        need[v] = need[v + 1] + (must[v] or twin[v])
-    return must, twin, need
+    return sum(must) + sum(twin), must, twin
 
 
 def test_pad_facts_read_membership_counts():
     """On every partition the kernel returns for K2-K7 and for seeded
     random graphs and their line graphs with at most 24 edges, the padding
-    facts equal their definition in s, sd, sa, su and sdu.  They read off
-    membership counts: under a a vertex is padded iff it lies in at most
-    one clique, and under d only vertices in exactly one clique have a
-    twin."""
+    facts, the least pad count among them, equal their definition in s,
+    sd, sa, su and sdu.  They read off membership counts: under a a
+    vertex is padded iff it lies in at most one clique, under d only
+    vertices in exactly one clique have a twin, and under u the sets
+    take the largest membership count, or one more."""
     rng = random.Random(2023)
     graphs = [complete_graph(n) for n in range(2, 8)]
     for _ in range(40):
@@ -535,11 +550,19 @@ def test_pad_facts_read_membership_counts():
             for cat in ("s", "sd", "sa", "su", "sdu"):
                 facts = oracle._pad_facts(member, cat)
                 assert facts == generic_pad_facts(member, cat), (g.edges, part)
-                must, twin, _need = facts
-                if "a" in cat:
-                    assert must == [m.bit_count() <= 1 for m in member]
-                assert all(member[v].bit_count() == 1
-                           for v in range(g.n) if twin[v])
+                if "u" in cat:
+                    most = max(m.bit_count() for m in member)
+                    assert len(set(member[v].bit_count() + facts[1].count(v)
+                                   for v in range(g.n))) == 1
+                    assert (facts[0] + sum(m.bit_count() for m in member)
+                            - most * g.n) in (0, g.n)
+                else:
+                    least, must, twin = facts
+                    if "a" in cat:
+                        assert must == [m.bit_count() <= 1 for m in member]
+                    assert all(member[v].bit_count() == 1
+                               for v in range(g.n) if twin[v])
+                    assert least == sum(must) + sum(twin)
                 checked += 1
     assert checked > 10_000
 
@@ -803,24 +826,39 @@ def filtered_placements(member, t, category):
 
 def test_placements_match_the_filter():
     """On seeded random member masks of one to six vertices (the oracle
-    refuses a graph with none), with twins forced in half of them, the
-    generator yields exactly the filtered placements, in order.  The
+    refuses a graph with none), with twins forced in half of them, no
+    placement of fewer pads than the least count makes a solution, and at
+    the least count the generator yields exactly the filtered placements,
+    in order.  More pads make a solution too: outside u at every larger
+    count, and under u at every count larger by a multiple of n, which
+    is why a search pads each partition at its least count only.  The
     masks need not come from an edge partition, so the padding facts are
-    the reference's, which hold for any masks."""
+    the reference's, which hold for any masks; counts past 9 are not
+    filtered."""
     rng = random.Random(2013)
+    matched = 0
     for _ in range(100):
         n = rng.randint(1, 6)
         bits = rng.randint(0, 4)
         member = [rng.getrandbits(bits) for _ in range(n)]
         if rng.random() < 0.5:
             member[rng.randrange(n)] = member[rng.randrange(n)]
-        for t in range(8):
-            for category in ("s", "sd", "sa", "su", "sdu"):
-                assert list(oracle._placements(
-                    member, generic_pad_facts(member, category), t,
-                    category)) == \
-                    list(filtered_placements(member, t, category)), \
+        for category in ("s", "sd", "sa", "su", "sdu"):
+            facts = generic_pad_facts(member, category)
+            least = facts[0]
+            for t in range(10):
+                placements = filtered_placements(member, t, category)
+                if t == least:
+                    placements = list(placements)
+                    assert list(oracle._placements(
+                        member, facts, category)) == placements, \
+                        (member, category)
+                    matched += 1
+                found = next(iter(placements), None) is not None
+                assert found == (t >= least and (
+                    "u" not in category or (t - least) % n == 0)), \
                     (member, t, category)
+    assert matched > 400
 
 
 def test_padding_node_ceiling():
