@@ -29,12 +29,12 @@ a single other edge: the saturated star with private pendant elements, a
 near-pencil on the site's edges, or a projective plane on them.  tau is the
 number of orbits of bundle assignments under the base graph's
 automorphisms.  Their generators come from the canonical walk of
-``representations`` run on the base; up to ``_WITNESS_ENUM_CAP`` labelled
-solutions the orbits are closed under them, and past it the generators
-are closed into the group on the sites for a Burnside count.  ``sdu`` has
-no construction: outside its table tau is 1 and the minimum size is the
-oracle's.  Reports say which case produced them via the ``provenance``
-string.
+``representations`` run on the base; the assignments are walked in
+product order, and the orbit of each one not yet seen is closed under
+them.  Past ``_SITE_WALK_CAP`` labelled solutions tau is left open.
+``sdu`` has no construction: outside its table tau is 1 and the minimum
+size is the oracle's.  Reports say which case produced them via the
+``provenance`` string.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import product
 from math import prod
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .classify import Classification, classify
@@ -68,10 +69,15 @@ __all__ = [
 _CLOSED_FORM_CATEGORIES = ("sd", "sa", "sdu")
 _WITNESS_CATEGORIES = ("sd", "sa")  # the ones with a construction
 
-# Enumerating one witness per class is cheap for every graph we expect to
-# see; the cap only guards against pathological inputs with dozens of
-# choice sites.
+# A report lists one witness per class up to this many classes, and past
+# it the star form alone.
 _WITNESS_ENUM_CAP = 512
+
+# The site-class walk keeps every labelled solution it passes, so past
+# this many tau is left open: counting the orbits of a permutation group is
+# #P-hard in general, and the group on the sites can be far larger than
+# its orbits (k! site permutations for k + 1 classes on the winged star).
+_SITE_WALK_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -330,36 +336,18 @@ def _base_cliques(stars: tuple, cls: Classification,
     return cliques
 
 
-def _orbit_count(perms: set[tuple[int, ...]], alphabets: list[int]) -> int:
-    """Burnside count of site assignments up to the induced permutations:
-    an assignment that ``pi`` fixes picks one bundle per cycle of ``pi``."""
-    total = 0
-    for pi in perms:
-        fixed, seen = 1, set()
-        for i in range(len(pi)):
-            if i not in seen:
-                fixed *= alphabets[i]
-                while i not in seen:
-                    seen.add(i)
-                    i = pi[i]
-        total += fixed
-    count, rem = divmod(total, len(perms))
-    assert rem == 0, "orbit count must be an integer"
-    return count
-
-
 def _closure(start: tuple[int, ...],
-             perms: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    """Every tuple reached from ``start`` by steps ``x -> x[pi]`` (entry i
-    becomes ``x[pi[i]]``) for ``pi`` in ``perms``: from an assignment of
-    bundles to the sites, its orbit; from the identity, the group that
-    ``perms`` generate."""
+             gens: list[Callable]) -> set[tuple[int, ...]]:
+    """The orbit of the site assignment ``start``: every assignment
+    reached from it by the steps in ``gens``, each ``itemgetter(*pi)``
+    for a permutation ``pi`` of the sites (entry i becomes
+    ``x[pi[i]]``)."""
     out = {start}
     todo = [start]
     while todo:
         x = todo.pop()
-        for pi in perms:
-            y = tuple(x[i] for i in pi)
+        for step in gens:
+            y = step(x)
             if y not in out:
                 out.add(y)
                 todo.append(y)
@@ -393,15 +381,15 @@ def _site_classes(base: Graph, lg: Graph, cliques: list[frozenset[int]],
     automorphisms that the canonical walk records on the base as a set
     system (its vertices the elements, each edge a 2-set), as
     :func:`_graph_generators` keeps them for the oracle too, restricted
-    to the sites, which every automorphism maps onto themselves.  Up to
-    ``_WITNESS_ENUM_CAP`` labelled solutions, the assignments are walked
-    in product order: each one not yet seen is the least of its orbit and
-    a witness, and its orbit, closed under the generators, is marked
-    seen.  Past the cap, tau is
-    the Burnside count over the group that the generators close into on
-    the sites, and the one witness is ``cliques`` itself, as it is when a
-    site's planes cannot be built.  A symbolic alphabet makes tau the
-    labelled count, with no witness.
+    to the sites, which every automorphism maps onto themselves; fewer
+    than two sites need none.  The assignments are walked in product
+    order: each one not yet seen is the least of its orbit, and its
+    orbit, closed under the generators, is marked seen.  Up to
+    ``_WITNESS_ENUM_CAP`` classes the least assignments are the
+    witnesses; past it, or when a site's planes cannot be built, the one
+    witness is ``cliques`` itself.  Past ``_SITE_WALK_CAP`` labelled
+    solutions tau is left open, with that one witness.  A symbolic
+    alphabet makes tau the labelled count, with no witness.
     """
     open_sites = [a for a in alphabets if isinstance(a, str)]
     if open_sites:
@@ -409,27 +397,30 @@ def _site_classes(base: Graph, lg: Graph, cliques: list[frozenset[int]],
         return (" * ".join(([str(known)] if known != 1 else []) + open_sites),
                 ("labelled count; automorphisms may identify some choices",),
                 ())
-    gens: list[tuple[int, ...]] = []
-    if sites:
-        at = {v: i for i, v in enumerate(sites)}
-        gens = [tuple(at[g[v]] for v in sites)
-                for g in _graph_generators(base)]
     labelled = prod(alphabets)
+    if labelled > _SITE_WALK_CAP:
+        return None, (f"{labelled} labelled minimum solutions are more "
+                      f"than the {_SITE_WALK_CAP} walked to count classes, "
+                      "so tau is left open",), (
+                          egp_set(CliqueCover(lg, tuple(cliques))),)
+    gens = []
+    if len(sites) >= 2:
+        at = {v: i for i, v in enumerate(sites)}
+        identity = tuple(range(len(sites)))
+        perms = {tuple(at[g[v]] for v in sites)
+                 for g in _graph_generators(base)} - {identity}
+        gens = [itemgetter(*pi) for pi in sorted(perms)]
     least: list[tuple[int, ...]] = []
-    if labelled <= _WITNESS_ENUM_CAP:
-        seen: set[tuple[int, ...]] = set()
-        for a in product(*(range(k) for k in alphabets)):
-            if a not in seen:
-                least.append(a)
-                seen |= _closure(a, gens)
-        tau = len(least)
-    else:
-        tau = _orbit_count(_closure(tuple(range(len(sites))), gens),
-                           alphabets)
+    seen: set[tuple[int, ...]] = set()
+    for a in product(*(range(k) for k in alphabets)):
+        if a not in seen:
+            least.append(a)
+            seen |= _closure(a, gens)
+    tau = len(least)
     notes = [] if tau == labelled else [
         f"{labelled} labelled minimum solutions fall into {tau} classes "
         "because base-graph automorphisms permute the choice sites"]
-    if least:
+    if tau <= _WITNESS_ENUM_CAP:
         try:
             site_choices = bundles()
         except TheoremNotApplicable as exc:

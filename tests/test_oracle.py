@@ -1515,7 +1515,10 @@ def test_each_graph_is_walked_once(monkeypatch):
     """The closed forms and the oracle read a base's generators from one
     memo, so the winged star with two branches is walked once by both
     closed forms and the oracle run that keys its three classes.  A run
-    that keys nothing walks nothing."""
+    that keys nothing walks nothing, and neither do closed forms with a
+    single choice site, whose group on the sites is trivial: a wing
+    triangle whose stalk hangs from a vertex with three pendant edges has
+    one site in ``sd`` (the stalk) and one in ``sa`` (that vertex)."""
     walks = []
     walk = representations._automorphism_generators
 
@@ -1533,6 +1536,13 @@ def test_each_graph_is_walked_once(monkeypatch):
     assert (r.theta, len(r.classes), sd.tau.exact) == (7, 3, 3)
     assert len(walks) == 1
     assert run(path_graph(5), "sd", 4).labeled_solutions == 1
+    assert len(walks) == 1
+    single = zoo.from_edges([("s", "x"), ("s", "y"), ("x", "y"), ("s", "a"),
+                             ("a", "t"), ("a", "p"), ("a", "q")])
+    sd, sa = (theta_tau_linegraph(single, cat) for cat in ("sd", "sa"))
+    assert [r.provenance for r in (sd, sa)] \
+        == ["linegraph-sd-generic", "linegraph-sa-generic"]
+    assert (sd.tau.exact, sa.tau.exact) == (2, 3)
     assert len(walks) == 1
 
 

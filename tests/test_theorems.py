@@ -412,30 +412,72 @@ def winged_star(k):
         (f"x{i}", f"y{i}"))])
 
 
-@pytest.mark.parametrize("k", [4, 5, 6, 7, 8, 9])
-def test_winged_star_closes_wing_choices_under_generators(k):
+def forked_spider(k):
+    """A hub with k legs, each ending in a fork of two pendant edges."""
+    return zoo.from_edges([e for i in range(k) for e in (
+        ("hub", f"l{i}"), (f"l{i}", f"p{i}"), (f"l{i}", f"q{i}"))])
+
+
+def choice_sites(base, category):
+    cls = classify(base)
+    if category == "sd":
+        return cls.three_wing_stalks
+    return tuple(v for v, _m in _sa_sites(base, cls))
+
+
+SITE_WALKS = [4, 5, 6, 7, 8, 9, 10, 12, 14, 16]
+
+
+@pytest.mark.parametrize("shape, category, k", [
+    *(pytest.param(winged_star, "sd", k, id=str(k)) for k in SITE_WALKS),
+    *(pytest.param(forked_spider, "sa", k, id=f"forked-spider-{k}")
+      for k in SITE_WALKS)])
+def test_winged_star_closes_wing_choices_under_generators(shape, category, k):
     """The winged star has k!·2^k automorphisms, which permute its k
-    stalks in k! ways.  The sd closed form counts the 2^k wing choices up
-    to those: theta 3k + 1, and tau k + 1 classes (by the number of
-    flipped wings), one witness each.  It closes each choice's orbit
-    under a few generators, so k = 9 takes well under a second."""
-    base = winged_star(k)
-    stalks = classify(base).three_wing_stalks
-    assert len(stalks) == k
+    stalks in k! ways, and the forked spider permutes its k forks the
+    same way.  The closed form (``sd`` on the star, ``sa`` on the spider)
+    counts the 2^k choices at the sites up to those: theta 3k + 1, and
+    tau k + 1 classes (by the number of flipped sites), one witness each.
+    It closes each choice's orbit under a few generators, never listing
+    the group, so k = 10 takes well under a second and k = 16, with
+    65,536 labelled solutions, a few seconds at most."""
+    base = shape(k)
+    sites = choice_sites(base, category)
+    assert len(sites) == k
     if k <= 7:
-        assert len(automorphisms(base, points=[(v,) for v in stalks])) \
+        assert len(automorphisms(base, points=[(v,) for v in sites])) \
             == factorial(k)
     start = time.monotonic()
-    r = theta_tau_linegraph(base, "sd")
-    assert time.monotonic() - start < 1.0
+    r = theta_tau_linegraph(base, category)
+    assert time.monotonic() - start < (1.0 if k <= 10 else 3.0)
     assert (r.theta.exact, r.tau.exact) == (3 * k + 1, k + 1)
-    assert r.provenance == "linegraph-sd-generic"
+    assert r.provenance == f"linegraph-{category}-generic"
     lg, _ = line_graph(base)
     assert len(r.witnesses) == k + 1
     for rep in r.witnesses:
         assert represents(rep, lg) and rep.universe_size == 3 * k + 1
         flags = category_flags(rep)
-        assert flags.simple and flags.distinct
+        assert flags.simple and (flags.distinct if category == "sd"
+                                 else flags.antichain)
+
+
+@pytest.mark.parametrize("shape, category",
+                         [(winged_star, "sd"), (forked_spider, "sa")])
+def test_site_walk_bound_leaves_tau_open(shape, category):
+    """With 17 sites the 2^17 = 131,072 labelled solutions are past the
+    65,536 that the class count walks.  tau is left open at once, with a
+    note that gives the labelled count, and the star form is the one
+    witness."""
+    base = shape(17)
+    start = time.monotonic()
+    r = theta_tau_linegraph(base, category)
+    assert time.monotonic() - start < 0.5
+    assert r.theta.exact == 52 and r.tau.unknown
+    assert r.notes == ("131072 labelled minimum solutions are more than the "
+                       "65536 walked to count classes, so tau is left open",)
+    (rep,) = r.witnesses
+    lg, _ = line_graph(base)
+    assert represents(rep, lg) and rep.universe_size == 52
 
 
 def test_winged_spine_ties_its_stalks_together():
