@@ -31,9 +31,10 @@ at the first level that has a solution or is cut short by a limit.  A
 partition of q cliques with least count t has a solution at level
 q + t, so no level the search asks for holds it with more pads than t.
 Each partition is therefore padded at that one level, and only its
-least placements are generated.  Its least count, and the facts that
-generate those placements, are computed once per partition and
-category.
+least placements are generated.  A run reads each partition once, at the
+clique budget that finds it: it computes the least count and the facts
+that generate those placements then, and files the partition under its
+one level, q + t, which pads it when the search gets there.
 
 Categories without "s" fall back to a direct assignment search over all
 nonempty subsets per vertex, which is only viable for very small inputs.
@@ -49,17 +50,19 @@ it too yields each multiset of groups once.  The edge clique partitions
 do not depend on the category, so the partition levels read one record
 per graph, kept for the last graph searched and keyed by its identity
 and by the thread that searched it.  It holds one kernel frontier, the
-nodes of each clique budget searched so far and the sorted partitions
-found, each with its membership masks; the padding facts are added per
-category on first use.  Level p replays budget p if the record holds it:
-it charges the recorded nodes and pads the recorded partitions of at most
-p cliques.  Otherwise it resumes the frontier at p, so the kernel visits
-only the nodes that the budget of p - 1 cliques pruned, and merges the
-partitions new at p into the record.  Every result is the one a fresh
-record would give, whatever ran on the graph before; a kernel call cut
-short by a limit drops the record.  The kernel, the padding and the
-assignment search spend one node budget, stop at the first node past
-``node_limit`` and check the deadline at least every 4,096 nodes.  A key
+nodes of each clique budget searched so far and, for each budget, the
+sorted partitions new at it, each with its membership masks.  Level p
+replays budget p if the record holds it: it charges the recorded nodes
+and reads the partitions recorded at p.  Otherwise it resumes the
+frontier at p, so the kernel visits only the nodes that the budget of
+p - 1 cliques pruned, and records the partitions new at p.  Either way
+the run files those partitions under their levels and then pads the
+partitions filed under p, sorted, in the order that a kernel restarted
+at p lists them.  Every result is the one a fresh record would give,
+whatever ran on the graph before; a kernel call cut short by a limit
+drops the record.  The kernel, the padding and the assignment search
+spend one node budget, stop at the first node past ``node_limit`` and
+check the deadline at least every 4,096 nodes.  A key
 can be slow (the walk for the generators, an orbit, a canonical form), so
 a run with a ``time_limit`` also checks it before each key but the first
 and at the end of each level that found none: it returns within one key
@@ -150,7 +153,6 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .errors import SetrepError
 from .geometry import LinearSpace, is_projective_plane
@@ -489,8 +491,9 @@ def _memberships(n: int, part: tuple[int, ...]) -> list[int]:
 def _solutions_at_level(category: str, partitions, p: int, counter: dict):
     """The labelled category solutions with universe size exactly ``p``
     that the given ``((partition, member, facts), weight)`` pairs of edge
-    partitions give with single-vertex padding, each partition padded at
-    its least pad count only: the only solutions a search reaches (see
+    partitions give with single-vertex padding.  Each partition given
+    has ``p`` as its clique count plus its least pad count, so it is
+    padded at that count only: the only solutions a search reaches (see
     the module docstring).
 
     Yields (groups, weight) pairs: the partition's cliques followed by one
@@ -501,8 +504,6 @@ def _solutions_at_level(category: str, partitions, p: int, counter: dict):
     """
     check_at = counter["nodes"] + 1
     for (part, member, facts), weight in partitions:
-        if p - len(part) != facts[0]:  # padded at its least count only
-            continue
         for placement in _placements(member, facts, category):
             counter["nodes"] += 1
             if counter["nodes"] >= check_at:
@@ -515,10 +516,9 @@ def _solutions_at_level(category: str, partitions, p: int, counter: dict):
 class _Record:
     """The edge clique partitions of one graph that the oracle runs on it
     have searched so far.  ``spent[q - 1]``: the kernel nodes of budget q,
-    for the budgets 1, 2, ... searched in turn.  ``found``: the partitions
-    they returned, sorted, as ``(partition, weight, member, shapes)``;
-    ``shapes`` maps a category to ``(partition, member, facts)`` with
-    that category's padding facts, built on first use."""
+    for the budgets 1, 2, ... searched in turn.  ``found[q - 1]``: the
+    partitions new at budget q, sorted, as ``(partition, weight,
+    member)``."""
 
     __slots__ = ("masks", "frontier", "spent", "found")
 
@@ -526,7 +526,7 @@ class _Record:
         self.masks = _masks(g)
         self.frontier = Frontier()
         self.spent: list[int] = []
-        self.found: list[tuple] = []
+        self.found: list[list[tuple]] = []
 
 
 @functools.lru_cache(maxsize=1)
@@ -540,15 +540,19 @@ def _partition_record(g: Graph, thread: int) -> _Record:
 
 
 def _partition_levels(g: Graph, category: str, counter: dict):
-    """The levels of one partition run: ``level(p)`` pads the partitions
-    into at most ``p`` cliques to universe size ``p``, for p = 1, 2, ...
-    in turn.  A budget that the graph's record holds is replayed: its
-    recorded nodes are charged to the run's budget, as the kernel call
-    would have spent them.  A new budget resumes the record's frontier
-    with the nodes the budget has left, and the partitions new there are
-    merged into the record's sorted list.  A kernel call cut short by a
-    limit leaves the frontier part-resumed, so it drops the record."""
+    """The levels of one partition run: ``level(p)`` pads to universe
+    size ``p`` the partitions whose clique count plus least pad count is
+    ``p``, for p = 1, 2, ... in turn.  A budget that the graph's record
+    holds is replayed: its recorded nodes are charged to the run's budget,
+    as the kernel call would have spent them.  A new budget resumes the
+    record's frontier with the nodes the budget has left, and the
+    partitions new there are added to the record.  A kernel call cut
+    short by a limit leaves the frontier part-resumed, so it drops the
+    record.  The partitions of budget p, replayed or new, get their
+    padding facts then, once per run, and ``waiting`` files each under
+    the level that pads it, for that level to take in sorted order."""
     rec = _partition_record(g, threading.get_ident())
+    waiting: dict[int, list] = {}
 
     def level(p: int):
         limit = counter["limit"]
@@ -568,19 +572,15 @@ def _partition_levels(g: Graph, category: str, counter: dict):
                 _checkpoint(counter, counter["nodes"] + nodes)
                 return
             rec.spent.append(nodes)
-            rec.found.extend((part, weight, _memberships(g.n, part), {})
-                             for part, weight in pairs)
-            rec.found.sort(key=itemgetter(0))
+            rec.found.append([(part, weight, _memberships(g.n, part))
+                              for part, weight in pairs])
         counter["nodes"] += nodes
-        batch = []
-        for part, weight, member, shapes in rec.found:
-            if len(part) <= p:
-                shape = shapes.get(category)
-                if shape is None:
-                    shape = shapes[category] = (
-                        part, member, _pad_facts(member, category))
-                batch.append((shape, weight))
-        yield from _solutions_at_level(category, batch, p, counter)
+        for part, weight, member in rec.found[p - 1]:
+            facts = _pad_facts(member, category)
+            waiting.setdefault(len(part) + facts[0], []).append(
+                ((part, member, facts), weight))
+        yield from _solutions_at_level(category, sorted(waiting.pop(p, [])),
+                                       p, counter)
 
     return level
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .graphs import Graph
 
@@ -164,14 +164,16 @@ def _relabel(sig: list) -> list[int]:
     return list(map(code.__getitem__, sig))
 
 
-def _orbit(seeds: list[int], generators: list[list[int]]) -> set[int]:
-    """Orbit of ``seeds`` under the group the permutations generate."""
+def _orbit(seeds: list, steps: list[Callable]) -> set:
+    """Orbit of ``seeds`` under the group that the permutations ``steps``
+    generate, each given as the callable that maps a point to its image:
+    every point reached from a seed by steps."""
     orbit = set(seeds)
     todo = list(seeds)
     while todo:
         x = todo.pop()
-        for gen in generators:
-            y = gen[x]
+        for step in steps:
+            y = step(x)
             if y not in orbit:
                 orbit.add(y)
                 todo.append(y)
@@ -280,7 +282,7 @@ def _walk(w: _Walk, colors: list[int], fixed: list[int]) -> int:
         if orbit is None:
             # only a walk records automorphisms, so the orbit holds until
             # the next child is walked
-            orbit = _orbit(explored, [g for g in w.automorphisms
+            orbit = _orbit(explored, [g.__getitem__ for g in w.automorphisms
                                       if all(g[x] == x for x in fixed)])
         if chosen in orbit:
             continue

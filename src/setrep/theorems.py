@@ -51,7 +51,7 @@ from .errors import TheoremNotApplicable
 from .geometry import (fls_to_cover, n_pp, near_pencil, order_for_points,
                        projective_plane, puncture)
 from .graphs import Graph, complete_graph, line_graph
-from .representations import (SetRepresentation, _graph_generators,
+from .representations import (SetRepresentation, _graph_generators, _orbit,
                               rep_to_json_dict)
 
 __all__ = [
@@ -336,24 +336,6 @@ def _base_cliques(stars: tuple, cls: Classification,
     return cliques
 
 
-def _closure(start: tuple[int, ...],
-             gens: list[Callable]) -> set[tuple[int, ...]]:
-    """The orbit of the site assignment ``start``: every assignment
-    reached from it by the steps in ``gens``, each ``itemgetter(*pi)``
-    for a permutation ``pi`` of the sites (entry i becomes
-    ``x[pi[i]]``)."""
-    out = {start}
-    todo = [start]
-    while todo:
-        x = todo.pop()
-        for step in gens:
-            y = step(x)
-            if y not in out:
-                out.add(y)
-                todo.append(y)
-    return out
-
-
 def _site_reps(lg: Graph, cliques: list[frozenset[int]], site_choices,
                assignments) -> list[SetRepresentation]:
     """One representation per assignment of a bundle to each choice site.
@@ -384,10 +366,11 @@ def _site_classes(base: Graph, lg: Graph, cliques: list[frozenset[int]],
     to the sites, which every automorphism maps onto themselves; fewer
     than two sites need none.  The assignments are walked in product
     order: each one not yet seen is the least of its orbit, and its
-    orbit, closed under the generators, is marked seen.  Up to
-    ``_WITNESS_ENUM_CAP`` classes the least assignments are the
-    witnesses; past it, or when a site's planes cannot be built, the one
-    witness is ``cliques`` itself.  Past ``_SITE_WALK_CAP`` labelled
+    orbit, closed by :func:`_orbit` under the generators (each the
+    ``itemgetter`` that permutes an assignment's entries), is marked
+    seen.  Up to ``_WITNESS_ENUM_CAP`` classes the least assignments are
+    the witnesses; past it, or when a site's planes cannot be built, the
+    one witness is ``cliques`` itself.  Past ``_SITE_WALK_CAP`` labelled
     solutions tau is left open, with that one witness.  A symbolic
     alphabet makes tau the labelled count, with no witness.
     """
@@ -415,7 +398,7 @@ def _site_classes(base: Graph, lg: Graph, cliques: list[frozenset[int]],
     for a in product(*(range(k) for k in alphabets)):
         if a not in seen:
             least.append(a)
-            seen |= _closure(a, gens)
+            seen |= _orbit([a], gens)
     tau = len(least)
     notes = [] if tau == labelled else [
         f"{labelled} labelled minimum solutions fall into {tau} classes "
