@@ -6,8 +6,8 @@ graphs and stars reduce to complete-graph results; K4, the windmills
 W_t, the triple-matching join, and the "peacock" graphs each have their
 own class counts); everything else follows the generic pendant-counting
 formulas.  This module recognises those families and computes the
-shared vocabulary: critical/inland vertices, plume counts, wings and
-semiwings, and the two universe-size parameters gamma and gamma'.
+shared vocabulary (critical/inland vertices, plume counts, wings, gamma
+and gamma'); ``find_semiwings`` lists the semiwings, for the CLI.
 
 Each family is fixed by degrees alone.  A star has at most one vertex of
 degree >= 2.  Otherwise ``_named`` reads the sorted core degrees: with
@@ -59,7 +59,6 @@ class Classification:
     gamma_prime: int
     wings: tuple[tuple[int, int, int], ...]       # (stalk, x, y), x < y
     three_wing_stalks: tuple[int, ...]
-    semiwings: tuple[tuple[int, int, int], ...]   # (degree-2 vertex, u, v)
 
 
 def find_wings(g: Graph) -> tuple[tuple[int, int, int], ...]:
@@ -130,7 +129,6 @@ def classify(g: Graph) -> Classification:
 
     wings = find_wings(g)
     stalks = tuple(sorted({v for v, _, _ in wings if g.degree(v) == 3}))
-    semiwings = find_semiwings(g)
 
     # The base is named by the degrees of its core: the base itself when
     # it has no plumes, else a triangle or a windmill wearing them.
@@ -157,4 +155,4 @@ def classify(g: Graph) -> Classification:
         plumed_vertices=tuple(v for v, _ in peacock),
         critical=tuple(critical), inland=tuple(inland),
         gamma=gamma, gamma_prime=gamma_prime,
-        wings=wings, three_wing_stalks=stalks, semiwings=semiwings)
+        wings=wings, three_wing_stalks=stalks)

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .classify import Classification, classify
+from .classify import Classification, classify, find_semiwings
 from .cliquecover import (cover_from_json_dict, cover_to_json_dict,
                           egp_cover, egp_set)
 from .errors import SetrepError, TheoremNotApplicable
@@ -60,7 +60,7 @@ def classification_json(g: Graph, cls: Classification) -> dict:
         "gammaPrime": cls.gamma_prime,
         "wings": [[lab[a], lab[b], lab[c]] for a, b, c in cls.wings],
         "threeWingStalks": [lab[v] for v in cls.three_wing_stalks],
-        "semiwings": [[lab[a], lab[b], lab[c]] for a, b, c in cls.semiwings],
+        "semiwings": [[lab[v] for v in w] for w in find_semiwings(g)],
     }
 
 

@@ -11,6 +11,9 @@ and a representation is simple exactly when its cover is a partition.
 Cliques consisting of a single vertex ("trivial" cliques) are allowed:
 they cover no edge but pad a vertex's set, which the distinctness and
 antichain categories frequently need.
+
+``egp_set`` validates its cover, then reads it with ``_groups_rep``; the
+closed forms and the oracle read their own clique lists with it unchecked.
 """
 
 from __future__ import annotations
@@ -86,16 +89,23 @@ def is_partition(cover: CliqueCover) -> bool:
     return True
 
 
-def egp_set(cover: CliqueCover) -> SetRepresentation:
-    """Representation whose universe is the clique list: vertex ``v``
-    receives the indices of the cliques containing ``v``."""
-    validate_cover(cover)
-    sets: list[list[int]] = [[] for _ in range(cover.graph.n)]
-    for j, q in enumerate(cover.cliques):
-        for v in q:
+def _groups_rep(n: int, groups) -> SetRepresentation:
+    """Vertex ``v`` of ``n`` receives the index of each group (an iterable
+    of vertices) that holds it; nothing else is checked."""
+    groups = tuple(groups)
+    sets: list[list[int]] = [[] for _ in range(n)]
+    for j, grp in enumerate(groups):
+        for v in grp:
             sets[v].append(j)
-    return SetRepresentation(universe=tuple(range(cover.size)),
+    return SetRepresentation(universe=tuple(range(len(groups))),
                              sets=tuple(map(frozenset, sets)))
+
+
+def egp_set(cover: CliqueCover) -> SetRepresentation:
+    """The representation read from ``cover``, once validated: vertex
+    ``v`` receives the indices of the cliques containing ``v``."""
+    validate_cover(cover)
+    return _groups_rep(cover.graph.n, cover.cliques)
 
 
 def egp_cover(rep: SetRepresentation, graph: Graph) -> CliqueCover:

@@ -127,8 +127,8 @@ generators are read once per run, at its first key, from
 graph's: the closed forms and the oracle walk a base once between them.
 A level's first solution is keyed only when a second one arrives: a
 level with one solution is one class, and a run that keys none walks
-nothing.  A class's representative is built from its groups once, when
-the class is first seen.
+nothing.  A class's representative is read from its groups once, when
+the class is first seen, by ``cliquecover._groups_rep``.
 
 The kernel returns one partition per orbit under swaps of true twins
 (vertices with equal closed neighbourhoods), each with its weight: the
@@ -154,6 +154,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
+from .cliquecover import _groups_rep
 from .errors import SetrepError
 from .geometry import LinearSpace, is_projective_plane
 from .graphs import Graph, complete_graph, line_graph
@@ -338,17 +339,6 @@ def _symmetry_keyer(graph: Graph, base: Graph | None) -> _ClassKeyer:
             "(adjacency mismatch)")
     return _ClassKeyer(graph.n, tuple(s for s in stars if len(s) >= 2),
                        functools.partial(_edge_generators, base))
-
-
-def _representative(groups, p: int, n: int) -> SetRepresentation:
-    """The solution with element groups ``groups`` over universe size
-    ``p``: vertex v's set holds the elements whose group holds v."""
-    sets: list[list[int]] = [[] for _ in range(n)]
-    for e, grp in enumerate(groups):
-        for v in _bits(grp):
-            sets[v].append(e)
-    return SetRepresentation(universe=tuple(range(p)),
-                             sets=tuple(map(frozenset, sets)))
 
 
 # ---------------------------------------------------------------------------
@@ -712,18 +702,18 @@ def oracle_search(graph: Graph, category: str, budget: SearchBudget,
                 first = groups
             else:
                 if not classes:
-                    classes[keyer.key(first)] = _representative(first, p,
-                                                                graph.n)
+                    classes[keyer.key(first)] = _groups_rep(
+                        graph.n, map(_bits, first))
                 if counter["deadline"] is not None:
                     _checkpoint(counter, counter["nodes"])
                     if counter["stop"]:
                         break
                 key = keyer.key(groups)
                 if key not in classes:  # the first solution of its class
-                    classes[key] = _representative(groups, p, graph.n)
+                    classes[key] = _groups_rep(graph.n, map(_bits, groups))
             labeled += weight
         if first is not None and not classes:  # one solution, one class
-            classes[None] = _representative(first, p, graph.n)
+            classes[None] = _groups_rep(graph.n, map(_bits, first))
         if counter["stop"] is None:
             searched_to = p
             if not classes:  # the search goes on to the next size

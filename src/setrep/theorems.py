@@ -35,6 +35,15 @@ them.  Past ``_SITE_WALK_CAP`` labelled solutions tau is left open.
 ``sdu`` has no construction: outside its table tau is 1 and the minimum
 size is the oracle's.  Reports say which case produced them via the
 ``provenance`` string.
+
+Witnesses are read from their clique lists unchecked by ``_groups_rep``,
+for each list is an edge clique partition.  Two base edges share at most
+one end, so the stars partition the edges of L(base), and edges at one
+vertex form a clique: a star less another, one pendant edge, the lines of
+a near-pencil or plane on an sa site's star (each pair of its edges on one
+line).  A wing's triangle (its tip stars' union: three edges that meet
+pairwise) and two bridging pairs cover its stars' five pairs once.  K4's
+triangles (edges less a star) and K_n's linear spaces hold each pair once.
 """
 
 from __future__ import annotations
@@ -46,10 +55,10 @@ from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .classify import Classification, classify
-from .cliquecover import CliqueCover, egp_set, silly_partition
+from .cliquecover import _groups_rep, silly_partition
 from .errors import TheoremNotApplicable
-from .geometry import (fls_to_cover, n_pp, near_pencil, order_for_points,
-                       projective_plane, puncture)
+from .geometry import (n_pp, near_pencil, order_for_points, projective_plane,
+                       puncture)
 from .graphs import Graph, complete_graph, line_graph
 from .representations import (SetRepresentation, _graph_generators, _orbit,
                               rep_to_json_dict)
@@ -189,14 +198,7 @@ def _plane_witness(g: Graph, points: int) -> SetRepresentation:
     ``n_pp(points) >= 1``, so the plane's order is one that
     :func:`projective_plane` builds."""
     ls = puncture(projective_plane(order_for_points(points)), points - g.n)
-    return egp_set(fls_to_cover(ls, g))
-
-
-def _uniform_silly_rep(n: int) -> SetRepresentation:
-    """K_n as one whole-graph clique plus one private element per vertex."""
-    g = complete_graph(n)
-    cliques = [frozenset(range(n))] + [frozenset({v}) for v in range(n)]
-    return egp_set(CliqueCover(g, tuple(cliques)))
+    return _groups_rep(g.n, ls.lines)
 
 
 def theta_tau_complete(n: int, category: str) -> ThetaTauReport:
@@ -214,8 +216,8 @@ def theta_tau_complete(n: int, category: str) -> ThetaTauReport:
     if n <= 2:
         # Too small for the general pattern; fixed by direct enumeration.
         # Outside sd, K2 needs a private element at both ends.
-        rep = (egp_set(silly_partition(n)) if n == 1 or category == "sd"
-               else _uniform_silly_rep(n))
+        pads = [[n - 1]] if n == 2 and category != "sd" else []
+        rep = _groups_rep(n, [*silly_partition(n).cliques, *pads])
         return _report(category, len(rep.universe), 1, "complete-small", g,
                        (rep,))
 
@@ -223,8 +225,9 @@ def theta_tau_complete(n: int, category: str) -> ThetaTauReport:
     if category in ("sd", "sa"):
         # tau counts these witnesses (sd: the silly partition and the
         # near-pencil; sa: the near-pencil) and the planes
-        witnesses = [egp_set(silly_partition(n))] if category == "sd" else []
-        witnesses.append(egp_set(fls_to_cover(near_pencil(n), g)))
+        witnesses = ([_groups_rep(n, silly_partition(n).cliques)]
+                     if category == "sd" else [])
+        witnesses.append(_groups_rep(n, near_pencil(n).lines))
         tau = (f"{len(witnesses)} + N_PP({n})" if np is None
                else len(witnesses) + np)
         if np:
@@ -233,7 +236,7 @@ def theta_tau_complete(n: int, category: str) -> ThetaTauReport:
 
     # simple-distinct-uniform
     if n == 3:
-        rep = egp_set(fls_to_cover(near_pencil(3), g))
+        rep = _groups_rep(3, near_pencil(3).lines)
         return _report(category, 3, 1, "complete-sdu", g, (rep,))
     if np is None:
         r = order_for_points(n)
@@ -247,9 +250,9 @@ def theta_tau_complete(n: int, category: str) -> ThetaTauReport:
         return _report(category, n, np, "complete-sdu", g,
                        (_plane_witness(g, n),))
 
-    # No plane on n points: the minimum is n + 1.
+    # No plane on n points: the minimum is n + 1 (silly, every vertex padded).
     np1 = n_pp(n + 1)
-    witnesses = [_uniform_silly_rep(n)]
+    witnesses = [_groups_rep(n, [*silly_partition(n).cliques, [n - 1]])]
     if np1:
         witnesses.append(_plane_witness(g, n + 1))
     tau = f"1 + N_PP({n + 1})" if np1 is None else 1 + np1
@@ -276,7 +279,7 @@ def _k4_stars_and_triangles(lg: Graph, stars: tuple) -> tuple[SetRepresentation,
     """The two sd classes of L(K4): the four stars, or the four triangles,
     each the six edges less one star (the one opposite vertex 3 first)."""
     tris = tuple(frozenset(range(6)) - star for star in reversed(stars))
-    return egp_set(CliqueCover(lg, stars)), egp_set(CliqueCover(lg, tris))
+    return _groups_rep(lg.n, stars), _groups_rep(lg.n, tris)
 
 
 def _tp2_sa_tau(cls: Classification) -> int:
@@ -346,9 +349,9 @@ def _site_reps(lg: Graph, cliques: list[frozenset[int]], site_choices,
     """
     owned = {q for choices in site_choices for q in choices[0]}
     fixed = tuple(q for q in cliques if q not in owned)
-    return [egp_set(CliqueCover(lg, fixed + tuple(
+    return [_groups_rep(lg.n, fixed + tuple(
                 q for choices, a in zip(site_choices, assignment)
-                for q in choices[a])))
+                for q in choices[a]))
             for assignment in assignments]
 
 
@@ -384,8 +387,7 @@ def _site_classes(base: Graph, lg: Graph, cliques: list[frozenset[int]],
     if labelled > _SITE_WALK_CAP:
         return None, (f"{labelled} labelled minimum solutions are more "
                       f"than the {_SITE_WALK_CAP} walked to count classes, "
-                      "so tau is left open",), (
-                          egp_set(CliqueCover(lg, tuple(cliques))),)
+                      "so tau is left open",), (_groups_rep(lg.n, cliques),)
     gens = []
     if len(sites) >= 2:
         at = {v: i for i, v in enumerate(sites)}
@@ -411,7 +413,7 @@ def _site_classes(base: Graph, lg: Graph, cliques: list[frozenset[int]],
         else:
             return tau, tuple(notes), tuple(_site_reps(
                 lg, cliques, site_choices, least))
-    return tau, tuple(notes), (egp_set(CliqueCover(lg, tuple(cliques))),)
+    return tau, tuple(notes), (_groups_rep(lg.n, cliques),)
 
 
 def _sd_wing_choices(stars: tuple,
@@ -509,7 +511,7 @@ def _witnesses(base: Graph, category: str, variants: bool):
     cliques, _sites, _alphabets, bundles = _construction(base, stars, cls,
                                                        category)
     if not variants:
-        return egp_set(CliqueCover(lg, tuple(cliques)))
+        return _groups_rep(lg.n, cliques)
     choices = bundles()
     return _site_reps(lg, cliques, choices,
                       product(*(range(len(c)) for c in choices)))

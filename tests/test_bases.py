@@ -5,10 +5,11 @@ the classification must name exactly the families that their definitions
 build.  On the bases with at most eight edges the closed forms must agree
 with the oracle in ``sd``, ``sa`` and ``sdu``, and the automorphisms that
 the canonical walk records must generate the group that
-``zoo.automorphisms`` lists.  On the whole corpus the closed forms' site
-classes must number the Burnside count over the site permutations that
-``zoo.automorphisms`` lists.  Every closed-form report on
-the corpus must match its frozen digest in ``closed_form_digests.json``,
+``zoo.automorphisms`` lists, and every witness variant must represent
+the line graph in its category at the star form's size.  On the whole
+corpus the closed forms' site classes must number the Burnside count
+over the site permutations that ``zoo.automorphisms`` lists.  Every
+closed-form report on the corpus must match its frozen digest in ``closed_form_digests.json``,
 and every oracle answer on the bases with at most eight edges and on
 K3-K7 its digest in ``oracle_digests.json``, also when the oracle's keyer
 records no orbit past its first image; after a change that alters an answer on purpose,
@@ -25,6 +26,7 @@ import pytest
 import zoo
 from setrep import (
     SearchBudget,
+    TheoremNotApplicable,
     category_flags,
     classify,
     complete_graph,
@@ -35,6 +37,10 @@ from setrep import (
     star_graph,
     theorems,
     theta_tau_linegraph,
+    witness_sa,
+    witness_sa_variants,
+    witness_sd,
+    witness_sd_variants,
 )
 from setrep.representations import _graph_generators
 
@@ -123,6 +129,35 @@ def test_closed_forms_agree_with_the_oracle_up_to_eight_edges(bases,
                 assert category_flags(rep).satisfies(category), base.edges
             runs += 1
     assert runs == sum(A002905[:ORACLE_MAX_M])
+
+
+def test_witness_variants_represent_the_line_graph_up_to_eight_edges(
+        bases):
+    """Every variant that ``witness_sd_variants`` and
+    ``witness_sa_variants`` build on a base with at most eight edges
+    represents its line graph, satisfies its category and has as many
+    elements as the star form.  The kinds the builders refuse are
+    skipped."""
+    builds = variants = 0
+    for level in bases[:ORACLE_MAX_M]:
+        for base in level.values():
+            lg, _ = line_graph(base)
+            for category, star_form, build in (
+                    ("sd", witness_sd, witness_sd_variants),
+                    ("sa", witness_sa, witness_sa_variants)):
+                try:
+                    reps = build(base)
+                except TheoremNotApplicable:
+                    continue
+                size = star_form(base).universe_size
+                for rep in reps:
+                    assert represents(rep, lg), (base.edges, category)
+                    assert category_flags(rep).satisfies(category), \
+                        (base.edges, category)
+                    assert rep.universe_size == size, (base.edges, category)
+                builds += 1
+                variants += len(reps)
+    assert (builds, variants) == (670, 865)
 
 
 def group_of(generators, n):

@@ -113,9 +113,12 @@ def test_simple_iff_partition():
     ],
 )
 def test_validate_cover_rejects(cliques, message):
+    """``validate_cover`` refuses each malformed cover, and so does
+    ``egp_set``, which reads a cover only once it is validated."""
     g = path_graph(4)
-    with pytest.raises(InvalidCoverError, match=message):
-        validate_cover(CliqueCover(g, cliques))
+    for check in (validate_cover, egp_set):
+        with pytest.raises(InvalidCoverError, match=message):
+            check(CliqueCover(g, cliques))
 
 
 def test_cover_json_round_trip(tmp_path):
