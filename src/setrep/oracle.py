@@ -25,16 +25,23 @@ decide which placements of t pads succeed:
 So each partition has a least pad count in each category, and more pads
 succeed too: outside ``u`` at every larger count, as a surplus pad can
 go to any vertex, and under ``u`` at every larger size, which pads every
-vertex.  The search asks for the universe sizes p = 1, 2, ... in turn;
-level p holds the partitions of at most p cliques, and the search stops
-at the first level that has a solution or is cut short by a limit.  A
-partition of q cliques with least count t has a solution at level
-q + t, so no level the search asks for holds it with more pads than t.
-Each partition is therefore padded at that one level, and only its
-least placements are generated.  A run reads each partition once, at the
-clique budget that finds it: it computes the least count and the facts
-that generate those placements then, and files the partition under its
-one level, q + t, which pads it when the search gets there.
+vertex.  The search asks for the universe sizes p = 1, 2, ... in turn,
+and stops at the first level that has a solution or is cut short by a
+limit.  A partition of q cliques with least count t has a solution at
+level q + t, so no level the search asks for holds it with more pads
+than t: it is padded at that one level, with its least placements only.
+Some vertices hold a pad in every partition: those of degree 0, whose
+member set is empty; under a, those of degree 1, whose one clique, the
+edge to their neighbour, holds the neighbour too; and under u, those of
+degree 1 once some vertex x has a neighbourhood that is not a clique, as
+x then lies in two cliques or more (one holding all of x's edges would
+hold N[x]), so every set has two elements or more.  With L such vertices
+every t is L or more, so level p reads clique budget max(1, p - L), the
+kernel's budgets starting at 1, and levels 2 to L + 1 read none.  A run
+reads each partition once, at the budget that finds it: it computes the
+least count and the facts that generate those placements then, and files
+the partition under its one level, q + t, which pads it when the search
+gets there.
 
 Categories without "s" fall back to a direct assignment search over all
 nonempty subsets per vertex, which is only viable for very small inputs.
@@ -51,18 +58,18 @@ do not depend on the category, so the partition levels read one record
 per graph, kept for the last graph searched and keyed by its identity
 and by the thread that searched it.  It holds one kernel frontier, the
 nodes of each clique budget searched so far and, for each budget, the
-sorted partitions new at it, each with its membership masks.  Level p
-replays budget p if the record holds it: it charges the recorded nodes
-and reads the partitions recorded at p.  Otherwise it resumes the
-frontier at p, so the kernel visits only the nodes that the budget of
-p - 1 cliques pruned, and records the partitions new at p.  Either way
-the run files those partitions under their levels and then pads the
-partitions filed under p, sorted, in the order that a kernel restarted
-at p lists them.  Every result is the one a fresh record would give,
-whatever ran on the graph before; a kernel call cut short by a limit
-drops the record.  The kernel, the padding and the assignment search
-spend one node budget, stop at the first node past ``node_limit`` and
-check the deadline at least every 4,096 nodes.  A key
+sorted partitions new at it, each with its membership masks.  A level
+that reads budget q replays it if the record holds it: it charges the
+recorded nodes and reads the partitions recorded at q.  Otherwise it
+resumes the frontier at q, so the kernel visits only the nodes that the
+budget of q - 1 cliques pruned, and records the partitions new at q.
+Either way the run files those partitions under their levels, and level
+p then pads the partitions filed under p, sorted, in the order that a
+kernel restarted at p lists them.  Every result is the one a fresh
+record would give, whatever ran on the graph before; a kernel call cut
+short by a limit drops the record.  The kernel, the padding and the
+assignment search spend one node budget, stop at the first node past
+``node_limit`` and check the deadline at least every 4,096 nodes.  A key
 can be slow (the walk for the generators, an orbit, a canonical form), so
 a run with a ``time_limit`` also checks it before each key but the first
 and at the end of each level that found none: it returns within one key
@@ -519,6 +526,15 @@ class _Record:
         self.found: list[list[tuple]] = []
 
 
+def _pad_offset(masks: list[int], category: str) -> int:
+    """The pad offset L of the module docstring, for a category with s."""
+    if "a" in category or "u" in category and any(
+            (masks[u] | 1 << u) & nbhd != nbhd
+            for nbhd in masks for u in _bits(nbhd)):
+        return sum(not nbhd & nbhd - 1 for nbhd in masks)
+    return masks.count(0)
+
+
 @functools.lru_cache(maxsize=1)
 def _partition_record(g: Graph, thread: int) -> _Record:
     """The record of the last graph searched by partitions.  ``Graph``
@@ -530,45 +546,49 @@ def _partition_record(g: Graph, thread: int) -> _Record:
 
 
 def _partition_levels(g: Graph, category: str, counter: dict):
-    """The levels of one partition run: ``level(p)`` pads to universe
-    size ``p`` the partitions whose clique count plus least pad count is
-    ``p``, for p = 1, 2, ... in turn.  A budget that the graph's record
-    holds is replayed: its recorded nodes are charged to the run's budget,
-    as the kernel call would have spent them.  A new budget resumes the
-    record's frontier with the nodes the budget has left, and the
-    partitions new there are added to the record.  A kernel call cut
-    short by a limit leaves the frontier part-resumed, so it drops the
-    record.  The partitions of budget p, replayed or new, get their
-    padding facts then, once per run, and ``waiting`` files each under
-    the level that pads it, for that level to take in sorted order."""
+    """The levels of one partition run: ``level(p)`` pads to universe size
+    ``p`` the partitions whose clique count plus least pad count is ``p``,
+    for p = 1, 2, ... in turn, and reads clique budget max(1, p - L) if no
+    earlier level did.  A budget that the graph's record holds is replayed:
+    its recorded nodes are charged to the run's budget, as the kernel call
+    would have spent them.  A new budget resumes the record's frontier with
+    the nodes the budget has left, and the partitions new there are added
+    to the record.  A kernel call cut short by a limit leaves the frontier
+    part-resumed, so it drops the record.  The partitions of a budget,
+    replayed or new, get their padding facts then, once per run, and
+    ``waiting`` files each under the level that pads it, for that level to
+    take in sorted order."""
     rec = _partition_record(g, threading.get_ident())
+    offset = _pad_offset(rec.masks, category)
     waiting: dict[int, list] = {}
 
     def level(p: int):
-        limit = counter["limit"]
-        if p <= len(rec.spent):
-            nodes = rec.spent[p - 1]
-            if limit is not None and counter["nodes"] + nodes > limit:
-                _checkpoint(counter, limit + 1)
-                return
-        else:
-            pairs, nodes, complete = enumerate_edge_partitions(
-                g.n, rec.masks, p,
-                node_limit=None if limit is None else limit - counter["nodes"],
-                deadline=counter["deadline"], frontier=rec.frontier)
-            if not complete:
-                _partition_record.cache_clear()
-                # the kernel stopped at a limit; the checkpoint names it
-                _checkpoint(counter, counter["nodes"] + nodes)
-                return
-            rec.spent.append(nodes)
-            rec.found.append([(part, weight, _memberships(g.n, part))
-                              for part, weight in pairs])
-        counter["nodes"] += nodes
-        for part, weight, member in rec.found[p - 1]:
-            facts = _pad_facts(member, category)
-            waiting.setdefault(len(part) + facts[0], []).append(
-                ((part, member, facts), weight))
+        q = max(1, p - offset)  # the pad offset L: levels 2 to L + 1 read none
+        if q > 1 or p == 1:
+            limit = counter["limit"]
+            if q <= len(rec.spent):
+                nodes = rec.spent[q - 1]
+                if limit is not None and counter["nodes"] + nodes > limit:
+                    _checkpoint(counter, limit + 1)
+                    return
+            else:
+                pairs, nodes, complete = enumerate_edge_partitions(
+                    g.n, rec.masks, q, node_limit=None if limit is None
+                    else limit - counter["nodes"],
+                    deadline=counter["deadline"], frontier=rec.frontier)
+                if not complete:
+                    _partition_record.cache_clear()
+                    # the kernel stopped at a limit; the checkpoint names it
+                    _checkpoint(counter, counter["nodes"] + nodes)
+                    return
+                rec.spent.append(nodes)
+                rec.found.append([(part, weight, _memberships(g.n, part))
+                                  for part, weight in pairs])
+            counter["nodes"] += nodes
+            for part, weight, member in rec.found[q - 1]:
+                facts = _pad_facts(member, category)
+                waiting.setdefault(len(part) + facts[0], []).append(
+                    ((part, member, facts), weight))
         yield from _solutions_at_level(category, sorted(waiting.pop(p, [])),
                                        p, counter)
 

@@ -31,6 +31,13 @@ adjacent to: one clique is a, x and x's neighbours in N(a), the other is a
 and the rest of N(a).  Both must be cliques, and their edges must be all
 the uncovered edges.
 
+The uncovered edges are counted too: a clique covers at most C(omega, 2) of
+them, omega the clique number, so a node with e of them needs
+ceil(e / C(omega, 2)) more cliques, and is pruned when they exceed the
+cliques left.  Omega is found once per :class:`Frontier` by a branch and
+bound, or bounded past ``_OMEGA_STEPS`` steps by a greedy colouring's
+colours; a deadline passed when it starts stops the call before its root.
+
 Twin orbits prune too.  Two vertices are true twins when their closed
 neighbourhoods N[u] and N[v] are equal, and swapping them is an
 automorphism of the graph.  At a node the vertices fall into cells: two
@@ -53,16 +60,17 @@ q + 1 contains the tree at q node for node.  A run that asks for growing
 budgets (the oracle's universe sizes) passes one :class:`Frontier`.  Each
 node that the budget prunes is kept there with its chosen cliques, its
 uncovered masks, its cells, weight, active vertices and edge total, and
-the least budget that lets it go on: one more clique when the uncovered
+the least budget that lets it go on: its cliques plus the larger of its
+counting need and the budget rule's: one more clique when the uncovered
 edges form one clique, two more when they do not and one clique was left,
-three more when two were left.  A later call resumes the
-entries its budget admits and keeps the rest.  A node that closed its
-partition with the whole uncovered clique skips that candidate when it is
-resumed, so each call returns only the partitions new at its budget.  A
-node is counted when it is first visited and not again when resumed, so
-the nodes of a run up to budget q are at most those of one call at q.
-Every pruned node is kept, whatever budget it needs, so a frontier can be
-resumed at any larger budget later.
+three more when two were left.  A later call resumes the entries its
+budget admits and keeps the rest.  A node that closed its partition with
+the whole uncovered clique skips that candidate when it is resumed, so
+each call returns only the partitions new at its budget.  A node is
+counted when it is first visited and not again when resumed, so the nodes
+of a run up to budget q are at most those of one call at q.  Every pruned
+node is kept, whatever budget it needs, so a frontier can be resumed at
+any larger budget later.
 
 The search keeps its state in one :class:`_Search` object, which
 module-level functions take: a nested function that calls itself is a
@@ -91,14 +99,15 @@ class Frontier:
     """The nodes of one run that its clique budgets pruned, kept so that a
     larger budget resumes them instead of searching from the root again.
 
-    ``entries`` is None until the first call has searched the root.  A
-    call that stops at a limit leaves the frontier part-resumed: it must
-    not be resumed again."""
+    ``entries`` is None until the first call has searched the root and
+    set ``pairs`` to omega (omega - 1).  A call that stops at a limit
+    leaves the frontier part-resumed: it must not be resumed again."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "pairs")
 
     def __init__(self):
         self.entries: list[tuple] | None = None
+        self.pairs = 0
 
 
 class _Search:
@@ -106,7 +115,7 @@ class _Search:
     module-level search functions take as their first argument."""
 
     __slots__ = ("n", "max_cliques", "node_limit", "deadline", "keep", "unc",
-                 "cliques", "partitions", "kept", "nodes", "aborted")
+                 "cliques", "pairs", "partitions", "kept", "nodes", "aborted")
 
     def __init__(self, n, adj, max_cliques, node_limit, deadline, keep):
         self.n = n
@@ -116,10 +125,43 @@ class _Search:
         self.keep = keep  # whether pruned nodes go to a frontier
         self.unc = [adj[v] for v in range(n)]
         self.cliques: list[int] = []
+        self.pairs = 0  # omega (omega - 1): twice a largest clique's edges
         self.partitions: list[tuple[tuple[int, ...], int]] = []
         self.kept: list[tuple] = []
         self.nodes = 0
         self.aborted = False
+
+
+_OMEGA_STEPS = 10_000  # the most branch steps of one clique-number search
+
+
+def _clique_bound(n: int, adj, deadline) -> int | None:
+    """The clique number of the graph, or past ``_OMEGA_STEPS`` steps the
+    colour count of a greedy colouring; None if the deadline has passed."""
+    best, steps = 1, 0
+    stack = [(0, (1 << n) - 1)]  # (clique size, vertices adjacent to all)
+    while stack:
+        size, cand = stack.pop()
+        if size + cand.bit_count() <= best:
+            continue
+        if steps == _OMEGA_STEPS:  # colour greedily, one class at a time
+            colours, left = 0, (1 << n) - 1
+            while left:
+                colours, free = colours + 1, left
+                while free:
+                    vbit = free & -free
+                    left ^= vbit
+                    free &= ~(adj[vbit.bit_length() - 1] | vbit)
+            return colours
+        if deadline is not None and not steps % 1024 \
+                and time.monotonic() > deadline:
+            return None
+        steps += 1
+        vbit = cand & -cand
+        stack.append((size, cand ^ vbit))
+        stack.append((size + 1, cand & adj[vbit.bit_length() - 1]))
+        best = max(best, size + 1)
+    return best
 
 
 def enumerate_edge_partitions(n, adj, max_cliques, node_limit=None,
@@ -138,14 +180,17 @@ def enumerate_edge_partitions(n, adj, max_cliques, node_limit=None,
     s = _Search(n, adj, max_cliques, node_limit, deadline,
                 frontier is not None)
     if frontier is None or frontier.entries is None:
-        active = 0
-        total = 0
-        for x in range(n):
-            if adj[x]:
-                active |= 1 << x
-                total += adj[x].bit_count()
-        _descend(s, _twin_classes(n, adj), 1, active, total)
+        omega = _clique_bound(n, adj, deadline)  # None: past the deadline
+        if omega is not None:
+            s.pairs = omega * (omega - 1)
+            s.nodes = 1  # the root
+        s.aborted = omega is None or node_limit is not None and node_limit < 1
+        if not s.aborted:
+            active = sum(1 << x for x in range(n) if adj[x])
+            total = sum(adj[x].bit_count() for x in range(n))
+            _expand(s, _twin_classes(n, adj), 1, active, total, 0)
     else:
+        s.pairs = frontier.pairs
         for entry in frontier.entries:
             least, chosen, node_unc, cells, weight, active, total, skip = entry
             if least > max_cliques:
@@ -158,23 +203,9 @@ def enumerate_edge_partitions(n, adj, max_cliques, node_limit=None,
             if s.aborted:
                 break
     if frontier is not None:
-        frontier.entries = s.kept
+        frontier.entries, frontier.pairs = s.kept, s.pairs
     s.partitions.sort()
     return s.partitions, s.nodes, not s.aborted
-
-
-def _descend(s: _Search, cells: list[int], weight: int, active: int,
-             total: int) -> None:
-    """Count a new node, stop at a limit, and expand it."""
-    s.nodes += 1
-    if s.node_limit is not None and s.nodes > s.node_limit:
-        s.aborted = True
-        return
-    if s.deadline is not None and s.nodes % 1024 == 0 \
-            and time.monotonic() > s.deadline:
-        s.aborted = True
-        return
-    _expand(s, cells, weight, active, total, 0)
 
 
 # cells: the node's cells of two or more vertices; weight: the number of
@@ -189,6 +220,8 @@ def _expand(s: _Search, cells: list[int], weight: int, active: int,
         return
     unc = s.unc
     remaining = s.max_cliques - len(cliques)
+    # a clique covers at most omega (omega - 1) / 2 uncovered edges
+    need = -(-total // s.pairs)
     if remaining <= 1:
         # the last clique must be the whole uncovered graph
         k = active.bit_count()
@@ -197,17 +230,18 @@ def _expand(s: _Search, cells: list[int], weight: int, active: int,
             s.partitions.append((tuple(sorted(cliques + [active])), weight))
         # one more clique closes a whole uncovered graph left open;
         # anything else needs two more to branch
-        least = len(cliques) + (1 if whole and remaining < 1 else 2)
+        least = len(cliques) + max(need, 1 if whole and remaining < 1 else 2)
         if s.keep:
             s.kept.append((least, tuple(cliques), tuple(unc), cells,
                            weight, active, total,
                            active if whole and remaining == 1 else 0))
         return
-    if remaining == 2 and not _two_cliques(unc, active, total):
-        # the uncovered edges need three more cliques at least
+    if need > remaining or remaining == 2 and \
+            not _two_cliques(unc, active, total):
+        # more cliques needed than left, and three if not the edges of two
         if s.keep:
-            s.kept.append((len(cliques) + 3, tuple(cliques), tuple(unc),
-                           cells, weight, active, total, skip))
+            s.kept.append((len(cliques) + max(need, 3), tuple(cliques),
+                           tuple(unc), cells, weight, active, total, skip))
         return
 
     # fail-first edge: fewest common uncovered neighbours
@@ -241,27 +275,33 @@ def _expand(s: _Search, cells: list[int], weight: int, active: int,
             grp = cell & common
             if grp & (grp - 1):
                 groups.append(grp)
-                below = 0
-                while grp:
-                    wbit = grp & -grp
-                    grp ^= wbit
-                    lower[wbit] = below
-                    below |= wbit
+                rest = grp
+                while rest:
+                    wbit = rest & -rest
+                    rest ^= wbit
+                    lower[wbit] = grp & (wbit - 1)
 
     candidates: list[int] = []
     _extend(candidates, unc, lower, base, common)
 
+    node_limit, deadline = s.node_limit, s.deadline
+    before = unc[:]
     for cl in candidates:
         if cl == skip:
             continue
-        saved = []
+        # the child is a new node: count it and stop at a limit
+        s.nodes += 1
+        if node_limit is not None and s.nodes > node_limit \
+                or deadline is not None and not s.nodes % 1024 \
+                and time.monotonic() > deadline:
+            s.aborted = True
+            return
         left = active
         rest = cl
         while rest:
             bit = rest & -rest
             rest ^= bit
             a = bit.bit_length() - 1
-            saved.append((a, unc[a]))
             unc[a] &= ~cl
             if not unc[a]:
                 left ^= bit
@@ -275,12 +315,11 @@ def _expand(s: _Search, cells: list[int], weight: int, active: int,
             split = [part for cell in cells
                      for part in (cell & cl, cell & ~cl)
                      if part & (part - 1)]
-            _descend(s, split, orbit, left, left_total)
+            _expand(s, split, orbit, left, left_total, 0)
         else:
-            _descend(s, cells, weight, left, left_total)
+            _expand(s, cells, weight, left, left_total, 0)
         cliques.pop()
-        for a, old in saved:
-            unc[a] = old
+        unc[:] = before
         if s.aborted:
             return
 

@@ -1551,6 +1551,164 @@ def test_each_graph_is_walked_once(monkeypatch):
     assert len(walks) == 1
 
 
+# -- the counting bound and the pad offset ------------------------------------
+
+def hypercube(d):
+    """Q_d: the d-bit words, adjacent when they differ in one bit."""
+    return zoo.from_edges([(f"q{v}", f"q{v ^ 1 << i}") for v in range(1 << d)
+                           for i in range(d) if not v >> i & 1])
+
+
+def complete_bipartite(a, b):
+    return zoo.from_edges([(f"a{i}", f"b{j}")
+                           for i in range(a) for j in range(b)])
+
+
+def long_spider(legs):
+    """A hub with ``legs`` legs of two edges each."""
+    return zoo.from_edges([edge for i in range(legs) for edge in (
+        ("h", f"s{i}"), (f"s{i}", f"t{i}"))])
+
+
+@pytest.mark.parametrize("base,category,theta,ceiling", [
+    (complete_graph(9), "sd", 9, 1_000),
+    (hypercube(5), "sd", 32, 1_000),
+    (long_spider(9), "sa", 19, 100),
+    (long_spider(9), "sdu", 19, 100),
+], ids=["LK9-sd", "LQ5-sd", "spider9-sa", "spider9-sdu"])
+def test_counting_bound_node_ceilings(base, category, theta, ceiling):
+    """A node whose uncovered edges need more cliques than its budget
+    leaves, at C(omega, 2) edges a clique, is pruned; a vertex that every
+    partition pads lowers the budgets.  L(K9) under sd takes 515 nodes
+    (261,557 without the counting bound), L(Q5) 250 (no answer within
+    60 s and 1,974,299 nodes without it), and the spider with nine legs
+    of two edges 11 under sa and sdu (358,332 without the pad offset)."""
+    lg = line_graph(base)[0]
+    r = oracle_search(lg, category, SearchBudget(max_universe=theta,
+                                                 time_limit=5), base=base)
+    assert r.stop_reason is None and r.exhausted
+    assert (r.theta, len(r.classes)) == (theta, 1)
+    assert r.nodes <= ceiling
+
+
+def test_counting_bound_on_direct_input():
+    """K3,3,3 under sd, given directly: theta 9 in 152 nodes (800 without
+    the counting bound)."""
+    r = oracle_search(multipartite(3, 3, 3), "sd",
+                      SearchBudget(max_universe=9, time_limit=5))
+    assert r.exhausted and r.theta == 9
+    assert r.nodes <= 300
+
+
+def test_greedy_clique_bound_gives_the_same_answers(monkeypatch):
+    """Any upper bound on the clique number prunes soundly.  With the
+    clique-number search capped at no step, a greedy colouring's count
+    stands in; on every connected base with at most six edges, in sd, sa
+    and sdu, theta, the classes and the labelled count stay those of the
+    exact bound, and the greedy count exceeds the clique number on some
+    of them."""
+    cases = [(line_graph(base)[0], base, cat)
+             for level in zoo.connected_bases(6) for base in level.values()
+             for cat in ("sd", "sa", "sdu")]
+    exact = [(run(g, cat, g.n + 2, base=base),
+              partitions._clique_bound(g.n, _masks(g), None))
+             for g, base, cat in cases]
+    monkeypatch.setattr(partitions, "_OMEGA_STEPS", 0)
+    looser = 0
+    for (g, base, cat), (r, omega) in zip(cases, exact):
+        # a new graph object, so that no record of the exact run is replayed
+        greedy = run(Graph(g.labels, g.edges), cat, g.n + 2, base=base)
+        assert (greedy.theta, repr(greedy.classes),
+                greedy.labeled_solutions) \
+            == (r.theta, repr(r.classes), r.labeled_solutions), \
+            (base.edges, cat)
+        looser += partitions._clique_bound(g.n, _masks(g), None) > omega
+    assert looser
+
+
+def test_deadline_passed_before_the_clique_search(monkeypatch):
+    """The clique-number search checks the deadline when it starts: a
+    deadline already passed then stops the run in the first kernel call,
+    before its root node."""
+    now = [0.0]
+    search = partitions._clique_bound
+
+    def late(*args):
+        now[0] = 3600.0
+        return search(*args)
+
+    clock = types.SimpleNamespace(monotonic=lambda: now[0])
+    monkeypatch.setattr(partitions, "time", clock)
+    monkeypatch.setattr(oracle, "time", clock)
+    monkeypatch.setattr(partitions, "_clique_bound", late)
+    r = oracle_search(complete_graph(4), "sd",
+                      SearchBudget(max_universe=4, time_limit=60))
+    assert r.stop_reason == "time_limit" and not r.exhausted
+    assert (r.theta, r.searched_to, r.nodes) == (None, 0, 0)
+
+
+@pytest.mark.parametrize("category", ["sa", "sdu"])
+def test_edgeless_line_graph_is_padded_at_level_one(category):
+    """L(K2) is one vertex without edges: every partition pads it, and
+    level 1 still reads clique budget 1, whose one partition is empty."""
+    base = star_graph(1)
+    r = run(line_graph(base)[0], category, 3, base=base)
+    assert r.exhausted and (r.theta, r.labeled_solutions) == (1, 1)
+
+
+def test_pad_offset_is_padded_by_every_partition():
+    """The pad offset is at most the least pad count of every edge clique
+    partition, in every category with s: on the line graphs of the
+    connected bases with at most six edges, of the long spiders and of 40
+    seeded random bases, and on those bases themselves."""
+    rng = random.Random(31)
+    bases = [base for level in zoo.connected_bases(6)
+             for base in level.values()]
+    bases += [long_spider(k) for k in range(1, 4)]
+    bases += [random_base(rng) for _ in range(40)]
+    graphs = bases + [line_graph(base)[0] for base in bases]
+    offsets = collections.Counter()
+    for g in graphs:
+        masks = _masks(g)
+        parts, _, complete = enumerate_edge_partitions(g.n, masks, g.m)
+        assert complete
+        for cat in ("s", "sd", "sa", "su", "sdu"):
+            offset = oracle._pad_offset(masks, cat)
+            offsets[cat] += offset
+            for part, _weight in parts:
+                member = oracle._memberships(g.n, part)
+                assert oracle._pad_facts(member, cat)[0] >= offset, \
+                    (g.edges, cat, part)
+    assert offsets["sa"] > offsets["sdu"] > offsets["sd"] > 0
+
+
+def test_closed_forms_agree_with_the_oracle_on_families():
+    """On L(K5)-L(K12), the line graphs of Q3-Q6 and those of
+    K3,3-K6,6, the oracle's theta and class count equal the closed forms'
+    in sd and sa, and in sdu its class count and, where the closed form
+    gives it, theta; every witness and class representative represents
+    the line graph in its category."""
+    bases = [complete_graph(n) for n in range(5, 13)]
+    bases += [hypercube(d) for d in range(3, 7)]
+    bases += [complete_bipartite(a, a) for a in range(3, 7)]
+    for base in bases:
+        lg = line_graph(base)[0]
+        for cat in ("sd", "sa", "sdu"):
+            closed = theta_tau_linegraph(base, cat)
+            theta = closed.theta.exact
+            if cat != "sdu":
+                assert theta is not None, (base.edges, cat)
+            r = oracle_search(lg, cat, SearchBudget(
+                max_universe=theta or base.n + 2, time_limit=5), base=base)
+            assert r.exhausted and r.stop_reason is None, (base.edges, cat)
+            assert r.theta is not None, (base.edges, cat)
+            assert len(r.classes) == closed.tau.exact, (base.edges, cat)
+            assert theta in (None, r.theta), (base.edges, cat)
+            for rep in closed.witnesses + r.classes:
+                assert represents(rep, lg), (base.edges, cat)
+                assert category_flags(rep).satisfies(cat), (base.edges, cat)
+
+
 # -- memory: the search leaves nothing for the cyclic collector ---------------
 
 def test_public_calls_leave_no_reference_cycles():
